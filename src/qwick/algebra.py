@@ -400,6 +400,18 @@ def diagram_term(
     return CovarianceMonomial(factors), VariableWord(word, kind)
 
 
+def _canonical_term(factors, indices, kind: str) -> TermKey:
+    """diagram_term's key built from parts that are canonical already:
+    factors sorted (i, j) with i < j, indices distinct.  Skips validation
+    and re-sorting; the walker's output meets these conditions by
+    construction, and so does any strictly increasing relabelling of it."""
+    cov = object.__new__(CovarianceMonomial)
+    cov.__dict__["factors"] = factors
+    word = object.__new__(VariableWord)
+    word.__dict__.update(indices=indices, kind=kind if indices else NORMAL)
+    return cov, word
+
+
 def substitute_wick(e: Expansion, rule: Mapping[VariableWord, Expansion]) -> Expansion:
     """Replace every Wick-tagged word through the rule map.
 

@@ -12,10 +12,12 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .algebra import Expansion, QPolynomial
-from .diagrams import GroundSet, classify, crossing_stats, enumerate_diagrams, enumerate_nonlinking
+from .diagrams import GroundSet, _block_forbid, _walk, ensure_within_cap
 from .errors import QwickError
 from .verify import CHECKS, run_check
 from .wick import (
@@ -107,7 +109,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+    print(_json_text(payload))
+
+
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, for dicts with str keys,
+    lists, tuples, str, int, bool and None; anything else raises TypeError.
+    With indent set, CPython 3.11's json falls back to its pure-Python
+    encoder, which takes about twice as long as this."""
+    scalar = _JSON_SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in value.items()
+        ]
+        return "{" + inner + sep.join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + sep.join([_json_text(v, inner) for v in value]) + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit_csv(rows, fieldnames) -> None:
@@ -143,12 +177,13 @@ def _emit_expansion(expansion: Expansion, meta: dict, fmt: str) -> None:
 def cmd_diagrams(args) -> int:
     if args.blocks is not None:
         ground = GroundSet(sum(args.blocks), args.blocks)
-        stream = enumerate_nonlinking(ground, cap=args.cap)
+        forbid = _block_forbid(ground)
     elif args.n is not None:
         ground = GroundSet(args.n)
-        stream = enumerate_diagrams(ground, cap=args.cap)
+        forbid = None
     else:
         raise QwickError("diagrams needs --n or --blocks")
+    ensure_within_cap(ground.size, args.cap)
 
     records = []
     summary = {
@@ -159,33 +194,32 @@ def cmd_diagrams(args) -> int:
         "strongly_noncrossing": 0,
         "gap_free": 0,
     }
-    crossing_poly = QPolynomial.zero()
-    for diagram in stream:
-        stats = crossing_stats(diagram)
-        flags = classify(diagram)
+    complete_crossings = Counter()
+    for pairs, singles, c, d, g in _walk(ground.size, forbid=forbid):
+        noncrossing, strongly_noncrossing, gap_free = c == 0, c + d == 0, g == 0
         summary["total"] += 1
-        if diagram.is_complete:
+        if not singles:
             summary["complete"] += 1
-            crossing_poly = crossing_poly + QPolynomial.q_power(stats.c)
-            if flags.noncrossing:
-                summary["complete_noncrossing"] += 1
-        summary["noncrossing"] += flags.noncrossing
-        summary["strongly_noncrossing"] += flags.strongly_noncrossing
-        summary["gap_free"] += flags.gap_free
+            complete_crossings[c] += 1
+            summary["complete_noncrossing"] += noncrossing
+        summary["noncrossing"] += noncrossing
+        summary["strongly_noncrossing"] += strongly_noncrossing
+        summary["gap_free"] += gap_free
         records.append(
             {
-                "pairs": [list(p) for p in diagram.pairs],
-                "singletons": list(diagram.singletons),
-                "c": stats.c,
-                "d": stats.d,
-                "tc": stats.tc,
-                "g": stats.g,
-                "a": stats.a,
-                "noncrossing": flags.noncrossing,
-                "strongly_noncrossing": flags.strongly_noncrossing,
-                "gap_free": flags.gap_free,
+                "pairs": pairs,
+                "singletons": singles,
+                "c": c,
+                "d": d,
+                "tc": c + d,
+                "g": g,
+                "a": g - c,
+                "noncrossing": noncrossing,
+                "strongly_noncrossing": strongly_noncrossing,
+                "gap_free": gap_free,
             }
         )
+    crossing_poly = QPolynomial(complete_crossings)
 
     if args.format == "json":
         _emit_json(

@@ -5,6 +5,18 @@ i < j plus leftover singletons.  Pairs are stored sorted by left endpoint,
 so the stored form is canonical and diagram equality is plain field
 equality.  Every enumerator streams in the lexicographic order of the
 stored pair tuples, which makes runs reproducible byte for byte.
+
+All enumeration runs through one recursive walker, _walk.  It places one
+pair at a time, always opening at the smallest free position, and carries
+the crossing number c, the degenerate crossings d and the total gap g
+along, so each diagram arrives with its statistics at O(1) extra cost per
+pair.  It prunes instead of filtering: a block (or sign) mask stops a pair
+from being placed at all, and a zero mode cuts a branch as soon as c, tc
+or g turns positive.  The diagram sums in the wick module and the CLI
+listing read the walker's tuples directly.  The enumerate_* generators
+wrap it in validated FeynmanDiagram objects for library callers, and
+crossing_stats stays the from-scratch reference definition of the
+statistics, off the hot path, against which the tests check the walker.
 """
 
 from __future__ import annotations
@@ -27,7 +39,15 @@ def enumeration_cap() -> int:
     variable to override.
     """
     raw = os.environ.get(CAP_ENV_VAR)
-    return int(raw) if raw else DEFAULT_CAP
+    if not raw:
+        return DEFAULT_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise DomainError(f"{CAP_ENV_VAR} must be a nonnegative integer, got {raw!r}")
+    return cap
 
 
 def ensure_within_cap(size: int, cap: int | None = None) -> None:
@@ -273,41 +293,15 @@ def enumerate_diagrams(ground: GroundSet, cap: int | None = None):
     stored pair tuple; the all-singleton diagram comes first.
     """
     ensure_within_cap(ground.size, cap)
-    for pairs in _pair_tuples(tuple(ground.positions())):
+    for pairs, *_ in _walk(ground.size):
         yield FeynmanDiagram(ground, pairs)
-
-
-def _pair_tuples(free):
-    # free holds ascending candidate positions; positions skipped before a
-    # chosen left endpoint can never be paired later and fall out as
-    # singletons, which is what keeps the output duplicate-free.
-    yield ()
-    for a, i in enumerate(free):
-        for b in range(a + 1, len(free)):
-            j = free[b]
-            rest = free[a + 1 : b] + free[b + 1 :]
-            for tail in _pair_tuples(rest):
-                yield ((i, j),) + tail
 
 
 def enumerate_complete(ground: GroundSet, cap: int | None = None):
     """Perfect pairings of the ground set; empty stream for odd size."""
     ensure_within_cap(ground.size, cap)
-    if ground.size % 2:
-        return
-    for pairs in _complete_tuples(tuple(ground.positions())):
+    for pairs, *_ in _walk(ground.size, complete_only=True):
         yield FeynmanDiagram(ground, pairs)
-
-
-def _complete_tuples(free):
-    if not free:
-        yield ()
-        return
-    i, rest = free[0], free[1:]
-    for b, j in enumerate(rest):
-        remaining = rest[:b] + rest[b + 1 :]
-        for tail in _complete_tuples(remaining):
-            yield ((i, j),) + tail
 
 
 def enumerate_compatible(eps: SignSequence, cap: int | None = None):
@@ -317,24 +311,9 @@ def enumerate_compatible(eps: SignSequence, cap: int | None = None):
     ok, _ = catalan_check(eps)
     if not ok:
         raise DomainError("sign sequence is not Catalan; no compatible pairings exist")
-    minus = tuple(k for k, e in enumerate(eps.entries, start=1) if e == -1)
-    plus = tuple(k for k, e in enumerate(eps.entries, start=1) if e == 1)
     ground = GroundSet(len(eps))
-    for pairs in _matched_tuples(minus, plus):
+    for pairs, *_ in _walk(ground.size, complete_only=True, forbid=_sign_forbid(eps)):
         yield FeynmanDiagram(ground, pairs)
-
-
-def _matched_tuples(lefts, rights):
-    if not lefts:
-        yield ()
-        return
-    i, rest = lefts[0], lefts[1:]
-    for b, j in enumerate(rights):
-        if j < i:
-            continue
-        remaining = rights[:b] + rights[b + 1 :]
-        for tail in _matched_tuples(rest, remaining):
-            yield ((i, j),) + tail
 
 
 def enumerate_nonlinking(
@@ -343,16 +322,95 @@ def enumerate_nonlinking(
     """Diagrams with no pair inside a single block.
 
     Requires a block structure on the ground set.  With singleton blocks the
-    filter is vacuous and the stream equals the unrestricted enumeration.
+    restriction is vacuous and the stream equals the unrestricted enumeration.
     """
     if ground.blocks is None:
         raise DomainError("non-linking enumeration needs a block structure")
-    base = enumerate_complete if complete_only else enumerate_diagrams
-    for diagram in base(ground, cap=cap):
-        if not _links_within_block(diagram):
-            yield diagram
+    ensure_within_cap(ground.size, cap)
+    for pairs, *_ in _walk(ground.size, complete_only, _block_forbid(ground)):
+        yield FeynmanDiagram(ground, pairs)
 
 
-def _links_within_block(diagram: FeynmanDiagram) -> bool:
-    ground = diagram.ground
-    return any(ground.block_of(i) == ground.block_of(j) for i, j in diagram.pairs)
+def _block_forbid(ground: GroundSet) -> tuple[int, ...]:
+    """Walker partner masks that keep every pair across two blocks: entry p
+    has the bits of all positions in the block of p (entry 0 is unused)."""
+    masks = [0]
+    for width in ground.blocks:
+        masks += [((1 << width) - 1) << len(masks)] * width
+    return tuple(masks)
+
+
+def _sign_forbid(eps: SignSequence) -> tuple[int, ...]:
+    """Walker partner masks of the diagrams compatible with a sign pattern:
+    a -1 position pairs only with +1 positions, a +1 position opens no pair."""
+    everything = (1 << (len(eps) + 1)) - 1
+    minus = sum(1 << k for k, e in enumerate(eps.entries, start=1) if e == -1)
+    return (0,) + tuple(minus if e == -1 else everything for e in eps.entries)
+
+
+def _walk(
+    size: int,
+    complete_only: bool = False,
+    forbid: tuple[int, ...] | None = None,
+    zero: str | None = None,
+):
+    """Stream (pairs, singletons, c, d, g) for the diagrams on 1..size.
+
+    The order is the lexicographic order of the pair tuples, the same as
+    enumerate_diagrams (or enumerate_complete with complete_only).  Pairs are
+    sorted by left endpoint and singletons ascend, so both are canonical
+    as they come.  c, d and g are carried along the recursion and equal
+    crossing_stats of the diagram.
+
+    forbid, when given, is indexed by position: a pair (i, j) is never placed
+    when bit j of forbid[i] is set.  zero ("c", "tc" or "g") keeps only the
+    diagrams on which that statistic is 0; since all three only grow as
+    pairs and singletons are placed, a branch is cut as soon as it turns
+    positive, which is exactly the class filter.
+    """
+    return _place(tuple(range(1, size + 1)), complete_only, forbid, zero, (), (), 0, 0, 0, 0)
+
+
+def _place(free, complete_only, forbid, zero, pairs, singles, rights, c, d, g):
+    # free ascends.  The next pair takes i = free[a] as its left endpoint,
+    # so free[:a] can never be paired later and fall out as singletons;
+    # that is what keeps the output duplicate-free.  rights has bit r set
+    # for every placed right endpoint r.  Every placed pair opens left of
+    # any free position, so a placed pair contains position s exactly when
+    # its right endpoint exceeds s.
+    if not complete_only or not free:
+        extra = sum((rights >> s).bit_count() for s in free) if rights else 0
+        if not (extra and zero == "tc"):
+            yield pairs, singles + free, c, d + extra, g
+    stop = len(free) - 1
+    if complete_only:
+        stop = min(stop, 1)  # the smallest free position must be paired
+    skipped = 0  # degenerate crossings of the singletons free[:a]
+    for a in range(stop):
+        i = free[a]
+        if a:
+            skipped += (rights >> free[a - 1]).bit_count()
+            if skipped and zero == "tc":
+                break
+        barred = forbid[i] if forbid else 0
+        for b in range(a + 1, len(free)):
+            j = free[b]
+            if barred >> j & 1:
+                continue
+            # placed right endpoints strictly between i and j
+            cross = (rights >> i & ((1 << (j - i)) - 1)).bit_count()
+            gap = j - i - 1
+            if zero and (gap if zero == "g" else cross):
+                break  # gap and cross only grow with j
+            yield from _place(
+                free[a + 1 : b] + free[b + 1 :],
+                complete_only,
+                forbid,
+                zero,
+                pairs + ((i, j),),
+                singles + free[:a],
+                rights | 1 << j,
+                c + cross,
+                d + skipped,
+                g + gap,
+            )

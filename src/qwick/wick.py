@@ -9,6 +9,7 @@ the evaluator in the oracle module.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -20,20 +21,17 @@ from .algebra import (
     Expansion,
     QPolynomial,
     VariableWord,
+    _canonical_term,
     accumulate_term,
-    diagram_term,
 )
 from .diagrams import (
-    CrossingStats,
     GroundSet,
     SignSequence,
+    _block_forbid,
+    _sign_forbid,
+    _walk,
     catalan_check,
-    crossing_stats,
     ensure_within_cap,
-    enumerate_compatible,
-    enumerate_complete,
-    enumerate_diagrams,
-    enumerate_nonlinking,
 )
 from .errors import DomainError
 
@@ -95,22 +93,31 @@ def wick_operator_form(n: int, cap: int | None = None) -> WickOperatorForm:
     return WickOperatorForm(tuple(summands))
 
 
+@functools.cache
+def _q_power(exp: int, coeff: int) -> QPolynomial:
+    # shared between terms and expansions: QPolynomial is never mutated
+    return QPolynomial.q_power(exp, coeff)
+
+
 def _diagram_sum(
-    diagrams,
+    walk,
     kind: str,
-    power: Callable[[CrossingStats], int],
+    power: Callable[[int, int, int], int],
     signed: bool = False,
-    keep: Callable[[CrossingStats], bool] | None = None,
     labels=None,
 ) -> Expansion:
+    """Sum over the walker's (pairs, singletons, c, d, g) stream: each diagram
+    contributes its covariance factors and singleton word, times q to
+    power(c, d, g), negated for an odd pair count when signed.  labels, when
+    given, must be strictly increasing and maps position p to labels[p - 1]."""
     acc: dict = {}
-    for diagram in diagrams:
-        stats = crossing_stats(diagram)
-        if keep is not None and not keep(stats):
-            continue
-        coeff = -1 if signed and len(diagram.pairs) % 2 else 1
-        cov, word = diagram_term(diagram, kind, labels=labels)
-        accumulate_term(acc, cov, word, QPolynomial.q_power(power(stats), coeff))
+    for pairs, singles, c, d, g in walk:
+        if labels is not None:
+            pairs = tuple((labels[i - 1], labels[j - 1]) for i, j in pairs)
+            singles = tuple(labels[h - 1] for h in singles)
+        coeff = -1 if signed and len(pairs) % 2 else 1
+        cov, word = _canonical_term(pairs, singles, kind)
+        accumulate_term(acc, cov, word, _q_power(power(c, d, g), coeff))
     return Expansion(acc)
 
 
@@ -123,7 +130,8 @@ def m_epsilon_expansion(eps: SignSequence, cap: int | None = None) -> Expansion:
     ok, _ = catalan_check(eps)
     if not ok:
         return Expansion.zero()
-    return _diagram_sum(enumerate_compatible(eps, cap=cap), NORMAL, lambda s: s.c)
+    ensure_within_cap(len(eps), cap)
+    return _diagram_sum(_walk(len(eps), True, _sign_forbid(eps)), NORMAL, lambda c, d, g: c)
 
 
 def moment_expansion(n: int, cap: int | None = None) -> Expansion:
@@ -136,7 +144,7 @@ def moment_expansion(n: int, cap: int | None = None) -> Expansion:
     ensure_within_cap(n, cap)
     if n % 2:
         return Expansion.zero()
-    return _diagram_sum(enumerate_complete(GroundSet(n), cap=cap), NORMAL, lambda s: s.c)
+    return _diagram_sum(_walk(n, True), NORMAL, lambda c, d, g: c)
 
 
 def wick_to_normal_word(indices: Sequence[int], cap: int | None = None) -> Expansion:
@@ -147,13 +155,9 @@ def wick_to_normal_word(indices: Sequence[int], cap: int | None = None) -> Expan
     if any(a >= b for a, b in zip(indices, indices[1:])):
         raise DomainError(f"variable indices must be strictly increasing, got {indices}")
     ensure_within_cap(len(indices), cap)
-    return _diagram_sum(
-        enumerate_diagrams(GroundSet(len(indices)), cap=cap),
-        NORMAL,
-        lambda s: s.a,
-        signed=True,
-        labels=indices,
-    )
+    n = len(indices)
+    labels = None if indices == tuple(range(1, n + 1)) else indices
+    return _diagram_sum(_walk(n), NORMAL, lambda c, d, g: g - c, signed=True, labels=labels)
 
 
 def wick_to_normal(n: int, cap: int | None = None) -> Expansion:
@@ -199,9 +203,7 @@ def normal_to_wick(n: int, cap: int | None = None) -> Expansion:
     if n < 0:
         raise DomainError(f"variable count must be nonnegative, got {n}")
     ensure_within_cap(n, cap)
-    return _diagram_sum(
-        enumerate_diagrams(GroundSet(n), cap=cap), WICK, lambda s: s.tc
-    )
+    return _diagram_sum(_walk(n), WICK, lambda c, d, g: c + d)
 
 
 def wick_substitution_rules(
@@ -228,7 +230,7 @@ def product_expectation(blocks: Sequence[int], cap: int | None = None) -> Expans
     ground = _block_ground(blocks)
     ensure_within_cap(ground.size, cap)
     return _diagram_sum(
-        enumerate_nonlinking(ground, complete_only=True, cap=cap), NORMAL, lambda s: s.c
+        _walk(ground.size, True, _block_forbid(ground)), NORMAL, lambda c, d, g: c
     )
 
 
@@ -241,13 +243,15 @@ def product_expansion(blocks: Sequence[int], cap: int | None = None) -> Expansio
     ground = _block_ground(blocks)
     ensure_within_cap(ground.size, cap)
     return _diagram_sum(
-        enumerate_nonlinking(ground, complete_only=False, cap=cap), WICK, lambda s: s.tc
+        _walk(ground.size, False, _block_forbid(ground)), WICK, lambda c, d, g: c + d
     )
 
 
 # Free specializations: the same sums restricted by diagram class instead of
 # by killing q-powers afterwards.  Each must coincide with specialize_free of
-# its general counterpart.
+# its general counterpart.  The walker keeps exactly the class (c = 0,
+# g = 0 or tc = 0) by cutting every branch on which the statistic has
+# turned positive.
 
 def free_moment_expansion(n: int, cap: int | None = None) -> Expansion:
     """Moment at q = 0: complete noncrossing diagrams only."""
@@ -256,12 +260,7 @@ def free_moment_expansion(n: int, cap: int | None = None) -> Expansion:
     ensure_within_cap(n, cap)
     if n % 2:
         return Expansion.zero()
-    return _diagram_sum(
-        enumerate_complete(GroundSet(n), cap=cap),
-        NORMAL,
-        lambda s: 0,
-        keep=lambda s: s.c == 0,
-    )
+    return _diagram_sum(_walk(n, True, zero="c"), NORMAL, lambda c, d, g: 0)
 
 
 def free_wick_to_normal(n: int, cap: int | None = None) -> Expansion:
@@ -269,13 +268,7 @@ def free_wick_to_normal(n: int, cap: int | None = None) -> Expansion:
     if n < 0:
         raise DomainError(f"variable count must be nonnegative, got {n}")
     ensure_within_cap(n, cap)
-    return _diagram_sum(
-        enumerate_diagrams(GroundSet(n), cap=cap),
-        NORMAL,
-        lambda s: 0,
-        signed=True,
-        keep=lambda s: s.g == 0,
-    )
+    return _diagram_sum(_walk(n, zero="g"), NORMAL, lambda c, d, g: 0, signed=True)
 
 
 def free_normal_to_wick(n: int, cap: int | None = None) -> Expansion:
@@ -283,12 +276,7 @@ def free_normal_to_wick(n: int, cap: int | None = None) -> Expansion:
     if n < 0:
         raise DomainError(f"variable count must be nonnegative, got {n}")
     ensure_within_cap(n, cap)
-    return _diagram_sum(
-        enumerate_diagrams(GroundSet(n), cap=cap),
-        WICK,
-        lambda s: 0,
-        keep=lambda s: s.tc == 0,
-    )
+    return _diagram_sum(_walk(n, zero="tc"), WICK, lambda c, d, g: 0)
 
 
 def free_product_expectation(blocks: Sequence[int], cap: int | None = None) -> Expansion:
@@ -296,10 +284,7 @@ def free_product_expectation(blocks: Sequence[int], cap: int | None = None) -> E
     ground = _block_ground(blocks)
     ensure_within_cap(ground.size, cap)
     return _diagram_sum(
-        enumerate_nonlinking(ground, complete_only=True, cap=cap),
-        NORMAL,
-        lambda s: 0,
-        keep=lambda s: s.c == 0,
+        _walk(ground.size, True, _block_forbid(ground), zero="c"), NORMAL, lambda c, d, g: 0
     )
 
 
@@ -308,8 +293,5 @@ def free_product_expansion(blocks: Sequence[int], cap: int | None = None) -> Exp
     ground = _block_ground(blocks)
     ensure_within_cap(ground.size, cap)
     return _diagram_sum(
-        enumerate_nonlinking(ground, complete_only=False, cap=cap),
-        WICK,
-        lambda s: 0,
-        keep=lambda s: s.tc == 0,
+        _walk(ground.size, False, _block_forbid(ground), zero="tc"), WICK, lambda c, d, g: 0
     )

@@ -22,6 +22,7 @@ from qwick import (
     enumerate_nonlinking,
     epsilon_of,
 )
+from qwick.diagrams import _block_forbid, _sign_forbid, _walk, enumeration_cap
 
 
 # Reference counts, independent of the enumerators under test.
@@ -351,3 +352,102 @@ class TestDiagramInvariants:
             "blocks": None,
             "pairs": [],
         }
+
+
+def reference_pair_tuples(n):
+    """Every diagram on 1..n, built without the walker: the smallest
+    remaining position is either a singleton or pairs with a later one."""
+
+    def build(free):
+        if not free:
+            yield ()
+            return
+        first, rest = free[0], free[1:]
+        yield from build(rest)
+        for k, other in enumerate(rest):
+            for tail in build(rest[:k] + rest[k + 1 :]):
+                yield ((first, other),) + tail
+
+    return sorted(build(tuple(range(1, n + 1))))
+
+
+def links_within_block(ground, pairs):
+    return any(ground.block_of(i) == ground.block_of(j) for i, j in pairs)
+
+
+def assert_carried_stats(ground, walk):
+    for pairs, singles, c, d, g in walk:
+        diagram = FeynmanDiagram(ground, pairs)
+        stats = crossing_stats(diagram)
+        assert diagram.pairs == pairs
+        assert singles == diagram.singletons
+        assert (c, d, g) == (stats.c, stats.d, stats.g)
+
+
+class TestWalker:
+    def test_order_matches_reference(self):
+        for n in range(0, 10):
+            expected = reference_pair_tuples(n)
+            assert [w[0] for w in _walk(n)] == expected
+            complete = [p for p in expected if 2 * len(p) == n]
+            assert [w[0] for w in _walk(n, complete_only=True)] == complete
+
+    def test_carried_stats_equal_crossing_stats(self):
+        for n in range(0, 10):
+            assert_carried_stats(GroundSet(n), _walk(n))
+            assert_carried_stats(GroundSet(n), _walk(n, complete_only=True))
+
+    def test_nonlinking_equals_filter_after_enumeration(self):
+        for blocks in ((1, 1, 1, 1), (2, 2, 2), (3, 3, 2), (4, 3)):
+            ground = GroundSet(sum(blocks), blocks)
+            plain = GroundSet(ground.size)
+            for complete_only, base in ((False, enumerate_diagrams), (True, enumerate_complete)):
+                expected = [
+                    d.pairs for d in base(plain) if not links_within_block(ground, d.pairs)
+                ]
+                got = [d.pairs for d in enumerate_nonlinking(ground, complete_only)]
+                assert got == expected
+                walk = _walk(ground.size, complete_only, _block_forbid(ground))
+                assert_carried_stats(ground, walk)
+
+    def test_compatible_stats_and_order(self):
+        for length in range(0, 9, 2):
+            ground = GroundSet(length)
+            for eps in catalan_sequences(length):
+                expected = [
+                    d.pairs
+                    for d in enumerate_complete(ground)
+                    if all(eps.entries[i - 1] == -1 for i, _ in d.pairs)
+                ]
+                assert [d.pairs for d in enumerate_compatible(eps)] == expected
+                assert_carried_stats(ground, _walk(length, True, _sign_forbid(eps)))
+
+    def test_zero_modes_are_class_filters(self):
+        classes = {"c": lambda s: s.c, "tc": lambda s: s.tc, "g": lambda s: s.g}
+        for n in range(0, 9):
+            ground = GroundSet(n)
+            for complete_only in (False, True):
+                stream = list(_walk(n, complete_only))
+                for zero, stat in classes.items():
+                    expected = [
+                        w
+                        for w in stream
+                        if stat(crossing_stats(FeynmanDiagram(ground, w[0]))) == 0
+                    ]
+                    assert list(_walk(n, complete_only, zero=zero)) == expected
+
+
+class TestCapSetting:
+    @pytest.mark.parametrize("raw", ["abc", "-1", "1.5"])
+    def test_bad_value_is_a_domain_error(self, monkeypatch, raw):
+        monkeypatch.setenv("QWICK_CAP", raw)
+        with pytest.raises(DomainError, match="QWICK_CAP"):
+            enumeration_cap()
+
+    def test_unset_or_empty_gives_default(self, monkeypatch):
+        monkeypatch.delenv("QWICK_CAP", raising=False)
+        assert enumeration_cap() == 12
+        monkeypatch.setenv("QWICK_CAP", "")
+        assert enumeration_cap() == 12
+        monkeypatch.setenv("QWICK_CAP", "0")
+        assert enumeration_cap() == 0

@@ -15,6 +15,13 @@ from qwick import (
     SizeLimitError,
     VariableWord,
     catalan_check,
+    catalan_sequences,
+    crossing_stats,
+    diagram_term,
+    enumerate_compatible,
+    enumerate_complete,
+    enumerate_diagrams,
+    enumerate_nonlinking,
     free_moment_expansion,
     free_normal_to_wick,
     free_product_expansion,
@@ -33,6 +40,22 @@ from qwick import (
     wick_to_normal,
     wick_to_normal_word,
 )
+
+
+def reference_sum(diagrams, kind, power, signed=False, keep=None, labels=None):
+    """A diagram sum with every statistic recomputed by crossing_stats."""
+    acc = {}
+    for diagram in diagrams:
+        stats = crossing_stats(diagram)
+        if keep is not None and not keep(stats):
+            continue
+        key = diagram_term(diagram, kind, labels=labels)
+        sign = -1 if signed and len(diagram.pairs) % 2 else 1
+        acc[key] = acc.get(key, QPolynomial.zero()) + QPolynomial.q_power(power(stats), sign)
+    return Expansion(acc)
+
+
+CROSS_CHECK_BLOCKS = ((1, 1, 1, 1), (2, 1), (2, 2), (1, 2, 2), (2, 2, 2), (3, 3, 2), (2, 1, 2, 1))
 
 
 def make(terms):
@@ -314,3 +337,70 @@ class TestFreeFormulas:
         ground = GroundSet(5, (2, 3))
         assert ground.lex_labels() == ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3))
         assert [ground.block_of(p) for p in ground.positions()] == [1, 1, 2, 2, 2]
+
+
+class TestAgainstCrossingStats:
+    """Each builder equals the same sum with statistics from crossing_stats."""
+
+    def test_general_builders(self):
+        for n in range(0, 9):
+            ground = GroundSet(n)
+            assert moment_expansion(n) == reference_sum(
+                enumerate_complete(ground), NORMAL, lambda s: s.c
+            )
+            assert wick_to_normal(n) == reference_sum(
+                enumerate_diagrams(ground), NORMAL, lambda s: s.a, signed=True
+            )
+            assert normal_to_wick(n) == reference_sum(
+                enumerate_diagrams(ground), WICK, lambda s: s.tc
+            )
+
+    def test_relabelled_wick_product(self):
+        indices = (2, 3, 7, 11, 12)
+        expected = reference_sum(
+            enumerate_diagrams(GroundSet(5)), NORMAL, lambda s: s.a, signed=True, labels=indices
+        )
+        assert wick_to_normal_word(indices) == expected
+
+    def test_signed_moments(self):
+        for length in range(0, 9, 2):
+            for eps in catalan_sequences(length):
+                expected = reference_sum(enumerate_compatible(eps), NORMAL, lambda s: s.c)
+                assert m_epsilon_expansion(eps) == expected
+
+    def test_product_builders(self):
+        for blocks in CROSS_CHECK_BLOCKS:
+            ground = GroundSet(sum(blocks), blocks)
+            assert product_expectation(blocks) == reference_sum(
+                enumerate_nonlinking(ground, complete_only=True), NORMAL, lambda s: s.c
+            )
+            assert product_expansion(blocks) == reference_sum(
+                enumerate_nonlinking(ground), WICK, lambda s: s.tc
+            )
+
+    def test_free_builders_are_class_filters(self):
+        def zero(s):
+            return 0
+
+        for n in range(0, 9):
+            ground = GroundSet(n)
+            assert free_moment_expansion(n) == reference_sum(
+                enumerate_complete(ground), NORMAL, zero, keep=lambda s: s.c == 0
+            )
+            assert free_wick_to_normal(n) == reference_sum(
+                enumerate_diagrams(ground), NORMAL, zero, signed=True, keep=lambda s: s.g == 0
+            )
+            assert free_normal_to_wick(n) == reference_sum(
+                enumerate_diagrams(ground), WICK, zero, keep=lambda s: s.tc == 0
+            )
+        for blocks in CROSS_CHECK_BLOCKS:
+            ground = GroundSet(sum(blocks), blocks)
+            assert free_product_expectation(blocks) == reference_sum(
+                enumerate_nonlinking(ground, complete_only=True),
+                NORMAL,
+                zero,
+                keep=lambda s: s.c == 0,
+            )
+            assert free_product_expansion(blocks) == reference_sum(
+                enumerate_nonlinking(ground), WICK, zero, keep=lambda s: s.tc == 0
+            )
