@@ -15,8 +15,6 @@ from .algebra import (
     QPolynomial,
     VariableWord,
     diagram_term,
-    expansion_combine,
-    qpoly_eval,
     specialize_free,
     substitute_wick,
 )
@@ -56,13 +54,10 @@ from .fock import (
 )
 from .verify import VerifyReport, run_check
 from .wick import (
+    IDENTITIES,
     OperatorWord,
     WickOperatorForm,
-    free_moment_expansion,
-    free_normal_to_wick,
-    free_product_expansion,
-    free_product_expectation,
-    free_wick_to_normal,
+    expand,
     m_epsilon_expansion,
     moment_expansion,
     normal_to_wick,

@@ -154,11 +154,6 @@ def _monomial_str(exp: int, coeff: Fraction) -> str:
     return f"{coeff} {var}"
 
 
-def qpoly_eval(poly: QPolynomial, q0: Rational) -> Fraction:
-    """Function form of QPolynomial.evaluate."""
-    return poly.evaluate(q0)
-
-
 @dataclass(frozen=True)
 class CovarianceMonomial:
     """Product of covariance factors, each an unordered pair of variable indices.
@@ -375,11 +370,6 @@ def accumulate_term(
     key = (cov, word)
     cur = acc.get(key)
     acc[key] = poly if cur is None else cur + poly
-
-
-def expansion_combine(a: Expansion, b: Expansion, scalar: QPolynomial) -> Expansion:
-    """a + scalar * b, merged canonically; words are never reordered."""
-    return a + b.scaled(scalar)
 
 
 def diagram_term(

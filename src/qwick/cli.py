@@ -20,18 +20,7 @@ from .algebra import Expansion, QPolynomial
 from .diagrams import GroundSet, _block_forbid, _walk, ensure_within_cap
 from .errors import QwickError
 from .verify import CHECKS, run_check
-from .wick import (
-    free_moment_expansion,
-    free_normal_to_wick,
-    free_product_expansion,
-    free_product_expectation,
-    free_wick_to_normal,
-    moment_expansion,
-    normal_to_wick,
-    product_expansion,
-    product_expectation,
-    wick_to_normal,
-)
+from .wick import expand
 
 FORMATS = ("json", "csv", "pretty")
 
@@ -276,18 +265,14 @@ def cmd_diagrams(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    builder = free_moment_expansion if args.free else moment_expansion
-    expansion = builder(args.n, cap=args.cap)
+    expansion = expand("moment", args.n, args.free, args.cap)
     _emit_expansion(expansion, {"n": args.n, "free": args.free}, args.format)
     return 0
 
 
 def cmd_wick(args) -> int:
-    if args.direction == "to-normal":
-        builder = free_wick_to_normal if args.free else wick_to_normal
-    else:
-        builder = free_normal_to_wick if args.free else normal_to_wick
-    expansion = builder(args.n, cap=args.cap)
+    name = "wick-to-normal" if args.direction == "to-normal" else "normal-to-wick"
+    expansion = expand(name, args.n, args.free, args.cap)
     _emit_expansion(
         expansion,
         {"direction": args.direction, "n": args.n, "free": args.free},
@@ -297,11 +282,8 @@ def cmd_wick(args) -> int:
 
 
 def cmd_product(args) -> int:
-    if args.expectation:
-        builder = free_product_expectation if args.free else product_expectation
-    else:
-        builder = free_product_expansion if args.free else product_expansion
-    expansion = builder(args.blocks, cap=args.cap)
+    name = "product-expectation" if args.expectation else "product-expansion"
+    expansion = expand(name, args.blocks, args.free, args.cap)
     ground = GroundSet(sum(args.blocks), args.blocks)
     meta = {
         "blocks": list(args.blocks),

@@ -75,6 +75,8 @@ class GroundSet:
         if self.blocks is not None:
             blocks = tuple(int(b) for b in self.blocks)
             object.__setattr__(self, "blocks", blocks)
+            if not blocks:
+                raise DomainError("at least one block is required")
             if any(b <= 0 for b in blocks):
                 raise DomainError(f"block sizes must be positive, got {blocks}")
             if sum(blocks) != self.size:
@@ -134,12 +136,6 @@ class FeynmanDiagram:
     @property
     def is_complete(self) -> bool:
         return 2 * len(self.pairs) == self.ground.size
-
-    def left_endpoints(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.pairs)
-
-    def right_endpoints(self) -> tuple[int, ...]:
-        return tuple(j for _, j in self.pairs)
 
     def to_json(self) -> dict:
         return {

@@ -19,6 +19,9 @@ from .errors import DomainError, SizeLimitError, TruncationOverflowError
 from .wick import OperatorWord, wick_operator_form
 
 DEFAULT_PERMUTATION_CAP = 8
+# largest basis of one Gram matrix: its dim^degree squared entries are each a
+# permutation sum, so the cost grows far faster than the word count
+GRAM_WORD_CAP = 100
 
 
 @dataclass(frozen=True)
@@ -293,25 +296,22 @@ def q_inner(
     return total
 
 
-def _det(matrix: list[list[Fraction]]) -> Fraction:
-    m = [row[:] for row in matrix]
-    n = len(m)
-    sign = 1
+def _positive_definite(matrix: list[list[Fraction]]) -> bool:
+    """Sylvester's criterion in one pass: every leading minor is positive
+    exactly when elimination without row swaps meets only positive pivots.
+    Eliminates in place."""
+    n = len(matrix)
     for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            factor = m[r][col] / m[col][col]
+        pivot_row = matrix[col]
+        pivot = pivot_row[col]
+        if pivot <= 0:
+            return False
+        for row in matrix[col + 1 :]:
+            factor = row[col] / pivot
             if factor:
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    det = Fraction(sign)
-    for i in range(n):
-        det *= m[i][i]
-    return det
+                for k in range(col + 1, n):
+                    row[k] -= factor * pivot_row[k]
+    return True
 
 
 def gram_check(
@@ -322,7 +322,8 @@ def gram_check(
     """Exact positive-definiteness of the Gram matrix of all degree-d basis
     words, decided by the signs of the leading principal minors.
 
-    Only meaningful for -1 < q < 1; anything else raises DomainError.
+    Only meaningful for -1 < q < 1; anything else raises DomainError.  More
+    than GRAM_WORD_CAP basis words raise SizeLimitError.
     """
     if not -1 < params.q < 1:
         raise DomainError(f"positivity requires -1 < q < 1, got q = {params.q}")
@@ -332,13 +333,13 @@ def gram_check(
         raise SizeLimitError(
             f"degree {degree} exceeds the permutation cap {max_word_len}"
         )
+    if params.dim**degree > GRAM_WORD_CAP:
+        raise SizeLimitError(
+            f"{params.dim}^{degree} basis words exceed the Gram matrix cap {GRAM_WORD_CAP}"
+        )
     words = list(itertools.product(range(1, params.dim + 1), repeat=degree))
     gram = [[_basis_inner(w1, w2, params.q) for w2 in words] for w1 in words]
-    for k in range(1, len(words) + 1):
-        minor = [row[:k] for row in gram[:k]]
-        if _det(minor) <= 0:
-            return False
-    return True
+    return _positive_definite(gram)
 
 
 def evaluate_expansion(

@@ -36,17 +36,12 @@ from .fock import (
     vacuum_expectation,
 )
 from .wick import (
+    IDENTITIES,
     OperatorWord,
-    free_moment_expansion,
-    free_normal_to_wick,
-    free_product_expansion,
-    free_product_expectation,
-    free_wick_to_normal,
+    expand,
     m_epsilon_expansion,
     moment_expansion,
     normal_to_wick,
-    product_expansion,
-    product_expectation,
     wick_recursive,
     wick_substitution_rules,
     wick_to_normal,
@@ -100,6 +95,10 @@ class VerifyConfig:
 
     def q_values(self, default=Q_GRID) -> tuple[Fraction, ...]:
         return (Fraction(self.q),) if self.q is not None else default
+
+    def cutoff(self, degree: int) -> int:
+        """The given level (0 too, which FockParams rejects), else degree + 1."""
+        return self.level if self.level is not None else degree + 1
 
 
 def sample_assignments(
@@ -165,7 +164,7 @@ def check_sign_moments(cfg: VerifyConfig) -> list[VerifyReport]:
                 tuple((e, k) for k, e in enumerate(eps.entries, start=1))
             )
             for q0 in cfg.q_values():
-                params = FockParams(dim, cfg.level or length + 1, q0)
+                params = FockParams(dim, cfg.cutoff(length), q0)
                 for s_idx, assignment in enumerate(assignments):
                     instance = {
                         "eps": list(eps.entries),
@@ -212,7 +211,7 @@ def check_moments(cfg: VerifyConfig) -> list[VerifyReport]:
         bound_ok = expansion.max_exponent() < n * n
         assignments = sample_assignments(n, dim, cfg.seed, cfg.samples)
         for q0 in cfg.q_values():
-            params = FockParams(dim, cfg.level or n + 1, q0)
+            params = FockParams(dim, cfg.cutoff(n), q0)
             for s_idx, assignment in enumerate(assignments):
                 instance = {"n": n, "q": str(q0), "sample": s_idx}
                 lhs = _expanded_field_expectation(n, assignment, params)
@@ -273,7 +272,7 @@ def check_wick_vector(cfg: VerifyConfig) -> list[VerifyReport]:
     for n in range(1, max_n + 1):
         assignments = sample_assignments(n, dim, cfg.seed, cfg.samples)
         for q0 in cfg.q_values():
-            params = FockParams(dim, cfg.level or n + 1, q0)
+            params = FockParams(dim, cfg.cutoff(n), q0)
             for s_idx, assignment in enumerate(assignments):
                 instance = {"n": n, "q": str(q0), "sample": s_idx}
                 lhs = apply_wick_product(
@@ -313,28 +312,26 @@ def _wick_product_vector(blocks, assignment, params) -> FockVector:
 def check_product_expectation(cfg: VerifyConfig) -> list[VerifyReport]:
     """id t3.3: the expectation of a product of Wick products against the
     non-linking complete diagram sum."""
-    return _check_blocks(cfg, "t3.3", expectation=True)
+    return _check_blocks(cfg, "t3.3", "product-expectation")
 
 
 def check_product_expansion(cfg: VerifyConfig) -> list[VerifyReport]:
     """id t3.4: both sides of the product identity applied to the vacuum."""
-    return _check_blocks(cfg, "t3.4", expectation=False)
+    return _check_blocks(cfg, "t3.4", "product-expansion")
 
 
-def _check_blocks(cfg: VerifyConfig, check_id: str, expectation: bool) -> list[VerifyReport]:
+def _check_blocks(cfg: VerifyConfig, check_id: str, name: str) -> list[VerifyReport]:
+    # a complete-diagram row is scalar: compare the vacuum coefficient only
+    expectation = IDENTITIES[name].complete
     block_list = (cfg.blocks,) if cfg.blocks else DEFAULT_BLOCKS
     dim = cfg.dim if cfg.dim is not None else 3
     reports = []
     for blocks in block_list:
         total = sum(blocks)
-        symbolic = (
-            product_expectation(blocks, cap=cfg.cap)
-            if expectation
-            else product_expansion(blocks, cap=cfg.cap)
-        )
+        symbolic = expand(name, blocks, cap=cfg.cap)
         assignments = sample_assignments(total, dim, cfg.seed, cfg.samples)
         for q0 in cfg.q_values():
-            params = FockParams(dim, cfg.level or total + 1, q0)
+            params = FockParams(dim, cfg.cutoff(total), q0)
             for s_idx, assignment in enumerate(assignments):
                 instance = {"blocks": list(blocks), "q": str(q0), "sample": s_idx}
                 vec = _wick_product_vector(blocks, assignment, params)
@@ -368,42 +365,21 @@ def check_roundtrip(cfg: VerifyConfig) -> list[VerifyReport]:
 
 def check_free(cfg: VerifyConfig) -> list[VerifyReport]:
     """id free: each class-filtered q=0 formula must equal the constant part
-    of its general counterpart."""
+    of its general counterpart, for every row of the identity table."""
     max_n = cfg.n if cfg.n is not None else 6
     block_list = (cfg.blocks,) if cfg.blocks else FREE_BLOCKS
+    cases = [(False, {"n": n}, n) for n in range(1, max_n + 1)]
+    cases += [(True, {"blocks": list(blocks)}, blocks) for blocks in block_list]
     reports = []
-    for n in range(1, max_n + 1):
-        pairs = (
-            ("moment", free_moment_expansion(n, cap=cfg.cap), moment_expansion(n, cap=cfg.cap)),
-            ("wick-to-normal", free_wick_to_normal(n, cap=cfg.cap), wick_to_normal(n, cap=cfg.cap)),
-            ("normal-to-wick", free_normal_to_wick(n, cap=cfg.cap), normal_to_wick(n, cap=cfg.cap)),
-        )
-        for target, filtered, general in pairs:
+    for blocked, instance, arg in cases:
+        for target, row in IDENTITIES.items():
+            if row.blocks != blocked:
+                continue
+            filtered = expand(target, arg, free=True, cap=cfg.cap)
+            general = expand(target, arg, cap=cfg.cap)
             reports.append(
                 _pass_fail(
-                    "free", {"target": target, "n": n}, filtered, specialize_free(general)
-                )
-            )
-    for blocks in block_list:
-        pairs = (
-            (
-                "product-expectation",
-                free_product_expectation(blocks, cap=cfg.cap),
-                product_expectation(blocks, cap=cfg.cap),
-            ),
-            (
-                "product-expansion",
-                free_product_expansion(blocks, cap=cfg.cap),
-                product_expansion(blocks, cap=cfg.cap),
-            ),
-        )
-        for target, filtered, general in pairs:
-            reports.append(
-                _pass_fail(
-                    "free",
-                    {"target": target, "blocks": list(blocks)},
-                    filtered,
-                    specialize_free(general),
+                    "free", {"target": target, **instance}, filtered, specialize_free(general)
                 )
             )
     return reports

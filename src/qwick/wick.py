@@ -2,9 +2,12 @@
 
 Moments, conversions between plain products and Wick products, the
 creator/annihilator operator form of a Wick product, and products of Wick
-products over block-partitioned index sets.  Every function returns exact
-canonical data with q kept as a formal variable; specializing q is left to
-the evaluator in the oracle module.
+products over block-partitioned index sets.  The diagram-sum identities are
+the rows of one table, IDENTITIES; expand runs a row through the diagram
+walker, and free=True gives its q = 0 form as a class filter.
+wick_recursive is an independent second route to the Wick product.
+Every function returns exact canonical data with q kept as a formal
+variable; specializing q is left to the evaluator in the oracle module.
 """
 
 from __future__ import annotations
@@ -121,6 +124,55 @@ def _diagram_sum(
     return Expansion(acc)
 
 
+@dataclass(frozen=True)
+class Identity:
+    """One diagram-sum identity, stated as data.
+
+    The sum runs over all diagrams on the ground set (complete ones only
+    when complete is set; with blocks, only those pairing no two positions of
+    one block).  Each diagram contributes its covariance factors and a
+    singleton word of the given kind, times q to power(c, d, g), negated for
+    an odd pair count when signed.  zero names the statistic ("c", "g" or
+    "tc") whose vanishing class gives the q = 0 form; power is 0 on that
+    class, so the free sum is the same sum restricted by diagram class.
+    """
+
+    kind: str
+    complete: bool
+    power: Callable[[int, int, int], int]
+    zero: str
+    signed: bool = False
+    blocks: bool = False
+
+
+IDENTITIES = {
+    "moment": Identity(NORMAL, True, lambda c, d, g: c, "c"),
+    "wick-to-normal": Identity(NORMAL, False, lambda c, d, g: g - c, "g", signed=True),
+    "normal-to-wick": Identity(WICK, False, lambda c, d, g: c + d, "tc"),
+    "product-expectation": Identity(NORMAL, True, lambda c, d, g: c, "c", blocks=True),
+    "product-expansion": Identity(WICK, False, lambda c, d, g: c + d, "tc", blocks=True),
+}
+
+
+def expand(
+    name: str, arg, free: bool = False, cap: int | None = None, labels=None
+) -> Expansion:
+    """The identity IDENTITIES[name] on arg: a ground size, or block sizes
+    for a row with blocks.  With free set, the q = 0 form: the walker keeps
+    only the row's zero class, cutting each branch on which that statistic
+    has turned positive.  labels is as for _diagram_sum."""
+    row = IDENTITIES[name]
+    if row.blocks:
+        blocks = tuple(int(b) for b in arg)
+        ground = GroundSet(sum(blocks), blocks)
+    else:
+        ground = GroundSet(arg)
+    ensure_within_cap(ground.size, cap)
+    forbid = _block_forbid(ground) if row.blocks else None
+    walk = _walk(ground.size, row.complete, forbid, row.zero if free else None)
+    return _diagram_sum(walk, row.kind, row.power, row.signed, labels)
+
+
 def m_epsilon_expansion(eps: SignSequence, cap: int | None = None) -> Expansion:
     """Vacuum expectation of the signed operator word as a covariance sum.
 
@@ -131,20 +183,14 @@ def m_epsilon_expansion(eps: SignSequence, cap: int | None = None) -> Expansion:
     if not ok:
         return Expansion.zero()
     ensure_within_cap(len(eps), cap)
-    return _diagram_sum(_walk(len(eps), True, _sign_forbid(eps)), NORMAL, lambda c, d, g: c)
+    row = IDENTITIES["moment"]
+    return _diagram_sum(_walk(len(eps), row.complete, _sign_forbid(eps)), row.kind, row.power)
 
 
-def moment_expansion(n: int, cap: int | None = None) -> Expansion:
-    """Joint moment of n variables: complete diagrams weighted by q^crossings.
-
-    Odd n gives the zero expansion.
-    """
-    if n < 0:
-        raise DomainError(f"moment order must be nonnegative, got {n}")
-    ensure_within_cap(n, cap)
-    if n % 2:
-        return Expansion.zero()
-    return _diagram_sum(_walk(n, True), NORMAL, lambda c, d, g: c)
+def moment_expansion(n: int, cap: int | None = None, free: bool = False) -> Expansion:
+    """Joint moment of n variables: complete diagrams weighted by q^crossings
+    (zero for odd n); with free, the complete noncrossing diagrams only."""
+    return expand("moment", n, free, cap)
 
 
 def wick_to_normal_word(indices: Sequence[int], cap: int | None = None) -> Expansion:
@@ -154,17 +200,15 @@ def wick_to_normal_word(indices: Sequence[int], cap: int | None = None) -> Expan
     indices = tuple(int(i) for i in indices)
     if any(a >= b for a, b in zip(indices, indices[1:])):
         raise DomainError(f"variable indices must be strictly increasing, got {indices}")
-    ensure_within_cap(len(indices), cap)
     n = len(indices)
     labels = None if indices == tuple(range(1, n + 1)) else indices
-    return _diagram_sum(_walk(n), NORMAL, lambda c, d, g: g - c, signed=True, labels=labels)
+    return expand("wick-to-normal", n, cap=cap, labels=labels)
 
 
-def wick_to_normal(n: int, cap: int | None = None) -> Expansion:
-    """Wick product of variables 1..n expanded into plain products."""
-    if n < 0:
-        raise DomainError(f"variable count must be nonnegative, got {n}")
-    return wick_to_normal_word(range(1, n + 1), cap=cap)
+def wick_to_normal(n: int, cap: int | None = None, free: bool = False) -> Expansion:
+    """Wick product of variables 1..n expanded into plain products; with
+    free, the gap-free diagrams only, signs retained."""
+    return expand("wick-to-normal", n, free, cap)
 
 
 def wick_recursive(n: int, cap: int | None = None) -> Expansion:
@@ -197,13 +241,11 @@ def _wick_recursive(indices: tuple[int, ...]) -> Expansion:
     return Expansion(acc)
 
 
-def normal_to_wick(n: int, cap: int | None = None) -> Expansion:
+def normal_to_wick(n: int, cap: int | None = None, free: bool = False) -> Expansion:
     """Plain product of variables 1..n as a sum of Wick-tagged terms, with
-    power the total crossing number and no sign factor."""
-    if n < 0:
-        raise DomainError(f"variable count must be nonnegative, got {n}")
-    ensure_within_cap(n, cap)
-    return _diagram_sum(_walk(n), WICK, lambda c, d, g: c + d)
+    power the total crossing number and no sign factor; with free, the
+    strongly noncrossing diagrams only."""
+    return expand("normal-to-wick", n, free, cap)
 
 
 def wick_substitution_rules(
@@ -213,85 +255,26 @@ def wick_substitution_rules(
     return {word: wick_to_normal_word(word.indices, cap=cap) for word in e.wick_words()}
 
 
-def _block_ground(blocks: Sequence[int]) -> GroundSet:
-    blocks = tuple(int(b) for b in blocks)
-    if not blocks:
-        raise DomainError("at least one block is required")
-    return GroundSet(sum(blocks), blocks)
-
-
-def product_expectation(blocks: Sequence[int], cap: int | None = None) -> Expansion:
+def product_expectation(
+    blocks: Sequence[int], cap: int | None = None, free: bool = False
+) -> Expansion:
     """Expectation of a product of Wick products, one per block.
 
     Positions are the block elements in lexicographic order, relabelled
     1..total; the sum runs over complete diagrams that never pair two
-    positions of the same block, weighted by q^crossings.
+    positions of the same block, weighted by q^crossings.  With free, the
+    noncrossing ones only.
     """
-    ground = _block_ground(blocks)
-    ensure_within_cap(ground.size, cap)
-    return _diagram_sum(
-        _walk(ground.size, True, _block_forbid(ground)), NORMAL, lambda c, d, g: c
-    )
+    return expand("product-expectation", blocks, free, cap)
 
 
-def product_expansion(blocks: Sequence[int], cap: int | None = None) -> Expansion:
+def product_expansion(
+    blocks: Sequence[int], cap: int | None = None, free: bool = False
+) -> Expansion:
     """Product of Wick products, one per block, expanded into Wick terms.
 
     Runs over all non-linking diagrams (singletons allowed), each carrying a
     Wick-tagged singleton word and the power tc = crossings + degenerate.
+    With free, the strongly noncrossing ones only.
     """
-    ground = _block_ground(blocks)
-    ensure_within_cap(ground.size, cap)
-    return _diagram_sum(
-        _walk(ground.size, False, _block_forbid(ground)), WICK, lambda c, d, g: c + d
-    )
-
-
-# Free specializations: the same sums restricted by diagram class instead of
-# by killing q-powers afterwards.  Each must coincide with specialize_free of
-# its general counterpart.  The walker keeps exactly the class (c = 0,
-# g = 0 or tc = 0) by cutting every branch on which the statistic has
-# turned positive.
-
-def free_moment_expansion(n: int, cap: int | None = None) -> Expansion:
-    """Moment at q = 0: complete noncrossing diagrams only."""
-    if n < 0:
-        raise DomainError(f"moment order must be nonnegative, got {n}")
-    ensure_within_cap(n, cap)
-    if n % 2:
-        return Expansion.zero()
-    return _diagram_sum(_walk(n, True, zero="c"), NORMAL, lambda c, d, g: 0)
-
-
-def free_wick_to_normal(n: int, cap: int | None = None) -> Expansion:
-    """Wick product at q = 0: gap-free diagrams only, signs retained."""
-    if n < 0:
-        raise DomainError(f"variable count must be nonnegative, got {n}")
-    ensure_within_cap(n, cap)
-    return _diagram_sum(_walk(n, zero="g"), NORMAL, lambda c, d, g: 0, signed=True)
-
-
-def free_normal_to_wick(n: int, cap: int | None = None) -> Expansion:
-    """Plain product at q = 0: strongly noncrossing diagrams only."""
-    if n < 0:
-        raise DomainError(f"variable count must be nonnegative, got {n}")
-    ensure_within_cap(n, cap)
-    return _diagram_sum(_walk(n, zero="tc"), WICK, lambda c, d, g: 0)
-
-
-def free_product_expectation(blocks: Sequence[int], cap: int | None = None) -> Expansion:
-    """Product expectation at q = 0: noncrossing complete non-linking diagrams."""
-    ground = _block_ground(blocks)
-    ensure_within_cap(ground.size, cap)
-    return _diagram_sum(
-        _walk(ground.size, True, _block_forbid(ground), zero="c"), NORMAL, lambda c, d, g: 0
-    )
-
-
-def free_product_expansion(blocks: Sequence[int], cap: int | None = None) -> Expansion:
-    """Product of Wick products at q = 0: strongly noncrossing non-linking diagrams."""
-    ground = _block_ground(blocks)
-    ensure_within_cap(ground.size, cap)
-    return _diagram_sum(
-        _walk(ground.size, False, _block_forbid(ground), zero="tc"), WICK, lambda c, d, g: 0
-    )
+    return expand("product-expansion", blocks, free, cap)

@@ -16,8 +16,8 @@ from qwick import (
     crossing_stats,
     enumerate_complete,
     evaluate_expansion,
-    free_wick_to_normal,
     moment_expansion,
+    wick_to_normal,
 )
 from qwick.algebra import NORMAL, CovarianceMonomial, Expansion, VariableWord
 from qwick.verify import run_check
@@ -97,7 +97,7 @@ def test_criterion_08_free_case():
             (CovarianceMonomial(((2, 3),)), VariableWord((1,), NORMAL)): QPolynomial.constant(-1),
         }
     )
-    display = free_wick_to_normal(3)
+    display = wick_to_normal(3, free=True)
     ok = ok and display == expected
     ok = ok and display.pretty() == "x1 x2 x3 - c(1,2) x3 - c(2,3) x1"
     report("8 free case", ok, detail)

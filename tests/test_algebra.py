@@ -20,8 +20,6 @@ from qwick import (
     crossing_stats,
     diagram_term,
     enumerate_complete,
-    expansion_combine,
-    qpoly_eval,
     specialize_free,
     substitute_wick,
 )
@@ -64,7 +62,7 @@ class TestQPolynomial:
     def test_eval_examples(self):
         assert QPolynomial.q_power(1).evaluate(Fraction(1, 2)) == Fraction(1, 2)
         assert QPolynomial({0: 1, 1: 1}).evaluate(0) == 1
-        assert qpoly_eval(QPolynomial({0: 2, 2: 3}), Fraction(-1, 3)) == Fraction(7, 3)
+        assert QPolynomial({0: 2, 2: 3}).evaluate(Fraction(-1, 3)) == Fraction(7, 3)
 
     def test_eval_of_crossing_generating_polynomial(self):
         poly = QPolynomial.zero()
@@ -173,7 +171,7 @@ class TestExpansion:
     def test_combine_with_zero_scalar(self):
         a = make([((), (1, 2), NORMAL, {0: 1})])
         b = make([(((1, 2),), (), NORMAL, {1: 3})])
-        assert expansion_combine(a, b, QPolynomial.zero()) == a
+        assert a + b.scaled(QPolynomial.zero()) == a
 
     def test_self_cancellation(self):
         t = make([(((1, 3),), (2,), NORMAL, {1: 1})])
@@ -187,7 +185,7 @@ class TestExpansion:
         ]
         total = Expansion.zero()
         for t in terms:
-            total = expansion_combine(total, t, QPolynomial.one())
+            total = total + t.scaled(QPolynomial.one())
         from qwick import moment_expansion
 
         assert total == moment_expansion(4)

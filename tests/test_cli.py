@@ -145,6 +145,25 @@ class TestVerifyCommand:
         code, _ = run_cli(capsys, "verify", "gram", "--q", "5/4")
         assert code == 2
 
+    def test_level_zero_is_rejected(self, capsys):
+        code = cli.main(["verify", "c2.2", "--n", "3", "--level", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: tensor degree cutoff must be >= 1, got 0"]
+
+    def test_oversized_gram_matrix_is_a_usage_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qwick", "verify", "gram", "--dim", "3", "--n", "8"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
+
     def test_unknown_check_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "bogus"])

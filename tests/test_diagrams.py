@@ -142,7 +142,7 @@ class TestCompatible:
         diagrams = list(enumerate_compatible(eps))
         assert diagrams
         for d in diagrams:
-            assert set(d.left_endpoints()) == {1, 2, 4, 5}
+            assert {i for i, _ in d.pairs} == {1, 2, 4, 5}
 
     def test_exhaustive_filter_agreement_small_lengths(self):
         for length in (2, 4, 6):

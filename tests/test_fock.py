@@ -29,7 +29,7 @@ from qwick import (
     wick_to_normal,
 )
 from qwick.algebra import Expansion
-from qwick.fock import dot
+from qwick.fock import GRAM_WORD_CAP, _positive_definite, dot
 
 E1 = OneParticleVector((1, 0))
 E2 = OneParticleVector((0, 1))
@@ -225,6 +225,31 @@ class TestGram:
     def test_degree_above_cap_rejected(self):
         with pytest.raises(SizeLimitError):
             gram_check(9, FockParams(1, 9, Fraction(0)))
+
+    def test_too_many_basis_words_rejected(self):
+        assert 3**5 > GRAM_WORD_CAP >= 3**4
+        assert gram_check(4, FockParams(3, 4, Fraction(1, 3))) is True
+        with pytest.raises(SizeLimitError):
+            gram_check(5, FockParams(3, 5, Fraction(1, 3)))
+
+    @pytest.mark.parametrize(
+        "matrix, expected",
+        [
+            ([], True),
+            ([[2]], True),
+            ([[2, 1], [1, 2]], True),
+            ([[4, 2, 0], [2, 5, 1], [0, 1, 3]], True),
+            ([[1, 2], [2, 1]], False),
+            ([[0, 0], [0, 1]], False),
+            ([[0, 1], [1, 0]], False),
+            ([[-1]], False),
+            ([[1, 1], [1, 1]], False),
+            ([[1, 0, 0], [0, 1, 2], [0, 2, 1]], False),
+        ],
+    )
+    def test_pivot_pass_follows_sylvester(self, matrix, expected):
+        rows = [[Fraction(x) for x in row] for row in matrix]
+        assert _positive_definite(rows) is expected
 
 
 class TestEvaluateExpansion:

@@ -1,9 +1,11 @@
 """Expansion-valued identities: moments, conversions, operator forms, products."""
 
+import functools
 import itertools
 
 import pytest
 from qwick import (
+    IDENTITIES,
     NORMAL,
     WICK,
     CovarianceMonomial,
@@ -22,11 +24,7 @@ from qwick import (
     enumerate_complete,
     enumerate_diagrams,
     enumerate_nonlinking,
-    free_moment_expansion,
-    free_normal_to_wick,
-    free_product_expansion,
-    free_product_expectation,
-    free_wick_to_normal,
+    expand,
     m_epsilon_expansion,
     moment_expansion,
     normal_to_wick,
@@ -40,6 +38,7 @@ from qwick import (
     wick_to_normal,
     wick_to_normal_word,
 )
+from qwick.verify import run_check
 
 
 def reference_sum(diagrams, kind, power, signed=False, keep=None, labels=None):
@@ -56,6 +55,17 @@ def reference_sum(diagrams, kind, power, signed=False, keep=None, labels=None):
 
 
 CROSS_CHECK_BLOCKS = ((1, 1, 1, 1), (2, 1), (2, 2), (1, 2, 2), (2, 2, 2), (3, 3, 2), (2, 1, 2, 1))
+
+# the q = 0 form of each identity, stated apart from the table: whether it
+# runs over complete diagrams only, its word kind, its sign rule and the
+# class of diagrams it keeps
+FREE_CLASSES = {
+    "moment": (True, NORMAL, False, lambda s: s.c == 0),
+    "wick-to-normal": (False, NORMAL, True, lambda s: s.g == 0),
+    "normal-to-wick": (False, WICK, False, lambda s: s.tc == 0),
+    "product-expectation": (True, NORMAL, False, lambda s: s.c == 0),
+    "product-expansion": (False, WICK, False, lambda s: s.tc == 0),
+}
 
 
 def make(terms):
@@ -296,7 +306,7 @@ class TestProducts:
 
 class TestFreeFormulas:
     def test_free_wick_product_of_three(self):
-        assert free_wick_to_normal(3) == make(
+        assert wick_to_normal(3, free=True) == make(
             [
                 ((), (1, 2, 3), NORMAL, {0: 1}),
                 (((1, 2),), (3,), NORMAL, {0: -1}),
@@ -305,7 +315,7 @@ class TestFreeFormulas:
         )
 
     def test_free_moment_of_four(self):
-        assert free_moment_expansion(4) == make(
+        assert moment_expansion(4, free=True) == make(
             [
                 (((1, 2), (3, 4)), (), NORMAL, {0: 1}),
                 (((1, 4), (2, 3)), (), NORMAL, {0: 1}),
@@ -313,7 +323,7 @@ class TestFreeFormulas:
         )
 
     def test_free_normal_to_wick_of_two(self):
-        assert free_normal_to_wick(2) == make(
+        assert normal_to_wick(2, free=True) == make(
             [
                 ((), (1, 2), WICK, {0: 1}),
                 (((1, 2),), (), NORMAL, {0: 1}),
@@ -321,17 +331,9 @@ class TestFreeFormulas:
         )
 
     def test_filter_matches_constant_part(self):
-        for n in range(1, 7):
-            assert free_moment_expansion(n) == specialize_free(moment_expansion(n))
-            assert free_wick_to_normal(n) == specialize_free(wick_to_normal(n))
-            assert free_normal_to_wick(n) == specialize_free(normal_to_wick(n))
-        for blocks in ((2, 1), (2, 2), (1, 2, 2), (2, 2, 2)):
-            assert free_product_expectation(blocks) == specialize_free(
-                product_expectation(blocks)
-            )
-            assert free_product_expansion(blocks) == specialize_free(
-                product_expansion(blocks)
-            )
+        for name, row in IDENTITIES.items():
+            for arg in ((2, 1), (2, 2), (1, 2, 2), (2, 2, 2)) if row.blocks else range(1, 7):
+                assert expand(name, arg, free=True) == specialize_free(expand(name, arg))
 
     def test_ground_set_block_labels(self):
         ground = GroundSet(5, (2, 3))
@@ -378,29 +380,18 @@ class TestAgainstCrossingStats:
                 enumerate_nonlinking(ground), WICK, lambda s: s.tc
             )
 
-    def test_free_builders_are_class_filters(self):
-        def zero(s):
-            return 0
+    @pytest.mark.parametrize("name", list(IDENTITIES))
+    def test_free_rows_are_class_filters(self, name):
+        complete, kind, signed, keep = FREE_CLASSES[name]
+        if IDENTITIES[name].blocks:
+            cases = [(blocks, GroundSet(sum(blocks), blocks)) for blocks in CROSS_CHECK_BLOCKS]
+            diagrams = functools.partial(enumerate_nonlinking, complete_only=complete)
+        else:
+            cases = [(n, GroundSet(n)) for n in range(0, 9)]
+            diagrams = enumerate_complete if complete else enumerate_diagrams
+        for arg, ground in cases:
+            expected = reference_sum(diagrams(ground), kind, lambda s: 0, signed, keep)
+            assert expand(name, arg, free=True) == expected
 
-        for n in range(0, 9):
-            ground = GroundSet(n)
-            assert free_moment_expansion(n) == reference_sum(
-                enumerate_complete(ground), NORMAL, zero, keep=lambda s: s.c == 0
-            )
-            assert free_wick_to_normal(n) == reference_sum(
-                enumerate_diagrams(ground), NORMAL, zero, signed=True, keep=lambda s: s.g == 0
-            )
-            assert free_normal_to_wick(n) == reference_sum(
-                enumerate_diagrams(ground), WICK, zero, keep=lambda s: s.tc == 0
-            )
-        for blocks in CROSS_CHECK_BLOCKS:
-            ground = GroundSet(sum(blocks), blocks)
-            assert free_product_expectation(blocks) == reference_sum(
-                enumerate_nonlinking(ground, complete_only=True),
-                NORMAL,
-                zero,
-                keep=lambda s: s.c == 0,
-            )
-            assert free_product_expansion(blocks) == reference_sum(
-                enumerate_nonlinking(ground), WICK, zero, keep=lambda s: s.tc == 0
-            )
+    def test_every_row_is_verified(self):
+        assert {r.instance["target"] for r in run_check("free")} == set(IDENTITIES)
