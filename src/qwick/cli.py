@@ -13,13 +13,14 @@ import csv
 import json
 import sys
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .algebra import Expansion, QPolynomial
 from .diagrams import GroundSet, _block_forbid, _walk, ensure_within_cap
 from .errors import QwickError
-from .verify import CHECKS, run_check
+from .verify import CHECKS, VerifyConfig, run_check
 from .wick import expand
 
 FORMATS = ("json", "csv", "pretty")
@@ -88,10 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("check", choices=sorted(CHECKS))
     p.add_argument("--n", type=int, default=None, help="maximum instance size")
     p.add_argument("--blocks", type=_block_list, default=None)
-    p.add_argument("--q", type=_rational, default=None, help="rational as num/den")
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument(
+        "--q", type=_rational, default=None, help="rational as num/den; a negative one as --q=-1/3"
+    )
+    p.add_argument("--dim", type=int, default=None)
     p.add_argument("--level", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -298,14 +301,7 @@ def cmd_product(args) -> int:
 
 def cmd_verify(args) -> int:
     reports = run_check(
-        args.check,
-        n=args.n,
-        blocks=args.blocks,
-        q=args.q,
-        dim=args.dim,
-        level=args.level,
-        seed=args.seed,
-        cap=args.cap,
+        args.check, **{field.name: getattr(args, field.name) for field in fields(VerifyConfig)}
     )
     failures = sum(1 for r in reports if not r.passed)
     if args.format == "json":

@@ -52,6 +52,8 @@ def enumeration_cap() -> int:
 
 def ensure_within_cap(size: int, cap: int | None = None) -> None:
     limit = enumeration_cap() if cap is None else cap
+    if limit < 0:
+        raise DomainError(f"cap must be a nonnegative integer, got {cap}")
     if size > limit:
         raise SizeLimitError(f"ground size {size} exceeds enumeration cap {limit}")
 

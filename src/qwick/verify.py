@@ -9,11 +9,12 @@ accepts.
 
 from __future__ import annotations
 
-import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .algebra import (
     NORMAL,
@@ -57,7 +58,7 @@ GRAM_Q_GRID = (
 )
 DEFAULT_BLOCKS = ((1, 1), (2, 1), (2, 2), (2, 3), (1, 2, 2), (2, 2, 2))
 FREE_BLOCKS = ((2, 1), (2, 2), (1, 2, 2), (2, 2, 2))
-DEFAULT_SAMPLES = 5
+SAMPLES = 5
 
 
 @dataclass(frozen=True)
@@ -82,15 +83,18 @@ class VerifyReport:
 
 @dataclass
 class VerifyConfig:
-    """Knobs shared by all checkers; None means the check's own default."""
+    """The options of one suite run: the given ones over the defaults of the
+    suite's CHECKS entry.  None leaves the choice to the suite: the q grid
+    (q), its block structures (blocks), a cutoff of degree + 1 (level), the
+    enumeration cap (cap), and for gram, dims 1 and 2 (dim).  An option the
+    suite does not read stays None."""
 
     n: int | None = None
     blocks: tuple[int, ...] | None = None
     q: Fraction | None = None
     dim: int | None = None
     level: int | None = None
-    seed: int = 0
-    samples: int = DEFAULT_SAMPLES
+    seed: int | None = None
     cap: int | None = None
 
     def q_values(self, default=Q_GRID) -> tuple[Fraction, ...]:
@@ -101,13 +105,11 @@ class VerifyConfig:
         return self.level if self.level is not None else degree + 1
 
 
-def sample_assignments(
-    nvars: int, dim: int, seed: int, samples: int
-) -> list[dict[int, OneParticleVector]]:
-    """Deterministic batches of integer-coordinate vectors in [-3, 3]."""
+def sample_assignments(nvars: int, dim: int, seed: int) -> list[dict[int, OneParticleVector]]:
+    """SAMPLES deterministic batches of integer-coordinate vectors in [-3, 3]."""
     rng = random.Random(seed)
     out = []
-    for _ in range(samples):
+    for _ in range(SAMPLES):
         out.append(
             {
                 idx: OneParticleVector(
@@ -123,136 +125,135 @@ def _vec_json(assignment: Mapping[int, OneParticleVector]) -> dict:
     return {str(i): [str(c) for c in v.coords] for i, v in sorted(assignment.items())}
 
 
-def _report(check, instance, ok, witness=None) -> VerifyReport:
-    return VerifyReport(check, instance, "pass" if ok else "fail", None if ok else witness)
+def _report(check, instance, ok, **witness) -> VerifyReport:
+    """A passing report, or a failing one carrying the witness entries, with
+    rationals, Fock vectors and expansions rendered for JSON."""
+    if ok:
+        return VerifyReport(check, instance, "pass")
+    for key, value in witness.items():
+        if isinstance(value, Fraction):
+            witness[key] = str(value)
+        elif isinstance(value, (FockVector, Expansion)):
+            witness[key] = value.to_json()
+    return VerifyReport(check, instance, "fail", witness)
 
 
-def _pass_fail(check, instance, lhs, rhs, extra=None) -> VerifyReport:
-    ok = lhs == rhs
-    witness = None
-    if not ok:
-        witness = {"lhs": _render(lhs), "rhs": _render(rhs)}
-        if extra:
-            witness.update(extra)
-    return VerifyReport(check, instance, "pass" if ok else "fail", witness)
+def _sizes(n: int, step: int = 1) -> range:
+    """The instance sizes step, 2 * step, ... up to n; none is a usage error,
+    so a mistyped bound cannot read as a pass."""
+    sizes = range(step, n + 1, step)
+    if not sizes:
+        raise DomainError(f"n = {n} gives no instances; it must be at least {step}")
+    return sizes
 
 
-def _render(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, FockVector):
-        return value.to_json()
-    if isinstance(value, Expansion):
-        return value.to_json()
-    return repr(value)
+class _Case(NamedTuple):
+    """One instance of a sampled suite.  oracle and formula map (assignment,
+    params) to the two compared values, ok(lhs, rhs) is the pass condition,
+    and extra holds (key, value) witness entries shown after rhs."""
+
+    head: dict
+    nvars: int
+    oracle: Callable
+    formula: Callable
+    ok: Callable = operator.eq
+    extra: tuple = ()
 
 
-def check_sign_moments(cfg: VerifyConfig) -> list[VerifyReport]:
-    """id t2.1: oracle expectation of signed operator words against the
-    compatible-diagram sum, over every Catalan pattern up to the size bound."""
-    max_len = cfg.n if cfg.n is not None else 8
-    dim = cfg.dim if cfg.dim is not None else 3
+def _sampled(check: str, cfg: VerifyConfig, cases: Iterable[_Case]) -> list[VerifyReport]:
+    """Compare each case's oracle and formula values on SAMPLES vector
+    assignments at every q of the grid, one report each."""
     reports = []
-    for length in range(2, max_len + 1, 2):
-        assignments = sample_assignments(length, dim, cfg.seed, cfg.samples)
-        for eps in catalan_sequences(length, cap=cfg.cap):
-            expansion = m_epsilon_expansion(eps, cap=cfg.cap)
-            # sampled agreement certifies the polynomial identity only
-            # together with a degree bound on the q-exponents
-            bound_ok = expansion.max_exponent() < length * length
-            word = OperatorWord(
-                tuple((e, k) for k, e in enumerate(eps.entries, start=1))
-            )
-            for q0 in cfg.q_values():
-                params = FockParams(dim, cfg.cutoff(length), q0)
-                for s_idx, assignment in enumerate(assignments):
-                    instance = {
-                        "eps": list(eps.entries),
-                        "q": str(q0),
-                        "sample": s_idx,
-                    }
-                    lhs = vacuum_expectation(word, assignment, params)
-                    rhs = evaluate_expansion(expansion, assignment, params)
-                    ok = bound_ok and lhs == rhs
-                    reports.append(
-                        _report(
-                            "t2.1",
-                            instance,
-                            ok,
-                            {
-                                "lhs": str(lhs),
-                                "rhs": str(rhs),
-                                "degree_bound_ok": bound_ok,
-                                "vectors": _vec_json(assignment),
-                            },
-                        )
-                    )
-    return reports
-
-
-def _expanded_field_expectation(n, assignment, params) -> Fraction:
-    # oracle side of the moment: expand every field factor into its creation
-    # and annihilation parts and sum the 2^n signed operator words
-    total = Fraction(0)
-    for signs in itertools.product((1, -1), repeat=n):
-        word = OperatorWord(tuple((s, k) for k, s in enumerate(signs, start=1)))
-        total += vacuum_expectation(word, assignment, params)
-    return total
-
-
-def check_moments(cfg: VerifyConfig) -> list[VerifyReport]:
-    """id c2.2: oracle moments of field products against the complete-diagram
-    sum; odd orders must give exactly zero."""
-    max_n = cfg.n if cfg.n is not None else 8
-    dim = cfg.dim if cfg.dim is not None else 3
-    reports = []
-    for n in range(1, max_n + 1):
-        expansion = moment_expansion(n, cap=cfg.cap)
-        bound_ok = expansion.max_exponent() < n * n
-        assignments = sample_assignments(n, dim, cfg.seed, cfg.samples)
+    for case in cases:
+        assignments = sample_assignments(case.nvars, cfg.dim, cfg.seed)
         for q0 in cfg.q_values():
-            params = FockParams(dim, cfg.cutoff(n), q0)
+            params = FockParams(cfg.dim, cfg.cutoff(case.nvars), q0)
             for s_idx, assignment in enumerate(assignments):
-                instance = {"n": n, "q": str(q0), "sample": s_idx}
-                lhs = _expanded_field_expectation(n, assignment, params)
-                rhs = evaluate_expansion(expansion, assignment, params)
-                ok = bound_ok and lhs == rhs and (n % 2 == 0 or lhs == 0)
+                lhs = case.oracle(assignment, params)
+                rhs = case.formula(assignment, params)
                 reports.append(
                     _report(
-                        "c2.2",
-                        instance,
-                        ok,
-                        {
-                            "lhs": str(lhs),
-                            "rhs": str(rhs),
-                            "degree_bound_ok": bound_ok,
-                            "vectors": _vec_json(assignment),
-                        },
+                        check,
+                        {**case.head, "q": str(q0), "sample": s_idx},
+                        case.ok(lhs, rhs),
+                        lhs=lhs,
+                        rhs=rhs,
+                        **dict(case.extra),
+                        vectors=_vec_json(assignment),
                     )
                 )
     return reports
 
 
+def _bounded(head, nvars, oracle, expansion, ok=operator.eq) -> _Case:
+    # sampled agreement certifies the polynomial identity only together with
+    # a degree bound on the q-exponents
+    bound_ok = expansion.max_exponent() < nvars * nvars
+    return _Case(
+        head,
+        nvars,
+        oracle,
+        partial(evaluate_expansion, expansion),
+        lambda lhs, rhs: bound_ok and ok(lhs, rhs),
+        (("degree_bound_ok", bound_ok),),
+    )
+
+
+def check_sign_moments(cfg: VerifyConfig) -> list[VerifyReport]:
+    """id t2.1: oracle expectation of signed operator words against the
+    compatible-diagram sum, over every Catalan pattern up to the size bound."""
+    cases = (
+        _bounded(
+            {"eps": list(eps.entries)},
+            length,
+            partial(
+                vacuum_expectation,
+                OperatorWord(tuple((e, k) for k, e in enumerate(eps.entries, start=1))),
+            ),
+            m_epsilon_expansion(eps, cap=cfg.cap),
+        )
+        for length in _sizes(cfg.n, step=2)
+        for eps in catalan_sequences(length, cap=cfg.cap)
+    )
+    return _sampled("t2.1", cfg, cases)
+
+
+def _moment_ok(n: int, lhs, rhs) -> bool:
+    # an odd moment must be exactly zero, not just equal to the formula
+    return lhs == rhs and (n % 2 == 0 or lhs == 0)
+
+
+def check_moments(cfg: VerifyConfig) -> list[VerifyReport]:
+    """id c2.2: oracle moments of field products against the complete-diagram
+    sum; odd orders must give exactly zero."""
+    cases = (
+        _bounded(
+            {"n": n},
+            n,
+            partial(vacuum_expectation, range(1, n + 1)),
+            moment_expansion(n, cap=cfg.cap),
+            partial(_moment_ok, n),
+        )
+        for n in _sizes(cfg.n)
+    )
+    return _sampled("c2.2", cfg, cases)
+
+
 def check_recursion_agreement(cfg: VerifyConfig) -> list[VerifyReport]:
     """id wick2-vs-recursion: the diagram formula and the peeling recursion
     must produce identical canonical expansions."""
-    max_n = cfg.n if cfg.n is not None else 7
     reports = []
-    for n in range(1, max_n + 1):
-        reports.append(
-            _pass_fail(
-                "wick2-vs-recursion",
-                {"n": n},
-                wick_to_normal(n, cap=cfg.cap),
-                wick_recursive(n, cap=cfg.cap),
-            )
-        )
+    for n in _sizes(cfg.n):
+        lhs = wick_to_normal(n, cap=cfg.cap)
+        rhs = wick_recursive(n, cap=cfg.cap)
+        reports.append(_report("wick2-vs-recursion", {"n": n}, lhs == rhs, lhs=lhs, rhs=rhs))
     return reports
 
 
-def _elementary_tensor(vectors: Sequence[OneParticleVector]) -> FockVector:
+def _elementary_tensor(n: int, assignment, params) -> FockVector:
+    """f_1 (x) ... (x) f_n for the vectors of variables 1..n."""
     entries: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
-    for f in vectors:
+    for f in (assignment[i] for i in range(1, n + 1)):
         new: dict[tuple[int, ...], Fraction] = {}
         for word, val in entries.items():
             for letter, coord in enumerate(f.coords, start=1):
@@ -261,34 +262,6 @@ def _elementary_tensor(vectors: Sequence[OneParticleVector]) -> FockVector:
                     new[key] = new.get(key, Fraction(0)) + coord * val
         entries = new
     return FockVector(entries)
-
-
-def check_wick_vector(cfg: VerifyConfig) -> list[VerifyReport]:
-    """id wick-vector: the operator form of a Wick product must send the
-    vacuum to the plain elementary tensor of its vectors."""
-    max_n = cfg.n if cfg.n is not None else 6
-    dim = cfg.dim if cfg.dim is not None else 3
-    reports = []
-    for n in range(1, max_n + 1):
-        assignments = sample_assignments(n, dim, cfg.seed, cfg.samples)
-        for q0 in cfg.q_values():
-            params = FockParams(dim, cfg.cutoff(n), q0)
-            for s_idx, assignment in enumerate(assignments):
-                instance = {"n": n, "q": str(q0), "sample": s_idx}
-                lhs = apply_wick_product(
-                    tuple(range(1, n + 1)), assignment, FockVector.vacuum(), params
-                )
-                rhs = _elementary_tensor([assignment[i] for i in range(1, n + 1)])
-                reports.append(
-                    _pass_fail(
-                        "wick-vector",
-                        instance,
-                        lhs,
-                        rhs,
-                        {"vectors": _vec_json(assignment)},
-                    )
-                )
-    return reports
 
 
 def _block_positions(blocks: Sequence[int]) -> list[tuple[int, ...]]:
@@ -309,48 +282,42 @@ def _wick_product_vector(blocks, assignment, params) -> FockVector:
     return vec
 
 
-def check_product_expectation(cfg: VerifyConfig) -> list[VerifyReport]:
-    """id t3.3: the expectation of a product of Wick products against the
-    non-linking complete diagram sum."""
-    return _check_blocks(cfg, "t3.3", "product-expectation")
+def _vacuum_coefficient(blocks, assignment, params) -> Fraction:
+    return _wick_product_vector(blocks, assignment, params).coefficient(())
 
 
-def check_product_expansion(cfg: VerifyConfig) -> list[VerifyReport]:
-    """id t3.4: both sides of the product identity applied to the vacuum."""
-    return _check_blocks(cfg, "t3.4", "product-expansion")
+def check_wick_vector(cfg: VerifyConfig) -> list[VerifyReport]:
+    """id wick-vector: the operator form of a Wick product must send the
+    vacuum to the plain elementary tensor of its vectors."""
+    cases = (
+        _Case({"n": n}, n, partial(_wick_product_vector, (n,)), partial(_elementary_tensor, n))
+        for n in _sizes(cfg.n)
+    )
+    return _sampled("wick-vector", cfg, cases)
 
 
-def _check_blocks(cfg: VerifyConfig, check_id: str, name: str) -> list[VerifyReport]:
-    # a complete-diagram row is scalar: compare the vacuum coefficient only
-    expectation = IDENTITIES[name].complete
-    block_list = (cfg.blocks,) if cfg.blocks else DEFAULT_BLOCKS
-    dim = cfg.dim if cfg.dim is not None else 3
-    reports = []
-    for blocks in block_list:
-        total = sum(blocks)
-        symbolic = expand(name, blocks, cap=cfg.cap)
-        assignments = sample_assignments(total, dim, cfg.seed, cfg.samples)
-        for q0 in cfg.q_values():
-            params = FockParams(dim, cfg.cutoff(total), q0)
-            for s_idx, assignment in enumerate(assignments):
-                instance = {"blocks": list(blocks), "q": str(q0), "sample": s_idx}
-                vec = _wick_product_vector(blocks, assignment, params)
-                lhs = vec.coefficient(()) if expectation else vec
-                rhs = evaluate_expansion(symbolic, assignment, params)
-                reports.append(
-                    _pass_fail(
-                        check_id, instance, lhs, rhs, {"vectors": _vec_json(assignment)}
-                    )
-                )
-    return reports
+def _check_blocks(check_id: str, name: str, cfg: VerifyConfig) -> list[VerifyReport]:
+    """ids t3.3 and t3.4: the product of per-block Wick products applied to
+    the vacuum against the named identity row; a complete-diagram row is
+    scalar, so only the vacuum coefficient is compared."""
+    oracle = _vacuum_coefficient if IDENTITIES[name].complete else _wick_product_vector
+    cases = (
+        _Case(
+            {"blocks": list(blocks)},
+            sum(blocks),
+            partial(oracle, blocks),
+            partial(evaluate_expansion, expand(name, blocks, cap=cfg.cap)),
+        )
+        for blocks in ((cfg.blocks,) if cfg.blocks else DEFAULT_BLOCKS)
+    )
+    return _sampled(check_id, cfg, cases)
 
 
 def check_roundtrip(cfg: VerifyConfig) -> list[VerifyReport]:
     """id roundtrip: rewriting each Wick term of the product-to-Wick expansion
     back into plain products must collapse to the single bare word."""
-    max_n = cfg.n if cfg.n is not None else 6
     reports = []
-    for n in range(1, max_n + 1):
+    for n in _sizes(cfg.n):
         wick_form = normal_to_wick(n, cap=cfg.cap)
         rules = wick_substitution_rules(wick_form, cap=cfg.cap)
         result = substitute_wick(wick_form, rules)
@@ -359,16 +326,17 @@ def check_roundtrip(cfg: VerifyConfig) -> list[VerifyReport]:
             VariableWord(tuple(range(1, n + 1)), NORMAL),
             QPolynomial.one(),
         )
-        reports.append(_pass_fail("roundtrip", {"n": n}, result, expected))
+        reports.append(
+            _report("roundtrip", {"n": n}, result == expected, lhs=result, rhs=expected)
+        )
     return reports
 
 
 def check_free(cfg: VerifyConfig) -> list[VerifyReport]:
     """id free: each class-filtered q=0 formula must equal the constant part
     of its general counterpart, for every row of the identity table."""
-    max_n = cfg.n if cfg.n is not None else 6
     block_list = (cfg.blocks,) if cfg.blocks else FREE_BLOCKS
-    cases = [(False, {"n": n}, n) for n in range(1, max_n + 1)]
+    cases = [(False, {"n": n}, n) for n in _sizes(cfg.n)]
     cases += [(True, {"blocks": list(blocks)}, blocks) for blocks in block_list]
     reports = []
     for blocked, instance, arg in cases:
@@ -376,10 +344,14 @@ def check_free(cfg: VerifyConfig) -> list[VerifyReport]:
             if row.blocks != blocked:
                 continue
             filtered = expand(target, arg, free=True, cap=cfg.cap)
-            general = expand(target, arg, cap=cfg.cap)
+            general = specialize_free(expand(target, arg, cap=cfg.cap))
             reports.append(
-                _pass_fail(
-                    "free", {"target": target, **instance}, filtered, specialize_free(general)
+                _report(
+                    "free",
+                    {"target": target, **instance},
+                    filtered == general,
+                    lhs=filtered,
+                    rhs=general,
                 )
             )
     return reports
@@ -388,11 +360,11 @@ def check_free(cfg: VerifyConfig) -> list[VerifyReport]:
 def check_gram(cfg: VerifyConfig) -> list[VerifyReport]:
     """id gram: exact positive-definiteness of the inner-product Gram matrices."""
     dims = (cfg.dim,) if cfg.dim is not None else (1, 2)
-    max_degree = cfg.n if cfg.n is not None else 3
+    degrees = _sizes(cfg.n)
     reports = []
     for q0 in cfg.q_values(GRAM_Q_GRID):
         for dim in dims:
-            for degree in range(1, max_degree + 1):
+            for degree in degrees:
                 params = FockParams(dim, max(degree, 1), q0)
                 ok = gram_check(degree, params)
                 reports.append(
@@ -400,50 +372,50 @@ def check_gram(cfg: VerifyConfig) -> list[VerifyReport]:
                         "gram",
                         {"dim": dim, "degree": degree, "q": str(q0)},
                         ok,
-                        {"positive_definite": ok},
+                        positive_definite=ok,
                     )
                 )
     return reports
 
 
+# Each suite with the options it reads and their defaults; run_check rejects
+# any other option that is given.
+_SAMPLED = {"q": None, "dim": 2, "level": None, "seed": 0}
 CHECKS = {
-    "t2.1": check_sign_moments,
-    "c2.2": check_moments,
-    "wick2-vs-recursion": check_recursion_agreement,
-    "wick-vector": check_wick_vector,
-    "t3.3": check_product_expectation,
-    "t3.4": check_product_expansion,
-    "roundtrip": check_roundtrip,
-    "free": check_free,
-    "gram": check_gram,
+    "t2.1": (check_sign_moments, {"n": 8, **_SAMPLED, "cap": None}),
+    "c2.2": (check_moments, {"n": 8, **_SAMPLED, "cap": None}),
+    "wick-vector": (check_wick_vector, {"n": 6, **_SAMPLED}),
+    "t3.3": (
+        partial(_check_blocks, "t3.3", "product-expectation"),
+        {"blocks": None, **_SAMPLED, "cap": None},
+    ),
+    "t3.4": (
+        partial(_check_blocks, "t3.4", "product-expansion"),
+        {"blocks": None, **_SAMPLED, "cap": None},
+    ),
+    "roundtrip": (check_roundtrip, {"n": 6, "cap": None}),
+    "wick2-vs-recursion": (check_recursion_agreement, {"n": 7, "cap": None}),
+    "free": (check_free, {"n": 6, "blocks": None, "cap": None}),
+    "gram": (check_gram, {"n": 3, "q": None, "dim": None}),
 }
 
 
-def run_check(
-    check_id: str,
-    *,
-    n: int | None = None,
-    blocks: Sequence[int] | None = None,
-    q: Fraction | None = None,
-    dim: int | None = None,
-    level: int | None = None,
-    seed: int = 0,
-    samples: int = DEFAULT_SAMPLES,
-    cap: int | None = None,
-) -> list[VerifyReport]:
-    """Run one named check suite and return its reports in emission order."""
+def run_check(check_id: str, **options) -> list[VerifyReport]:
+    """Run one named check suite and return its reports in emission order.
+
+    options are VerifyConfig fields, and None counts as not given.  Giving
+    one the suite does not read is a DomainError, so a flag that would
+    change nothing cannot go unnoticed.
+    """
     if check_id not in CHECKS:
         raise DomainError(
             f"unknown check {check_id!r}; expected one of {', '.join(sorted(CHECKS))}"
         )
-    cfg = VerifyConfig(
-        n=n,
-        blocks=tuple(blocks) if blocks else None,
-        q=q,
-        dim=dim,
-        level=level,
-        seed=seed,
-        samples=samples,
-        cap=cap,
-    )
-    return CHECKS[check_id](cfg)
+    suite, defaults = CHECKS[check_id]
+    given = {key: value for key, value in options.items() if value is not None}
+    for key in given:
+        if key not in defaults:
+            raise DomainError(f"check {check_id} does not read --{key}")
+    if "blocks" in given:
+        given["blocks"] = tuple(given["blocks"])
+    return suite(VerifyConfig(**{**defaults, **given}))

@@ -45,12 +45,12 @@ def test_criterion_01_crossing_statistics_ground_truth():
 
 
 def test_criterion_02_sign_pattern_moments_match_oracle():
-    ok, detail = suite_ok("t2.1", n=8, dim=3, samples=5)
+    ok, detail = suite_ok("t2.1", n=8, dim=3)
     report("2 signed-word moments", ok, detail)
 
 
 def test_criterion_03_moments_match_oracle():
-    ok, detail = suite_ok("c2.2", n=8, dim=3, samples=5)
+    ok, detail = suite_ok("c2.2", n=8, dim=3)
     # spot value: all variables equal and unit norm makes the fourth moment 2 + q
     e1 = OneParticleVector((1, 0, 0))
     assign = {i: e1 for i in range(1, 5)}

@@ -1,16 +1,20 @@
 """Command-line surface: output shapes, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwick import cli
+from qwick import cli, verify
+from qwick.algebra import NORMAL, CovarianceMonomial, Expansion, QPolynomial, VariableWord
 from qwick.verify import VerifyReport
 
 
@@ -190,6 +194,74 @@ class TestVerifyCommand:
         assert lines[0].startswith("PASS roundtrip")
         assert lines[-1] == "3/3 instances passed"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("verify c2.2 --n 0", "n = 0 gives no instances; it must be at least 1"),
+            ("verify gram --n 0", "n = 0 gives no instances; it must be at least 1"),
+            ("verify t2.1 --n 1", "n = 1 gives no instances; it must be at least 2"),
+            ("verify free --n -3", "n = -3 gives no instances; it must be at least 1"),
+            ("verify gram --level 0", "check gram does not read --level"),
+            ("verify free --blocks 2,2 --level 0", "check free does not read --level"),
+            ("verify c2.2 --blocks 2,2", "check c2.2 does not read --blocks"),
+            ("verify roundtrip --dim 3", "check roundtrip does not read --dim"),
+        ],
+    )
+    def test_empty_range_or_unread_flag_is_a_usage_error(self, capsys, argv, message):
+        code = cli.main(argv.split())
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
+    def test_each_suite_reads_its_flags(self):
+        assert {check: set(defaults) for check, (_, defaults) in verify.CHECKS.items()} == READS
+
+    # A formula side with a wrong term added must fail with exactly the
+    # witness these suites reported before they shared one runner.  The
+    # q^5 - q^4/2 term vanishes at q = 1/2, so only the degree bound fails.
+    @pytest.mark.parametrize(
+        "target, extra, argv, witness",
+        [
+            (
+                "moment_expansion",
+                {0: 1},
+                "verify c2.2 --n 2 --q 1/2",
+                {"lhs": "0", "rhs": "1", "degree_bound_ok": True, "vectors": {"1": ["3", "0"]}},
+            ),
+            (
+                "moment_expansion",
+                {5: 1, 4: Fraction(-1, 2)},
+                "verify c2.2 --n 2 --q 1/2",
+                {"lhs": "0", "rhs": "0", "degree_bound_ok": False, "vectors": {"1": ["3", "0"]}},
+            ),
+            (
+                "expand",
+                {0: 1},
+                "verify t3.4 --blocks 1,1 --q 1/3",
+                {
+                    "lhs": [{"word": [], "num": 9, "den": 1}, {"word": [1, 1], "num": 9, "den": 1}],
+                    "rhs": [{"word": [], "num": 10, "den": 1}, {"word": [1, 1], "num": 9, "den": 1}],
+                    "vectors": {"1": ["3", "0"], "2": ["3", "0"]},
+                },
+            ),
+        ],
+    )
+    def test_failure_witness_is_pinned(
+        self, capsys, monkeypatch, target, extra, argv, witness
+    ):
+        wrong = Expansion.single(
+            CovarianceMonomial.identity(), VariableWord((), NORMAL), QPolynomial(extra)
+        )
+        formula = getattr(verify, target)
+        monkeypatch.setattr(verify, target, lambda *a, **k: formula(*a, **k) + wrong)
+        code, out = run_cli(capsys, *argv.split())
+        reports = json.loads(out)["reports"]
+        assert code == 1
+        assert all(r["status"] == "fail" for r in reports)
+        assert list(reports[0]["witness"]) == list(witness)
+        assert reports[0]["witness"] == witness
+
     def test_verify_deterministic_given_seed(self, capsys):
         _, first = run_cli(capsys, "verify", "t2.1", "--n", "4", "--seed", "7")
         _, second = run_cli(capsys, "verify", "t2.1", "--n", "4", "--seed", "7")
@@ -208,7 +280,8 @@ def test_module_entry_point():
 
 # sha256 of stdout, recorded before the incremental diagram walker and the
 # hand-written JSON emitter replaced crossing_stats and json.dumps on these
-# paths; every byte must stay the same.
+# paths, and (the verify entries) before the sampled verify suites shared one
+# runner; every byte must stay the same.
 GOLDEN_STDOUT = {
     "diagrams --n 6 --format json": "75b410ea3f739ad464a762863774636ed76275944a5f405ca8faaaa76d5a3422",
     "diagrams --n 6 --format csv": "eccea1ec4b4291633b7e70a755c19b5dd2ffb35eaabea394fd3d03aa69809cf8",
@@ -255,6 +328,16 @@ GOLDEN_STDOUT = {
     "product --blocks 2,2,1 --expectation --free --format json": "9079876f83e960c7f7667ca3673347ee03dd20e681045458a2bd5eb2ff32ce65",
     "product --blocks 2,2,1 --expectation --free --format csv": "1e680bd62666601a0aee97137c145b44028de7838c7b56173c197dff558b9580",
     "product --blocks 2,2,1 --expectation --free --format pretty": "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+    "verify t2.1 --n 6": "2ea982cd3e43fad6fc455a5367ae9790573c94231bb3060b1293faf87acb7773",
+    "verify c2.2 --n 5": "0caa61ff3b97e68dad8b138c3a0962256e7a22eb66a9acd4e831951f073e07e4",
+    "verify c2.2 --n 4 --q 1/2 --format csv": "88a5862e50af3ea55f0aa023f72e477cf4dc3eb65504004d20c0d059ac35e4be",
+    "verify wick-vector --n 4 --format pretty": "40adc91c468fd391148509eb52b71ce308b675372545f21f37e3599b1a0d832e",
+    "verify t3.3 --blocks 2,1,2": "9e1994331a177b91963e18403529aef42dbee5b666bc318cde35b1ba13643000",
+    "verify t3.4 --blocks 1,2,2": "f3b41f8862c86111fcbc87051107ce93b2893a1131adf6b3fe61a4530c06aef5",
+    "verify roundtrip --n 5": "d4797e759762418e56715094fc8a31ec644db91c8d68707bd925ac2c2dfd10ed",
+    "verify wick2-vs-recursion --n 6": "dfcc7357f050bd10f90dbced62dea7a3f97675f6bedf7d1ccb32f70ee9552cb6",
+    "verify free --n 5": "0b2564d2ca7feac0a4fa494ae3f93e04dd924b1519d8d1b8c43a12fd25828a60",
+    "verify gram --n 3 --dim 2": "23599311f6286be85511f27b5a07909d0bcf8e22adc699dedc2d7d2cc4d1e959",
 }
 
 
@@ -289,6 +372,65 @@ class TestJsonEmitter:
             cli._json_text(value)
 
 
+SAMPLED_FLAGS = {"q", "dim", "level", "seed"}
+READS = {
+    "t2.1": {"n", "cap"} | SAMPLED_FLAGS,
+    "c2.2": {"n", "cap"} | SAMPLED_FLAGS,
+    "wick-vector": {"n"} | SAMPLED_FLAGS,
+    "t3.3": {"blocks", "cap"} | SAMPLED_FLAGS,
+    "t3.4": {"blocks", "cap"} | SAMPLED_FLAGS,
+    "roundtrip": {"n", "cap"},
+    "wick2-vs-recursion": {"n", "cap"},
+    "free": {"n", "blocks", "cap"},
+    "gram": {"n", "q", "dim"},
+}
+FLAG_VALUES = {
+    "n": st.integers(-1, 3).map(str),
+    "blocks": st.lists(st.integers(1, 2), min_size=1, max_size=3)
+    .filter(lambda b: sum(b) <= 4)
+    .map(lambda b: ",".join(map(str, b))),
+    "q": st.sampled_from(["0", "1/3", "1/2", "1", "5/4", "-1/3", "-1", "-3/2"]),
+    "dim": st.integers(-1, 2).map(str),
+    "level": st.integers(-1, 4).map(str),
+    "seed": st.integers(-2, 3).map(str),
+    "cap": st.integers(-1, 12).map(str),
+}
+
+
+@st.composite
+def verify_argvs(draw):
+    check = draw(st.sampled_from(sorted(READS)))
+    # the default --n and --blocks take seconds, so a suite that reads one
+    # always gets a tiny value; every other flag, read or not, may appear
+    given = {flag for flag in ("n", "blocks") if flag in READS[check]}
+    given |= draw(st.sets(st.sampled_from(sorted(FLAG_VALUES))))
+    argv = ["verify", check]
+    for flag in sorted(given):
+        value = draw(FLAG_VALUES[flag])
+        # argparse takes "--q -1/3" for a missing value; "--q=-1/3" parses
+        argv += [f"--{flag}={value}"] if draw(st.booleans()) else [f"--{flag}", value]
+    return argv, given - READS[check]
+
+
+@settings(max_examples=150, deadline=None)
+@given(verify_argvs())
+def test_verify_argv_fuzz(case):
+    argv, unread = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            return
+    assert code in (0, 2)
+    if code == 2:
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("error: ")
+    if unread:
+        assert code == 2
+
+
 class TestCapEnvironment:
     @pytest.mark.parametrize("raw", ["abc", "-2"])
     def test_bad_cap_is_a_usage_error(self, capsys, monkeypatch, raw):
@@ -298,6 +440,13 @@ class TestCapEnvironment:
         assert code == 2
         assert err.startswith("error: QWICK_CAP")
         assert len(err.splitlines()) == 1
+
+    def test_negative_cap_flag_is_a_usage_error(self, capsys):
+        code = cli.main(["moments", "--n", "4", "--cap", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: cap must be a nonnegative integer, got -1"]
 
     def test_bad_cap_prints_no_traceback(self):
         env = dict(os.environ, QWICK_CAP="abc")
