@@ -14,7 +14,6 @@ from .algebra import (
     Expansion,
     QPolynomial,
     VariableWord,
-    diagram_term,
     specialize_free,
     substitute_wick,
 )
@@ -41,6 +40,7 @@ from .fock import (
     FockParams,
     FockVector,
     OneParticleVector,
+    OperatorWord,
     annihilate,
     apply_field_word,
     apply_operator_word,
@@ -51,19 +51,18 @@ from .fock import (
     gram_check,
     q_inner,
     vacuum_expectation,
+    wick_operator_form,
 )
 from .verify import VerifyReport, run_check
 from .wick import (
     IDENTITIES,
-    OperatorWord,
-    WickOperatorForm,
+    diagram_term,
     expand,
     m_epsilon_expansion,
     moment_expansion,
     normal_to_wick,
     product_expansion,
     product_expectation,
-    wick_operator_form,
     wick_recursive,
     wick_substitution_rules,
     wick_to_normal,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .diagrams import FeynmanDiagram
 from .errors import DomainError
 
 NORMAL = "normal"
@@ -372,29 +371,12 @@ def accumulate_term(
     acc[key] = poly if cur is None else cur + poly
 
 
-def diagram_term(
-    diagram: FeynmanDiagram, kind: str = NORMAL, labels=None
-) -> TermKey:
-    """The term a diagram contributes: one covariance factor per pair and the
-    increasing word of its singletons, with coefficient 1 left to the caller.
-
-    labels, when given, must be strictly increasing and maps position p to
-    labels[p - 1]; it transfers a diagram on 1..n onto other variable indices.
-    """
-    if labels is None:
-        factors = diagram.pairs
-        word = diagram.singletons
-    else:
-        factors = tuple((labels[i - 1], labels[j - 1]) for i, j in diagram.pairs)
-        word = tuple(labels[h - 1] for h in diagram.singletons)
-    return CovarianceMonomial(factors), VariableWord(word, kind)
-
-
 def _canonical_term(factors, indices, kind: str) -> TermKey:
-    """diagram_term's key built from parts that are canonical already:
-    factors sorted (i, j) with i < j, indices distinct.  Skips validation
-    and re-sorting; the walker's output meets these conditions by
-    construction, and so does any strictly increasing relabelling of it."""
+    """The term key of covariance factors and a word, built from parts that
+    are canonical already: factors sorted (i, j) with i < j, indices
+    distinct.  Skips validation and re-sorting; the walker's output meets
+    these conditions by construction, and so does any strictly increasing
+    relabelling of it."""
     cov = object.__new__(CovarianceMonomial)
     cov.__dict__["factors"] = factors
     word = object.__new__(VariableWord)

@@ -167,6 +167,8 @@ def _emit_expansion(expansion: Expansion, meta: dict, fmt: str) -> None:
 
 
 def cmd_diagrams(args) -> int:
+    if args.blocks is not None and args.n is not None:
+        raise QwickError("diagrams takes --n or --blocks, not both")
     if args.blocks is not None:
         ground = GroundSet(sum(args.blocks), args.blocks)
         forbid = _block_forbid(ground)

@@ -4,11 +4,15 @@ A basis word is a tuple over 1..dim; vectors are finitely supported
 rational combinations of basis words up to the configured tensor degree.
 Creation prepends, annihilation deletes with weights q^(position-1) times
 the matching coordinate, and the inner product is the explicit permutation
-sum with the inversion statistic.  All arithmetic is fractions.Fraction.
+sum with the inversion statistic.  A Wick product acts through its own
+2^n-summand operator form.  Nothing here comes from the diagram layer (wick,
+diagrams), so this is a second route to every identity computed there.
+All arithmetic is fractions.Fraction.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,12 +20,13 @@ from typing import Mapping, Sequence, Union
 
 from .algebra import NORMAL, Expansion, Rational
 from .errors import DomainError, SizeLimitError, TruncationOverflowError
-from .wick import OperatorWord, wick_operator_form
 
-DEFAULT_PERMUTATION_CAP = 8
+PERMUTATION_CAP = 8
 # largest basis of one Gram matrix: its dim^degree squared entries are each a
 # permutation sum, so the cost grows far faster than the word count
 GRAM_WORD_CAP = 100
+# most variables in one Wick product's operator form, which has 2^n summands
+WICK_FORM_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -109,9 +114,6 @@ class FockVector:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def max_degree(self) -> int:
-        return max((len(w) for w in self.entries), default=0)
-
     def __add__(self, other: FockVector) -> FockVector:
         if not isinstance(other, FockVector):
             return NotImplemented
@@ -145,6 +147,50 @@ class FockVector:
             {"word": list(w), "num": v.numerator, "den": v.denominator}
             for w, v in sorted(self.entries.items(), key=lambda kv: (len(kv[0]), kv[0]))
         ]
+
+
+@dataclass(frozen=True)
+class OperatorWord:
+    """Product of creation (+1) and annihilation (-1) operators on indexed vectors.
+
+    letters[0] is the leftmost factor; application to a vector runs right to
+    left.  Operator order is meaningful, so there is no canonical reordering.
+    """
+
+    letters: tuple[tuple[int, int], ...] = ()
+
+    def __post_init__(self):
+        letters = tuple((int(s), int(i)) for s, i in self.letters)
+        object.__setattr__(self, "letters", letters)
+        if any(s not in (1, -1) for s, _ in letters):
+            raise DomainError("operator signs must be +1 (create) or -1 (annihilate)")
+
+
+@functools.cache
+def wick_operator_form(n: int) -> tuple[tuple[OperatorWord, int], ...]:
+    """Creator-then-annihilator operator sum of the Wick product of variables
+    1..n, as (word, power of q) summands.
+
+    One summand per split of the variables into a creator set and an
+    annihilator set (each listed increasingly), weighted by q raised to the
+    number of creator/annihilator index inversions: 2^n summands, so more
+    than WICK_FORM_CAP variables raise SizeLimitError.
+    """
+    if n < 0:
+        raise DomainError(f"variable count must be nonnegative, got {n}")
+    if n > WICK_FORM_CAP:
+        raise SizeLimitError(f"{n} variables exceed the Wick operator form cap {WICK_FORM_CAP}")
+    universe = tuple(range(1, n + 1))
+    summands = []
+    for k in range(n, -1, -1):
+        for creators in itertools.combinations(universe, k):
+            annihilators = tuple(x for x in universe if x not in creators)
+            inversions = sum(1 for i in creators for j in annihilators if i > j)
+            letters = tuple((1, i) for i in creators) + tuple(
+                (-1, j) for j in annihilators
+            )
+            summands.append((OperatorWord(letters), inversions))
+    return tuple(summands)
 
 
 def create(f: VectorLike, u: FockVector, params: FockParams) -> FockVector:
@@ -186,6 +232,12 @@ def field_apply(f: VectorLike, u: FockVector, params: FockParams) -> FockVector:
     return create(f, u, params) + annihilate(f, u, params)
 
 
+def _vector(assignment: Mapping[int, VectorLike], idx: int) -> VectorLike:
+    if idx not in assignment:
+        raise KeyError(f"no vector assigned to variable {idx}")
+    return assignment[idx]
+
+
 def apply_operator_word(
     word: OperatorWord,
     assignment: Mapping[int, VectorLike],
@@ -195,9 +247,7 @@ def apply_operator_word(
     """Apply a signed operator word, rightmost letter first."""
     vec = u
     for sign, idx in reversed(word.letters):
-        if idx not in assignment:
-            raise KeyError(f"no vector assigned to variable {idx}")
-        f = assignment[idx]
+        f = _vector(assignment, idx)
         vec = create(f, vec, params) if sign == 1 else annihilate(f, vec, params)
     return vec
 
@@ -211,9 +261,7 @@ def apply_field_word(
     """Apply a product of field operators, rightmost variable first."""
     vec = u
     for idx in reversed(tuple(indices)):
-        if idx not in assignment:
-            raise KeyError(f"no vector assigned to variable {idx}")
-        vec = field_apply(assignment[idx], vec, params)
+        vec = field_apply(_vector(assignment, idx), vec, params)
     return vec
 
 
@@ -224,13 +272,13 @@ def apply_wick_product(
     params: FockParams,
 ) -> FockVector:
     """Apply the Wick product of the given variables through its 2^n-summand
-    creator/annihilator operator form."""
+    creator/annihilator operator form, position p standing for indices[p - 1]."""
     indices = tuple(indices)
     form = wick_operator_form(len(indices))
+    by_position = {pos: _vector(assignment, idx) for pos, idx in enumerate(indices, start=1)}
     out = FockVector.zero()
-    for opword, qpow in form.summands:
-        letters = tuple((sign, indices[pos - 1]) for sign, pos in opword.letters)
-        vec = apply_operator_word(OperatorWord(letters), assignment, u, params)
+    for opword, qpow in form:
+        vec = apply_operator_word(opword, by_position, u, params)
         out = out + vec.scaled(params.q**qpow)
     return out
 
@@ -266,12 +314,7 @@ def _basis_inner(w1: tuple[int, ...], w2: tuple[int, ...], q: Fraction) -> Fract
     return total
 
 
-def q_inner(
-    u: FockVector,
-    v: FockVector,
-    params: FockParams,
-    max_word_len: int = DEFAULT_PERMUTATION_CAP,
-) -> Fraction:
+def q_inner(u: FockVector, v: FockVector, params: FockParams) -> Fraction:
     """The q-deformed hermitian form, by explicit permutation enumeration.
 
     Words of different degrees are orthogonal; equal-degree basis words pair
@@ -281,9 +324,9 @@ def q_inner(
     """
     for vec in (u, v):
         for word in vec.entries:
-            if len(word) > max_word_len:
+            if len(word) > PERMUTATION_CAP:
                 raise SizeLimitError(
-                    f"word of length {len(word)} exceeds the permutation cap {max_word_len}"
+                    f"word of length {len(word)} exceeds the permutation cap {PERMUTATION_CAP}"
                 )
     total = Fraction(0)
     for w1, c1 in u.entries.items():
@@ -314,11 +357,7 @@ def _positive_definite(matrix: list[list[Fraction]]) -> bool:
     return True
 
 
-def gram_check(
-    degree: int,
-    params: FockParams,
-    max_word_len: int = DEFAULT_PERMUTATION_CAP,
-) -> bool:
+def gram_check(degree: int, params: FockParams) -> bool:
     """Exact positive-definiteness of the Gram matrix of all degree-d basis
     words, decided by the signs of the leading principal minors.
 
@@ -329,10 +368,8 @@ def gram_check(
         raise DomainError(f"positivity requires -1 < q < 1, got q = {params.q}")
     if degree < 0:
         raise DomainError(f"degree must be nonnegative, got {degree}")
-    if degree > max_word_len:
-        raise SizeLimitError(
-            f"degree {degree} exceeds the permutation cap {max_word_len}"
-        )
+    if degree > PERMUTATION_CAP:
+        raise SizeLimitError(f"degree {degree} exceeds the permutation cap {PERMUTATION_CAP}")
     if params.dim**degree > GRAM_WORD_CAP:
         raise SizeLimitError(
             f"{params.dim}^{degree} basis words exceed the Gram matrix cap {GRAM_WORD_CAP}"
@@ -359,12 +396,8 @@ def evaluate_expansion(
     for (cov, word), poly in e.terms.items():
         scale = poly.evaluate(params.q)
         for i, j in cov.factors:
-            if i not in assignment or j not in assignment:
-                missing = i if i not in assignment else j
-                raise KeyError(f"no vector assigned to variable {missing}")
-            scale *= dot(
-                as_vector(assignment[i], params.dim), as_vector(assignment[j], params.dim)
-            )
+            f, g = (as_vector(_vector(assignment, k), params.dim) for k in (i, j))
+            scale *= dot(f, g)
         if not scale:
             continue
         if not word.indices:

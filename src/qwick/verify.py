@@ -25,20 +25,21 @@ from .algebra import (
     specialize_free,
     substitute_wick,
 )
-from .diagrams import catalan_sequences
+from .diagrams import catalan_sequences, ensure_within_cap
 from .errors import DomainError
 from .fock import (
     FockParams,
     FockVector,
     OneParticleVector,
+    OperatorWord,
     apply_wick_product,
     evaluate_expansion,
     gram_check,
     vacuum_expectation,
+    wick_operator_form,
 )
 from .wick import (
     IDENTITIES,
-    OperatorWord,
     expand,
     m_epsilon_expansion,
     moment_expansion,
@@ -147,6 +148,15 @@ def _sizes(n: int, step: int = 1) -> range:
     return sizes
 
 
+def _capped(sizes, cap: int | None):
+    """Check every instance size against the enumeration cap, in run order,
+    before any instance is computed: a run past the cap fails at once, with
+    the message its first oversized instance gives."""
+    for size in sizes:
+        ensure_within_cap(size, cap)
+    return sizes
+
+
 class _Case(NamedTuple):
     """One instance of a sampled suite.  oracle and formula map (assignment,
     params) to the two compared values, ok(lhs, rhs) is the pass condition,
@@ -212,7 +222,7 @@ def check_sign_moments(cfg: VerifyConfig) -> list[VerifyReport]:
             ),
             m_epsilon_expansion(eps, cap=cfg.cap),
         )
-        for length in _sizes(cfg.n, step=2)
+        for length in _capped(_sizes(cfg.n, step=2), cfg.cap)
         for eps in catalan_sequences(length, cap=cfg.cap)
     )
     return _sampled("t2.1", cfg, cases)
@@ -234,7 +244,7 @@ def check_moments(cfg: VerifyConfig) -> list[VerifyReport]:
             moment_expansion(n, cap=cfg.cap),
             partial(_moment_ok, n),
         )
-        for n in _sizes(cfg.n)
+        for n in _capped(_sizes(cfg.n), cfg.cap)
     )
     return _sampled("c2.2", cfg, cases)
 
@@ -243,7 +253,7 @@ def check_recursion_agreement(cfg: VerifyConfig) -> list[VerifyReport]:
     """id wick2-vs-recursion: the diagram formula and the peeling recursion
     must produce identical canonical expansions."""
     reports = []
-    for n in _sizes(cfg.n):
+    for n in _capped(_sizes(cfg.n), cfg.cap):
         lhs = wick_to_normal(n, cap=cfg.cap)
         rhs = wick_recursive(n, cap=cfg.cap)
         reports.append(_report("wick2-vs-recursion", {"n": n}, lhs == rhs, lhs=lhs, rhs=rhs))
@@ -289,9 +299,12 @@ def _vacuum_coefficient(blocks, assignment, params) -> Fraction:
 def check_wick_vector(cfg: VerifyConfig) -> list[VerifyReport]:
     """id wick-vector: the operator form of a Wick product must send the
     vacuum to the plain elementary tensor of its vectors."""
+    sizes = _sizes(cfg.n)
+    for n in sizes:  # past WICK_FORM_CAP fails here; the forms are cached for reuse
+        wick_operator_form(n)
     cases = (
         _Case({"n": n}, n, partial(_wick_product_vector, (n,)), partial(_elementary_tensor, n))
-        for n in _sizes(cfg.n)
+        for n in sizes
     )
     return _sampled("wick-vector", cfg, cases)
 
@@ -301,6 +314,8 @@ def _check_blocks(check_id: str, name: str, cfg: VerifyConfig) -> list[VerifyRep
     the vacuum against the named identity row; a complete-diagram row is
     scalar, so only the vacuum coefficient is compared."""
     oracle = _vacuum_coefficient if IDENTITIES[name].complete else _wick_product_vector
+    block_list = (cfg.blocks,) if cfg.blocks else DEFAULT_BLOCKS
+    _capped([sum(blocks) for blocks in block_list], cfg.cap)
     cases = (
         _Case(
             {"blocks": list(blocks)},
@@ -308,7 +323,7 @@ def _check_blocks(check_id: str, name: str, cfg: VerifyConfig) -> list[VerifyRep
             partial(oracle, blocks),
             partial(evaluate_expansion, expand(name, blocks, cap=cfg.cap)),
         )
-        for blocks in ((cfg.blocks,) if cfg.blocks else DEFAULT_BLOCKS)
+        for blocks in block_list
     )
     return _sampled(check_id, cfg, cases)
 
@@ -317,7 +332,7 @@ def check_roundtrip(cfg: VerifyConfig) -> list[VerifyReport]:
     """id roundtrip: rewriting each Wick term of the product-to-Wick expansion
     back into plain products must collapse to the single bare word."""
     reports = []
-    for n in _sizes(cfg.n):
+    for n in _capped(_sizes(cfg.n), cfg.cap):
         wick_form = normal_to_wick(n, cap=cfg.cap)
         rules = wick_substitution_rules(wick_form, cap=cfg.cap)
         result = substitute_wick(wick_form, rules)
@@ -338,6 +353,7 @@ def check_free(cfg: VerifyConfig) -> list[VerifyReport]:
     block_list = (cfg.blocks,) if cfg.blocks else FREE_BLOCKS
     cases = [(False, {"n": n}, n) for n in _sizes(cfg.n)]
     cases += [(True, {"blocks": list(blocks)}, blocks) for blocks in block_list]
+    _capped([sum(arg) if blocked else arg for blocked, _, arg in cases], cfg.cap)
     reports = []
     for blocked, instance, arg in cases:
         for target, row in IDENTITIES.items():

@@ -1,19 +1,18 @@
 """Expansion-valued identities for q-Gaussian variables.
 
-Moments, conversions between plain products and Wick products, the
-creator/annihilator operator form of a Wick product, and products of Wick
-products over block-partitioned index sets.  The diagram-sum identities are
-the rows of one table, IDENTITIES; expand runs a row through the diagram
-walker, and free=True gives its q = 0 form as a class filter.
-wick_recursive is an independent second route to the Wick product.
-Every function returns exact canonical data with q kept as a formal
-variable; specializing q is left to the evaluator in the oracle module.
+Moments, conversions between plain products and Wick products, and
+products of Wick products over block-partitioned index sets.  The
+diagram-sum identities are the rows of one table, IDENTITIES; expand runs
+a row through the diagram walker, and free=True gives its q = 0 form as a
+class filter.  wick_recursive is an independent second route to the Wick
+product.  Every function returns exact canonical data with q kept as a
+formal variable; specializing q is left to the oracle module, fock, which
+defines the Wick product on its own and is not imported here.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,11 +22,13 @@ from .algebra import (
     CovarianceMonomial,
     Expansion,
     QPolynomial,
+    TermKey,
     VariableWord,
     _canonical_term,
     accumulate_term,
 )
 from .diagrams import (
+    FeynmanDiagram,
     GroundSet,
     SignSequence,
     _block_forbid,
@@ -39,67 +40,29 @@ from .diagrams import (
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class OperatorWord:
-    """Product of creation (+1) and annihilation (-1) operators on indexed vectors.
-
-    letters[0] is the leftmost factor; application to a vector runs right to
-    left.  Operator order is meaningful, so there is no canonical reordering.
-    """
-
-    letters: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        letters = tuple((int(s), int(i)) for s, i in self.letters)
-        object.__setattr__(self, "letters", letters)
-        if any(s not in (1, -1) for s, _ in letters):
-            raise DomainError("operator signs must be +1 (create) or -1 (annihilate)")
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def to_json(self) -> list[list[int]]:
-        return [list(letter) for letter in self.letters]
-
-
-@dataclass(frozen=True)
-class WickOperatorForm:
-    """Creator-then-annihilator operator sum of a Wick product.
-
-    One summand per split of the variables into a creator set and an
-    annihilator set (each listed increasingly), weighted by q raised to the
-    number of creator/annihilator index inversions.  n variables give 2^n
-    summands.
-    """
-
-    summands: tuple[tuple[OperatorWord, int], ...]
-
-    def to_json(self) -> list[dict]:
-        return [{"word": w.to_json(), "qpow": p} for w, p in self.summands]
-
-
-def wick_operator_form(n: int, cap: int | None = None) -> WickOperatorForm:
-    """Operator form of the Wick product of variables 1..n."""
-    if n < 0:
-        raise DomainError(f"variable count must be nonnegative, got {n}")
-    ensure_within_cap(n, cap)
-    universe = tuple(range(1, n + 1))
-    summands = []
-    for k in range(n, -1, -1):
-        for creators in itertools.combinations(universe, k):
-            annihilators = tuple(x for x in universe if x not in creators)
-            inversions = sum(1 for i in creators for j in annihilators if i > j)
-            letters = tuple((1, i) for i in creators) + tuple(
-                (-1, j) for j in annihilators
-            )
-            summands.append((OperatorWord(letters), inversions))
-    return WickOperatorForm(tuple(summands))
-
-
 @functools.cache
 def _q_power(exp: int, coeff: int) -> QPolynomial:
     # shared between terms and expansions: QPolynomial is never mutated
     return QPolynomial.q_power(exp, coeff)
+
+
+def diagram_term(
+    diagram: FeynmanDiagram, kind: str = NORMAL, labels=None
+) -> TermKey:
+    """The term a diagram contributes: one covariance factor per pair and the
+    increasing word of its singletons, with coefficient 1 left to the caller.
+
+    labels, when given, must be strictly increasing and maps position p to
+    labels[p - 1]; it transfers a diagram on 1..n onto other variable indices.
+    The validating reference for the keys _diagram_sum builds unchecked.
+    """
+    if labels is None:
+        factors = diagram.pairs
+        word = diagram.singletons
+    else:
+        factors = tuple((labels[i - 1], labels[j - 1]) for i, j in diagram.pairs)
+        word = tuple(labels[h - 1] for h in diagram.singletons)
+    return CovarianceMonomial(factors), VariableWord(word, kind)
 
 
 def _diagram_sum(

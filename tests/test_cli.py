@@ -57,6 +57,13 @@ class TestDiagramsCommand:
         code, _ = run_cli(capsys, "diagrams")
         assert code == 2
 
+    def test_size_and_blocks_together_is_a_usage_error(self, capsys):
+        code = cli.main(["diagrams", "--n", "5", "--blocks", "2,2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: diagrams takes --n or --blocks, not both"]
+
     def test_csv_format(self, capsys):
         code, out = run_cli(capsys, "diagrams", "--n", "2", "--format", "csv")
         assert code == 0
@@ -205,6 +212,7 @@ class TestVerifyCommand:
             ("verify free --blocks 2,2 --level 0", "check free does not read --level"),
             ("verify c2.2 --blocks 2,2", "check c2.2 does not read --blocks"),
             ("verify roundtrip --dim 3", "check roundtrip does not read --dim"),
+            ("verify wick-vector --cap 5", "check wick-vector does not read --cap"),
         ],
     )
     def test_empty_range_or_unread_flag_is_a_usage_error(self, capsys, argv, message):
@@ -213,6 +221,55 @@ class TestVerifyCommand:
         assert code == 2
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {message}"]
+
+    # each suite checks its instance sizes against the cap before it builds
+    # the formula of the first one
+    @pytest.mark.parametrize(
+        "argv, builders, message",
+        [
+            ("verify c2.2 --n 9 --cap 8", ("moment_expansion",), "ground size 9 exceeds"),
+            (
+                "verify wick2-vs-recursion --n 11 --cap 10",
+                ("wick_to_normal", "wick_recursive"),
+                "ground size 11 exceeds",
+            ),
+            ("verify free --n 3 --blocks 4,4 --cap 6", ("expand",), "ground size 8 exceeds"),
+        ],
+    )
+    def test_oversized_run_fails_before_its_first_instance(
+        self, capsys, monkeypatch, argv, builders, message
+    ):
+        calls = []
+        for name in builders:
+            original = getattr(verify, name)
+            monkeypatch.setattr(
+                verify, name, lambda *a, _f=original, **k: calls.append(a) or _f(*a, **k)
+            )
+        code = cli.main(argv.split())
+        captured = capsys.readouterr()
+        assert calls == []
+        assert code == 2
+        cap = argv.split()[-1]
+        assert captured.err.splitlines() == [f"error: {message} enumeration cap {cap}"]
+
+    def test_enumeration_cap_does_not_bound_the_oracle(self, capsys, monkeypatch):
+        monkeypatch.setenv("QWICK_CAP", "3")
+        code, out = run_cli(capsys, "verify", "wick-vector", "--n", "4")
+        assert code == 0
+        assert json.loads(out)["failures"] == 0
+
+    def test_wick_form_past_its_cap_fails_at_once(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qwick", "verify", "wick-vector", "--n", "13"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: 13 variables exceed the Wick operator form cap 12"
+        ]
 
     def test_each_suite_reads_its_flags(self):
         assert {check: set(defaults) for check, (_, defaults) in verify.CHECKS.items()} == READS
@@ -428,6 +485,59 @@ def test_verify_argv_fuzz(case):
         assert len(err.getvalue().splitlines()) == 1
         assert err.getvalue().startswith("error: ")
     if unread:
+        assert code == 2
+
+
+# the other commands: sizes past 6 only where the cap rejects them
+SIZES = st.sampled_from([*range(-2, 7), 13]).map(str)
+BLOCK_TEXTS = st.one_of(
+    st.lists(st.integers(1, 3), min_size=1, max_size=3)
+    .filter(lambda b: sum(b) <= 6)
+    .map(lambda b: ",".join(map(str, b))),
+    # zero, negative, malformed and oversized entries
+    st.sampled_from(["0", "2,0", "-1,2", "2,,2", "a,b", "", "2.5", "5,5,5", "13"]),
+)
+COMMAND_FLAGS = {
+    ("diagrams",): ("n", "blocks"),
+    ("moments",): ("n", "free"),
+    ("wick", "to-normal"): ("n", "free"),
+    ("wick", "to-wick"): ("n", "free"),
+    ("product",): ("blocks", "free", "expectation"),
+}
+
+
+@st.composite
+def command_argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = list(command)
+    given = draw(st.sets(st.sampled_from(COMMAND_FLAGS[command])))
+    for flag in sorted(given):
+        if flag in ("free", "expectation"):
+            argv.append(f"--{flag}")
+        else:
+            value = draw(SIZES if flag == "n" else BLOCK_TEXTS)
+            argv += [f"--{flag}={value}"]
+    cap = draw(st.sampled_from([None, "-1", "0", "3", "12"]))
+    if cap is not None:
+        argv += ["--cap", cap]
+    argv += ["--format", draw(st.sampled_from(cli.FORMATS))]
+    return argv, {"n", "blocks"} <= given
+
+
+@settings(max_examples=200, deadline=None)
+@given(command_argvs())
+def test_command_argv_fuzz(case):
+    argv, size_and_blocks = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2)
+    if code == 2:
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
+    if size_and_blocks:
         assert code == 2
 
 

@@ -26,10 +26,11 @@ from qwick import (
     moment_expansion,
     q_inner,
     vacuum_expectation,
+    wick_operator_form,
     wick_to_normal,
 )
 from qwick.algebra import Expansion
-from qwick.fock import GRAM_WORD_CAP, _positive_definite, dot
+from qwick.fock import GRAM_WORD_CAP, WICK_FORM_CAP, _positive_definite, dot
 
 E1 = OneParticleVector((1, 0))
 E2 = OneParticleVector((0, 1))
@@ -163,6 +164,16 @@ class TestOperatorWords:
         assign = {i: E1 for i in range(1, 5)}
         assert vacuum_expectation((1, 2, 3, 4), assign, p) == 4
         assert evaluate_expansion(moment_expansion(4), assign, p) == 4
+
+    def test_wick_product_missing_assignment_raises_lookup_error(self):
+        with pytest.raises(KeyError, match="no vector assigned to variable 7"):
+            apply_wick_product((1, 7), {1: E1}, FockVector.vacuum(), params("1/2"))
+
+    def test_wick_form_has_its_own_cap(self):
+        # the oracle's wall, not the enumeration cap of the diagram layer
+        assert len(wick_operator_form(WICK_FORM_CAP)) == 2**WICK_FORM_CAP
+        with pytest.raises(SizeLimitError, match="Wick operator form cap"):
+            wick_operator_form(WICK_FORM_CAP + 1)
 
 
 class TestInnerProduct:
