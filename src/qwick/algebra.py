@@ -21,6 +21,13 @@ WICK = "wick"
 Rational = Union[int, Fraction]
 
 
+def _poly_value(terms, q: Fraction) -> Fraction:
+    """The sum of c * q^k over the (k, c) terms, with a single Fraction built."""
+    top = max((k for k, _ in terms), default=0)
+    num, den = q.numerator, q.denominator
+    return Fraction(sum(c * num**k * den ** (top - k) for k, c in terms), den**top)
+
+
 class QPolynomial:
     """Sparse polynomial in the formal variable q over the rationals.
 
@@ -107,15 +114,8 @@ class QPolynomial:
         return f"QPolynomial({self.pretty()!r})"
 
     def evaluate(self, q0: Rational) -> Fraction:
-        """Exact value at a rational point, by Horner over descending exponents."""
-        q0 = Fraction(q0)
-        exps = sorted(self.coeffs, reverse=True)
-        acc = Fraction(0)
-        for idx, e in enumerate(exps):
-            acc += self.coeffs[e]
-            nxt = exps[idx + 1] if idx + 1 < len(exps) else 0
-            acc *= q0 ** (e - nxt)
-        return acc
+        """Exact value at a rational point."""
+        return _poly_value(self.coeffs.items(), Fraction(q0))
 
     def to_json(self) -> list[dict]:
         return [

@@ -7,7 +7,10 @@ the matching coordinate, and the inner product is the explicit permutation
 sum with the inversion statistic.  A Wick product acts through its own
 2^n-summand operator form.  Nothing here comes from the diagram layer (wick,
 diagrams), so this is a second route to every identity computed there.
-All arithmetic is fractions.Fraction.
+
+Every q-dependence is polynomial, so the operators keep q formal (Graded):
+one run serves every q, and only evaluating the result at a rational q
+builds Fractions.  The public functions run for params.q and evaluate there.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .algebra import NORMAL, Expansion, Rational
+from .algebra import NORMAL, Expansion, Rational, _poly_value
 from .errors import DomainError, SizeLimitError, TruncationOverflowError
 
 PERMUTATION_CAP = 8
@@ -99,10 +102,6 @@ class FockVector:
                 if val:
                     clean[tuple(word)] = val
         self.entries = clean
-
-    @classmethod
-    def zero(cls) -> FockVector:
-        return cls()
 
     @classmethod
     def vacuum(cls) -> FockVector:
@@ -193,43 +192,56 @@ def wick_operator_form(n: int) -> tuple[tuple[OperatorWord, int], ...]:
     return tuple(summands)
 
 
-def create(f: VectorLike, u: FockVector, params: FockParams) -> FockVector:
-    """Prepend f to every word of u, expanding f over the basis letters.
-
-    Raises TruncationOverflowError if any word already sits at the cutoff.
-    """
-    coords = as_vector(f, params.dim).coords
-    out: dict[tuple[int, ...], Fraction] = {}
-    for word, val in u.entries.items():
-        if len(word) >= params.level:
-            raise TruncationOverflowError(
-                f"creation on a degree-{len(word)} word exceeds the cutoff {params.level}"
-            )
-        for letter, coord in enumerate(coords, start=1):
-            if coord:
-                key = (letter,) + word
-                out[key] = out.get(key, Fraction(0)) + coord * val
-    return FockVector(out)
+def _exact(x: Rational) -> Rational:
+    return x.numerator if x.denominator == 1 else x
 
 
-def annihilate(f: VectorLike, u: FockVector, params: FockParams) -> FockVector:
-    """Weighted deletion sum: removing position i carries q^(i-1) times the
-    coordinate of f matching the deleted letter.  The vacuum maps to zero."""
-    coords = as_vector(f, params.dim).coords
-    q = params.q
-    out: dict[tuple[int, ...], Fraction] = {}
-    for word, val in u.entries.items():
-        for i, letter in enumerate(word):
-            coord = coords[letter - 1]
-            if coord:
-                key = word[:i] + word[i + 1 :]
-                out[key] = out.get(key, Fraction(0)) + q**i * coord * val
-    return FockVector(out)
+class Graded:
+    """A Fock vector, or with scalar set its vacuum coefficient, for every q at
+    once.  entries maps (basis word, power of q) to a nonzero exact
+    coefficient, an int wherever the coordinates are; at(q) is the value."""
+
+    def __init__(self, entries: dict, scalar: bool = False):
+        self.entries = {key: c for key, c in entries.items() if not key[0]} if scalar else entries
+        self.scalar = scalar
+
+    def at(self, q: Fraction) -> Union[Fraction, FockVector]:
+        polys: dict[tuple[int, ...], list] = {}
+        for (word, k), c in self.entries.items():
+            polys.setdefault(word, []).append((k, c))
+        vec = FockVector({word: _poly_value(terms, q) for word, terms in polys.items()})
+        return vec.coefficient(()) if self.scalar else vec
 
 
-def field_apply(f: VectorLike, u: FockVector, params: FockParams) -> FockVector:
-    """The field operator: create plus annihilate."""
-    return create(f, u, params) + annihilate(f, u, params)
+def _step(sign: int, coords, u: dict, params: FockParams, qs) -> dict:
+    """Creation (sign 1) prepends a letter and keeps the power of q;
+    annihilation (-1) deletes position i, adding i to it; the field (0) is
+    their sum.  Creation on a word at the cutoff raises if the word is
+    nonzero at one of qs, the q values the result is for, else drops it."""
+    out: dict = {}
+    if sign >= 0:
+        letters = [(letter, coord) for letter, coord in enumerate(coords, start=1) if coord]
+        over: dict[tuple[int, ...], list] = {}
+        for (word, k), c in u.items():
+            if len(word) >= params.level:
+                over.setdefault(word, []).append((k, c))
+                continue
+            for letter, coord in letters:
+                out[((letter,) + word, k)] = coord * c
+        for word, terms in over.items():
+            if any(_poly_value(terms, q) for q in qs):
+                raise TruncationOverflowError(
+                    f"creation on a degree-{len(word)} word exceeds the cutoff {params.level}"
+                )
+    if sign <= 0:
+        for (word, k), c in u.items():
+            for i, letter in enumerate(word):
+                coord = coords[letter - 1]
+                if coord:
+                    key = (word[:i] + word[i + 1 :], k + i)
+                    out[key] = out.get(key, 0) + coord * c
+        out = {key: c for key, c in out.items() if c}
+    return out
 
 
 def _vector(assignment: Mapping[int, VectorLike], idx: int) -> VectorLike:
@@ -238,49 +250,107 @@ def _vector(assignment: Mapping[int, VectorLike], idx: int) -> VectorLike:
     return assignment[idx]
 
 
-def apply_operator_word(
-    word: OperatorWord,
-    assignment: Mapping[int, VectorLike],
-    u: FockVector,
-    params: FockParams,
-) -> FockVector:
-    """Apply a signed operator word, rightmost letter first."""
-    vec = u
-    for sign, idx in reversed(word.letters):
-        f = _vector(assignment, idx)
-        vec = create(f, vec, params) if sign == 1 else annihilate(f, vec, params)
-    return vec
+def _letters(letters, assignment, u: dict, params: FockParams, qs) -> dict:
+    """Apply (sign, variable) letters, rightmost first; sign 0 is a field."""
+    for sign, idx in reversed(letters):
+        coords = tuple(_exact(c) for c in as_vector(_vector(assignment, idx), params.dim).coords)
+        u = _step(sign, coords, u, params, qs)
+    return u
 
 
-def apply_field_word(
-    indices: Sequence[int],
-    assignment: Mapping[int, VectorLike],
-    u: FockVector,
-    params: FockParams,
-) -> FockVector:
-    """Apply a product of field operators, rightmost variable first."""
-    vec = u
-    for idx in reversed(tuple(indices)):
-        vec = field_apply(_vector(assignment, idx), vec, params)
-    return vec
-
-
-def apply_wick_product(
-    indices: Sequence[int],
-    assignment: Mapping[int, VectorLike],
-    u: FockVector,
-    params: FockParams,
-) -> FockVector:
-    """Apply the Wick product of the given variables through its 2^n-summand
-    creator/annihilator operator form, position p standing for indices[p - 1]."""
+def _wick(indices, assignment, u: dict, params: FockParams, qs) -> dict:
+    """The Wick product by its operator form, position p standing for indices[p - 1]."""
     indices = tuple(indices)
     form = wick_operator_form(len(indices))
     by_position = {pos: _vector(assignment, idx) for pos, idx in enumerate(indices, start=1)}
-    out = FockVector.zero()
+    out: dict = {}
     for opword, qpow in form:
-        vec = apply_operator_word(opword, by_position, u, params)
-        out = out + vec.scaled(params.q**qpow)
-    return out
+        for (word, k), c in _letters(opword.letters, by_position, u, params, qs).items():
+            out[word, k + qpow] = out.get((word, k + qpow), 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def graded_apply(words, assignment, params: FockParams, qs, scalar: bool = False) -> Graded:
+    """The words applied to the unit vacuum, rightmost first, for every q of
+    qs at once (params.q is not read).  Each is an OperatorWord or a
+    VariableWord: a product of fields or, Wick-tagged, one Wick product."""
+    vec = {((), 0): 1}
+    for word in reversed(words):
+        if isinstance(word, OperatorWord):
+            vec = _letters(word.letters, assignment, vec, params, qs)
+        elif word.kind == NORMAL:
+            vec = _letters(tuple((0, i) for i in word.indices), assignment, vec, params, qs)
+        else:
+            vec = _wick(word.indices, assignment, vec, params, qs)
+    return Graded(vec, scalar)
+
+
+def graded_expansion(e: Expansion, assignment, params: FockParams, qs) -> Graded:
+    """evaluate_expansion for every q of qs at once: each term's q-polynomial
+    is folded into the powers.  A term acts only at the q where its
+    coefficient is nonzero, so only those count for the cutoff."""
+    out: dict = {}
+    for (cov, word), poly in e.terms.items():
+        scale = Fraction(1)
+        for i, j in cov.factors:
+            f, g = (as_vector(_vector(assignment, k), params.dim) for k in (i, j))
+            scale *= dot(f, g)
+        live = tuple(q for q in qs if poly.evaluate(q)) if scale and word.indices else qs
+        if not scale or not live:
+            continue
+        coeffs = [(p, _exact(a * scale)) for p, a in poly.coeffs.items()]
+        for (w, k), c in graded_apply((word,), assignment, params, live).entries.items():
+            for p, a in coeffs:
+                out[w, k + p] = out.get((w, k + p), 0) + a * c
+    return Graded({key: c for key, c in out.items() if c}, e.is_scalar())
+
+
+def _numeric(kernel, *args, scalar: bool = False):
+    """kernel(*args, u, params) on a FockVector u, run and evaluated at params.q."""
+    *args, u, params = args
+    graded = {(word, 0): _exact(val) for word, val in u.entries.items()}
+    return Graded(kernel(*args, graded, params, (params.q,)), scalar).at(params.q)
+
+
+def create(f: VectorLike, u: FockVector, params: FockParams) -> FockVector:
+    """Prepend f to every word of u, expanding f over the basis letters.
+
+    Raises TruncationOverflowError if any word already sits at the cutoff.
+    """
+    return _numeric(_letters, ((1, 1),), {1: f}, u, params)
+
+
+def annihilate(f: VectorLike, u: FockVector, params: FockParams) -> FockVector:
+    """Weighted deletion sum: removing position i carries q^(i-1) times the
+    coordinate of f matching the deleted letter.  The vacuum maps to zero."""
+    return _numeric(_letters, ((-1, 1),), {1: f}, u, params)
+
+
+def field_apply(f: VectorLike, u: FockVector, params: FockParams) -> FockVector:
+    """The field operator: create plus annihilate."""
+    return _numeric(_letters, ((0, 1),), {1: f}, u, params)
+
+
+def apply_operator_word(
+    word: OperatorWord, assignment: Mapping[int, VectorLike], u: FockVector, params: FockParams
+) -> FockVector:
+    """Apply a signed operator word, rightmost letter first."""
+    return _numeric(_letters, word.letters, assignment, u, params)
+
+
+def apply_field_word(
+    indices: Sequence[int], assignment: Mapping[int, VectorLike], u: FockVector, params: FockParams
+) -> FockVector:
+    """Apply a product of field operators, rightmost variable first."""
+    return _numeric(_letters, tuple((0, idx) for idx in indices), assignment, u, params)
+
+
+def apply_wick_product(
+    indices: Sequence[int], assignment: Mapping[int, VectorLike], u: FockVector, params: FockParams
+) -> FockVector:
+    """Apply the Wick product of the given variables through its 2^n-summand
+    creator/annihilator operator form, position p standing for indices[p - 1]."""
+    return _numeric(_wick, indices, assignment, u, params)
 
 
 def vacuum_expectation(
@@ -293,24 +363,22 @@ def vacuum_expectation(
     Accepts a signed OperatorWord, or a plain sequence of variable indices
     meaning a product of field operators.
     """
-    if isinstance(word, OperatorWord):
-        vec = apply_operator_word(word, assignment, FockVector.vacuum(), params)
-    else:
-        vec = apply_field_word(word, assignment, FockVector.vacuum(), params)
-    return vec.coefficient(())
+    letters = word.letters if isinstance(word, OperatorWord) else tuple((0, i) for i in word)
+    return _numeric(_letters, letters, assignment, FockVector.vacuum(), params, scalar=True)
 
 
-def _basis_inner(w1: tuple[int, ...], w2: tuple[int, ...], q: Fraction) -> Fraction:
+def _basis_inner(w1: tuple[int, ...], w2: tuple[int, ...]) -> dict[int, int]:
+    """The inner product of two basis words: inversions -> permutation count."""
     if sorted(w1) != sorted(w2):
-        return Fraction(0)
+        return {}
     n = len(w1)
-    total = Fraction(0)
+    total: dict[int, int] = {}
     for perm in itertools.permutations(range(n)):
         if all(w2[perm[k]] == w1[k] for k in range(n)):
             inversions = sum(
                 1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
             )
-            total += q**inversions
+            total[inversions] = total.get(inversions, 0) + 1
     return total
 
 
@@ -333,9 +401,9 @@ def q_inner(u: FockVector, v: FockVector, params: FockParams) -> Fraction:
         for w2, c2 in v.entries.items():
             if len(w1) != len(w2):
                 continue
-            kernel = _basis_inner(w1, w2, params.q)
+            kernel = _basis_inner(w1, w2)
             if kernel:
-                total += c1 * c2 * kernel
+                total += c1 * c2 * _poly_value(kernel.items(), params.q)
     return total
 
 
@@ -374,15 +442,20 @@ def gram_check(degree: int, params: FockParams) -> bool:
         raise SizeLimitError(
             f"{params.dim}^{degree} basis words exceed the Gram matrix cap {GRAM_WORD_CAP}"
         )
-    words = list(itertools.product(range(1, params.dim + 1), repeat=degree))
-    gram = [[_basis_inner(w1, w2, params.q) for w2 in words] for w1 in words]
+    gram = [[_poly_value(p, params.q) for p in row] for row in _gram(params.dim, degree)]
     return _positive_definite(gram)
 
 
+@functools.cache
+def _gram(dim: int, degree: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """The Gram matrix of the degree-d basis words, as inversion polynomials
+    in (power, count) pairs."""
+    words = list(itertools.product(range(1, dim + 1), repeat=degree))
+    return tuple(tuple(tuple(_basis_inner(w1, w2).items()) for w2 in words) for w1 in words)
+
+
 def evaluate_expansion(
-    e: Expansion,
-    assignment: Mapping[int, VectorLike],
-    params: FockParams,
+    e: Expansion, assignment: Mapping[int, VectorLike], params: FockParams
 ) -> Union[Fraction, FockVector]:
     """Evaluate a symbolic expansion on concrete vectors at the configured q.
 
@@ -391,22 +464,4 @@ def evaluate_expansion(
     creator/annihilator operator form).  Returns the vacuum coefficient when
     every word is empty, otherwise the full vector.
     """
-    scalar_only = e.is_scalar()
-    total = FockVector.zero()
-    for (cov, word), poly in e.terms.items():
-        scale = poly.evaluate(params.q)
-        for i, j in cov.factors:
-            f, g = (as_vector(_vector(assignment, k), params.dim) for k in (i, j))
-            scale *= dot(f, g)
-        if not scale:
-            continue
-        if not word.indices:
-            vec = FockVector.vacuum()
-        elif word.kind == NORMAL:
-            vec = apply_field_word(word.indices, assignment, FockVector.vacuum(), params)
-        else:
-            vec = apply_wick_product(word.indices, assignment, FockVector.vacuum(), params)
-        total = total + vec.scaled(scale)
-    if scalar_only:
-        return total.coefficient(())
-    return total
+    return graded_expansion(e, assignment, params, (params.q,)).at(params.q)

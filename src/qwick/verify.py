@@ -9,6 +9,7 @@ accepts.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .algebra import (
     NORMAL,
+    WICK,
     CovarianceMonomial,
     Expansion,
     QPolynomial,
@@ -30,12 +32,12 @@ from .errors import DomainError
 from .fock import (
     FockParams,
     FockVector,
+    Graded,
     OneParticleVector,
     OperatorWord,
-    apply_wick_product,
-    evaluate_expansion,
+    graded_apply,
+    graded_expansion,
     gram_check,
-    vacuum_expectation,
     wick_operator_form,
 )
 from .wick import (
@@ -109,17 +111,13 @@ class VerifyConfig:
 def sample_assignments(nvars: int, dim: int, seed: int) -> list[dict[int, OneParticleVector]]:
     """SAMPLES deterministic batches of integer-coordinate vectors in [-3, 3]."""
     rng = random.Random(seed)
-    out = []
-    for _ in range(SAMPLES):
-        out.append(
-            {
-                idx: OneParticleVector(
-                    tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim))
-                )
-                for idx in range(1, nvars + 1)
-            }
-        )
-    return out
+    return [
+        {
+            idx: OneParticleVector(tuple(rng.randint(-3, 3) for _ in range(dim)))
+            for idx in range(1, nvars + 1)
+        }
+        for _ in range(SAMPLES)
+    ]
 
 
 def _vec_json(assignment: Mapping[int, OneParticleVector]) -> dict:
@@ -159,8 +157,8 @@ def _capped(sizes, cap: int | None):
 
 class _Case(NamedTuple):
     """One instance of a sampled suite.  oracle and formula map (assignment,
-    params) to the two compared values, ok(lhs, rhs) is the pass condition,
-    and extra holds (key, value) witness entries shown after rhs."""
+    params, qs) to the compared values as Graded; ok(lhs, rhs) is the pass
+    condition at one q, and extra holds witness entries shown after rhs."""
 
     head: dict
     nvars: int
@@ -171,16 +169,18 @@ class _Case(NamedTuple):
 
 
 def _sampled(check: str, cfg: VerifyConfig, cases: Iterable[_Case]) -> list[VerifyReport]:
-    """Compare each case's oracle and formula values on SAMPLES vector
-    assignments at every q of the grid, one report each."""
+    """Compare each case's oracle and formula on SAMPLES vector assignments,
+    computed once per sample with q kept formal, at every q of the grid: one
+    report each, q-major."""
     reports = []
+    qs = cfg.q_values()
     for case in cases:
         assignments = sample_assignments(case.nvars, cfg.dim, cfg.seed)
-        for q0 in cfg.q_values():
-            params = FockParams(cfg.dim, cfg.cutoff(case.nvars), q0)
-            for s_idx, assignment in enumerate(assignments):
-                lhs = case.oracle(assignment, params)
-                rhs = case.formula(assignment, params)
+        params = FockParams(cfg.dim, cfg.cutoff(case.nvars), qs[0])
+        values = [(case.oracle(a, params, qs), case.formula(a, params, qs)) for a in assignments]
+        for q0 in qs:
+            for s_idx, (assignment, (lhs, rhs)) in enumerate(zip(assignments, values)):
+                lhs, rhs = lhs.at(q0), rhs.at(q0)
                 reports.append(
                     _report(
                         check,
@@ -203,7 +203,7 @@ def _bounded(head, nvars, oracle, expansion, ok=operator.eq) -> _Case:
         head,
         nvars,
         oracle,
-        partial(evaluate_expansion, expansion),
+        partial(graded_expansion, expansion),
         lambda lhs, rhs: bound_ok and ok(lhs, rhs),
         (("degree_bound_ok", bound_ok),),
     )
@@ -217,8 +217,9 @@ def check_sign_moments(cfg: VerifyConfig) -> list[VerifyReport]:
             {"eps": list(eps.entries)},
             length,
             partial(
-                vacuum_expectation,
-                OperatorWord(tuple((e, k) for k, e in enumerate(eps.entries, start=1))),
+                graded_apply,
+                (OperatorWord(tuple((e, k) for k, e in enumerate(eps.entries, start=1))),),
+                scalar=True,
             ),
             m_epsilon_expansion(eps, cap=cfg.cap),
         )
@@ -240,7 +241,7 @@ def check_moments(cfg: VerifyConfig) -> list[VerifyReport]:
         _bounded(
             {"n": n},
             n,
-            partial(vacuum_expectation, range(1, n + 1)),
+            partial(graded_apply, (VariableWord(range(1, n + 1)),), scalar=True),
             moment_expansion(n, cap=cfg.cap),
             partial(_moment_ok, n),
         )
@@ -260,40 +261,23 @@ def check_recursion_agreement(cfg: VerifyConfig) -> list[VerifyReport]:
     return reports
 
 
-def _elementary_tensor(n: int, assignment, params) -> FockVector:
-    """f_1 (x) ... (x) f_n for the vectors of variables 1..n."""
-    entries: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
+def _tensor(n: int, assignment, params, qs) -> Graded:
+    """f_1 (x) ... (x) f_n for the vectors of variables 1..n, at every q."""
+    entries = {((), 0): Fraction(1)}
     for f in (assignment[i] for i in range(1, n + 1)):
-        new: dict[tuple[int, ...], Fraction] = {}
-        for word, val in entries.items():
-            for letter, coord in enumerate(f.coords, start=1):
-                if coord:
-                    key = word + (letter,)
-                    new[key] = new.get(key, Fraction(0)) + coord * val
-        entries = new
-    return FockVector(entries)
+        entries = {
+            (word + (letter,), 0): coord * val
+            for (word, _), val in entries.items()
+            for letter, coord in enumerate(f.coords, start=1)
+            if coord
+        }
+    return Graded(entries)
 
 
-def _block_positions(blocks: Sequence[int]) -> list[tuple[int, ...]]:
-    out = []
-    start = 1
-    for width in blocks:
-        out.append(tuple(range(start, start + width)))
-        start += width
-    return out
-
-
-def _wick_product_vector(blocks, assignment, params) -> FockVector:
-    """(product of per-block Wick products) applied to the vacuum, rightmost
-    block first."""
-    vec = FockVector.vacuum()
-    for positions in reversed(_block_positions(blocks)):
-        vec = apply_wick_product(positions, assignment, vec, params)
-    return vec
-
-
-def _vacuum_coefficient(blocks, assignment, params) -> Fraction:
-    return _wick_product_vector(blocks, assignment, params).coefficient(())
+def _wick_products(blocks: Sequence[int]) -> tuple[VariableWord, ...]:
+    """One Wick product per block, over consecutive variables."""
+    ends = list(itertools.accumulate(blocks))
+    return tuple(VariableWord(range(end - w + 1, end + 1), WICK) for w, end in zip(blocks, ends))
 
 
 def check_wick_vector(cfg: VerifyConfig) -> list[VerifyReport]:
@@ -303,7 +287,7 @@ def check_wick_vector(cfg: VerifyConfig) -> list[VerifyReport]:
     for n in sizes:  # past WICK_FORM_CAP fails here; the forms are cached for reuse
         wick_operator_form(n)
     cases = (
-        _Case({"n": n}, n, partial(_wick_product_vector, (n,)), partial(_elementary_tensor, n))
+        _Case({"n": n}, n, partial(graded_apply, _wick_products((n,))), partial(_tensor, n))
         for n in sizes
     )
     return _sampled("wick-vector", cfg, cases)
@@ -313,15 +297,14 @@ def _check_blocks(check_id: str, name: str, cfg: VerifyConfig) -> list[VerifyRep
     """ids t3.3 and t3.4: the product of per-block Wick products applied to
     the vacuum against the named identity row; a complete-diagram row is
     scalar, so only the vacuum coefficient is compared."""
-    oracle = _vacuum_coefficient if IDENTITIES[name].complete else _wick_product_vector
     block_list = (cfg.blocks,) if cfg.blocks else DEFAULT_BLOCKS
     _capped([sum(blocks) for blocks in block_list], cfg.cap)
     cases = (
         _Case(
             {"blocks": list(blocks)},
             sum(blocks),
-            partial(oracle, blocks),
-            partial(evaluate_expansion, expand(name, blocks, cap=cfg.cap)),
+            partial(graded_apply, _wick_products(blocks), scalar=IDENTITIES[name].complete),
+            partial(graded_expansion, expand(name, blocks, cap=cfg.cap)),
         )
         for blocks in block_list
     )
@@ -434,4 +417,6 @@ def run_check(check_id: str, **options) -> list[VerifyReport]:
             raise DomainError(f"check {check_id} does not read --{key}")
     if "blocks" in given:
         given["blocks"] = tuple(given["blocks"])
+        if not given["blocks"]:
+            raise DomainError("blocks = () gives no instances; it must hold at least one block")
     return suite(VerifyConfig(**{**defaults, **given}))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwick import cli, verify
+from qwick import DomainError, cli, verify
 from qwick.algebra import NORMAL, CovarianceMonomial, Expansion, QPolynomial, VariableWord
 from qwick.verify import VerifyReport
 
@@ -272,6 +272,13 @@ class TestVerifyCommand:
             "error: 13 variables exceed the Wick operator form cap 12"
         ]
 
+    @pytest.mark.parametrize("check", ["free", "t3.3", "t3.4"])
+    def test_empty_block_list_is_a_domain_error(self, check):
+        # not the suite's default block list
+        with pytest.raises(DomainError) as exc:
+            verify.run_check(check, blocks=())
+        assert str(exc.value) == "blocks = () gives no instances; it must hold at least one block"
+
     def test_each_suite_reads_its_flags(self):
         assert {check: set(defaults) for check, (_, defaults) in verify.CHECKS.items()} == READS
 
@@ -406,6 +413,66 @@ def test_stdout_is_byte_identical(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
 
 
+# Every sampled suite at a cutoff below degree + 1, on the q grid and at
+# q = 0 alone.  Exit codes and stderr were recorded before the oracle kept q
+# formal: the runs listed here exit 0, with or without --q 0, and every other
+# run exits 2 because some creation meets a word at the cutoff.
+N_SIZES = ("--n 2", "--n 3", "--n 4")
+BLOCK_SIZES = tuple(f"--blocks {b}" for b in ("1,1", "2,1", "1,2", "2,2", "1,2,1", "3,1", "1,3"))
+LEVEL_RUNS = [
+    f"verify {check} {size} --level {level}"
+    for check, sizes in (
+        ("c2.2", N_SIZES),
+        ("t2.1", N_SIZES),
+        ("wick-vector", N_SIZES),
+        ("t3.3", BLOCK_SIZES),
+        ("t3.4", BLOCK_SIZES),
+    )
+    for size in sizes
+    for level in (1, 2, 3)
+]
+PASSING_LEVEL_RUNS = {
+    "verify c2.2 --n 2 --level 2",
+    "verify c2.2 --n 2 --level 3",
+    "verify c2.2 --n 3 --level 3",
+    "verify t2.1 --n 2 --level 1",
+    "verify t2.1 --n 2 --level 2",
+    "verify t2.1 --n 2 --level 3",
+    "verify t2.1 --n 3 --level 1",
+    "verify t2.1 --n 3 --level 2",
+    "verify t2.1 --n 3 --level 3",
+    "verify t2.1 --n 4 --level 2",
+    "verify t2.1 --n 4 --level 3",
+    "verify wick-vector --n 2 --level 2",
+    "verify wick-vector --n 2 --level 3",
+    "verify wick-vector --n 3 --level 3",
+    "verify t3.3 --blocks 1,1 --level 2",
+    "verify t3.3 --blocks 1,1 --level 3",
+    "verify t3.3 --blocks 2,1 --level 3",
+    "verify t3.3 --blocks 1,2 --level 3",
+    "verify t3.4 --blocks 1,1 --level 2",
+    "verify t3.4 --blocks 1,1 --level 3",
+    "verify t3.4 --blocks 2,1 --level 3",
+    "verify t3.4 --blocks 1,2 --level 3",
+}
+
+
+@pytest.mark.parametrize("q_flag", ["", " --q 0"])
+@pytest.mark.parametrize("command", LEVEL_RUNS)
+def test_truncated_runs_are_pinned(capsys, command, q_flag):
+    code = cli.main((command + q_flag).split())
+    captured = capsys.readouterr()
+    if command in PASSING_LEVEL_RUNS:
+        assert (code, captured.err) == (0, "")
+    else:
+        level = command.rsplit(" ", 1)[1]
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: creation on a degree-{level} word exceeds the cutoff {level}"
+        ]
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(),
     lambda children: st.lists(children)
@@ -470,7 +537,9 @@ def verify_argvs(draw):
     return argv, given - READS[check]
 
 
-@settings(max_examples=150, deadline=None)
+# a generous per-example budget on a 2-vCPU host: a flag combination that
+# passes validation but runs for long fails instead of hanging the suite
+@settings(max_examples=150, deadline=5000)
 @given(verify_argvs())
 def test_verify_argv_fuzz(case):
     argv, unread = case
@@ -525,7 +594,7 @@ def command_argvs(draw):
     return argv, {"n", "blocks"} <= given
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=5000)
 @given(command_argvs())
 def test_command_argv_fuzz(case):
     argv, size_and_blocks = case

@@ -29,8 +29,9 @@ from qwick import (
     wick_operator_form,
     wick_to_normal,
 )
-from qwick.algebra import Expansion
-from qwick.fock import GRAM_WORD_CAP, WICK_FORM_CAP, _positive_definite, dot
+from qwick.algebra import NORMAL, CovarianceMonomial, Expansion, QPolynomial, VariableWord
+from qwick.fock import GRAM_WORD_CAP, WICK_FORM_CAP, _gram, _positive_definite, dot, graded_apply
+from qwick.verify import GRAM_Q_GRID, Q_GRID
 
 E1 = OneParticleVector((1, 0))
 E2 = OneParticleVector((0, 1))
@@ -294,3 +295,177 @@ class TestEvaluateExpansion:
         lhs = apply_field_word((1, 2), assign, FockVector.vacuum(), p)
         rhs = evaluate_expansion(normal_to_wick(2), assign, p)
         assert lhs == rhs
+
+
+# The oracle before it kept q formal: one direct Fraction pass per q.  The
+# public functions must give the same values, of the same types.
+def ref_create(coords, u, level):
+    out = {}
+    for word, val in u.items():
+        if len(word) >= level:
+            raise TruncationOverflowError(
+                f"creation on a degree-{len(word)} word exceeds the cutoff {level}"
+            )
+        for letter, coord in enumerate(coords, start=1):
+            if coord:
+                key = (letter,) + word
+                out[key] = out.get(key, Fraction(0)) + coord * val
+    return {w: v for w, v in out.items() if v}
+
+
+def ref_annihilate(coords, u, q):
+    out = {}
+    for word, val in u.items():
+        for i, letter in enumerate(word):
+            coord = coords[letter - 1]
+            if coord:
+                key = word[:i] + word[i + 1 :]
+                out[key] = out.get(key, Fraction(0)) + q**i * coord * val
+    return {w: v for w, v in out.items() if v}
+
+
+def ref_letters(letters, assignment, u, q, level):
+    """(sign, variable) letters right to left; sign 0 is a field."""
+    for sign, idx in reversed(letters):
+        coords = [Fraction(c) for c in assignment[idx]]
+        created = ref_create(coords, u, level) if sign >= 0 else {}
+        removed = ref_annihilate(coords, u, q) if sign <= 0 else {}
+        u = {w: created.get(w, 0) + removed.get(w, 0) for w in {**created, **removed}}
+        u = {w: v for w, v in u.items() if v}
+    return u
+
+
+def ref_wick(indices, assignment, u, q, level):
+    by_position = {p: assignment[i] for p, i in enumerate(indices, start=1)}
+    out = {}
+    for opword, qpow in wick_operator_form(len(indices)):
+        for w, v in ref_letters(opword.letters, by_position, u, q, level).items():
+            out[w] = out.get(w, 0) + q**qpow * v
+    return {w: v for w, v in out.items() if v}
+
+
+def outcome(fn, *args):
+    """The value, or the message of a truncation error."""
+    try:
+        return fn(*args)
+    except TruncationOverflowError as exc:
+        return ("overflow", str(exc))
+
+
+def assert_same(got, want):
+    if isinstance(got, FockVector):
+        got = got.entries
+    assert got == want
+    if not isinstance(got, tuple):
+        assert all(type(v) is Fraction for v in (got.values() if isinstance(got, dict) else [got]))
+
+
+SIGNED_LETTERS = st.lists(st.tuples(st.sampled_from((1, -1)), st.integers(1, 3)), max_size=4)
+Q_VALUES = st.sampled_from(Q_GRID) | st.fractions(min_value=-2, max_value=2, max_denominator=6)
+COORDINATE = st.integers(-2, 2) | st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def oracle_cases(draw):
+    dim = draw(st.integers(1, 2))
+    assignment = {
+        i: tuple(draw(st.lists(COORDINATE, min_size=dim, max_size=dim))) for i in (1, 2, 3)
+    }
+    words = st.lists(st.integers(1, dim), max_size=2).map(tuple)
+    u = draw(st.dictionaries(words, COORDINATE.filter(bool), min_size=1, max_size=3))
+    level = draw(st.integers(2, 5))
+    return FockParams(dim, level, draw(Q_VALUES)), assignment, u
+
+
+class TestAgainstReference:
+    @given(oracle_cases(), SIGNED_LETTERS)
+    @settings(max_examples=150)
+    def test_operator_words(self, case, letters):
+        p, assignment, u = case
+        word = OperatorWord(tuple(letters))
+        got = outcome(apply_operator_word, word, assignment, FockVector(u), p)
+        want = outcome(ref_letters, word.letters, assignment, u, p.q, p.level)
+        assert_same(got, want)
+        got = outcome(vacuum_expectation, word, assignment, p)
+        want = outcome(ref_letters, word.letters, assignment, {(): Fraction(1)}, p.q, p.level)
+        assert_same(got, want if isinstance(want, tuple) else want.get((), Fraction(0)))
+
+    @given(oracle_cases(), st.lists(st.integers(1, 3), max_size=4))
+    @settings(max_examples=150)
+    def test_field_words(self, case, indices):
+        p, assignment, u = case
+        letters = tuple((0, i) for i in indices)
+        got = outcome(apply_field_word, indices, assignment, FockVector(u), p)
+        assert_same(got, outcome(ref_letters, letters, assignment, u, p.q, p.level))
+        if indices:
+            f = assignment[indices[0]]
+            for public, sign in ((create, 1), (annihilate, -1), (field_apply, 0)):
+                got = outcome(public, f, FockVector(u), p)
+                want = outcome(ref_letters, ((sign, indices[0]),), assignment, u, p.q, p.level)
+                assert_same(got, want)
+
+    @given(oracle_cases(), st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True))
+    @settings(max_examples=100)
+    def test_wick_products(self, case, indices):
+        p, assignment, u = case
+        got = outcome(apply_wick_product, indices, assignment, FockVector(u), p)
+        assert_same(got, outcome(ref_wick, tuple(indices), assignment, u, p.q, p.level))
+
+    # a+(e1) a+(e1) a(e1) a+(e2) a+(e1) on the vacuum at cutoff 2: the middle
+    # annihilation leaves q (2,), so (1, 2) reaches the cutoff with coefficient
+    # q, which only q = 0 cancels
+    CANCELS_AT_ZERO = OperatorWord(((1, 1), (1, 1), (-1, 1), (1, 2), (1, 1)))
+
+    @pytest.mark.parametrize("q", Q_GRID)
+    def test_a_word_that_cancels_only_at_zero(self, q):
+        p = FockParams(2, 2, q)
+        assignment = {1: (1, 0), 2: (0, 1)}
+        prefix = OperatorWord(self.CANCELS_AT_ZERO.letters[1:])
+        got = apply_operator_word(prefix, assignment, FockVector.vacuum(), p)
+        assert_same(got, ref_letters(prefix.letters, assignment, {(): Fraction(1)}, q, 2))
+        assert got.is_zero() == (q == 0)
+        word = self.CANCELS_AT_ZERO
+        got = outcome(apply_operator_word, word, assignment, FockVector.vacuum(), p)
+        want = outcome(ref_letters, word.letters, assignment, {(): 1}, q, 2)
+        assert_same(got, want)
+        assert isinstance(got, tuple) == (q != 0)
+
+    def test_one_formal_run_raises_where_some_q_would(self):
+        # the cutoff counts at the q values a run is for, no others
+        assignment = {1: (1, 0), 2: (0, 1)}
+        p = FockParams(2, 2, 0)
+        zero = Fraction(0)
+        assert graded_apply((self.CANCELS_AT_ZERO,), assignment, p, (zero,)).at(zero).is_zero()
+        with pytest.raises(TruncationOverflowError, match="degree-2 word exceeds the cutoff 2"):
+            graded_apply((self.CANCELS_AT_ZERO,), assignment, p, Q_GRID)
+
+    @pytest.mark.parametrize("q", Q_GRID)
+    def test_a_term_acts_only_where_its_coefficient_is_nonzero(self, q):
+        # q x1 x2 at cutoff 1: the word overflows, but at q = 0 the term is
+        # skipped, as evaluating it term by term at each q did
+        e = Expansion.single(
+            CovarianceMonomial.identity(), VariableWord((1, 2), NORMAL), QPolynomial({1: 1})
+        )
+        p = FockParams(1, 1, q)
+        got = outcome(evaluate_expansion, e, {1: (1,), 2: (1,)}, p)
+        if q == 0:
+            assert_same(got, {})
+        else:
+            assert got == ("overflow", "creation on a degree-1 word exceeds the cutoff 1")
+
+    @pytest.mark.parametrize("dim, degree", [(1, 3), (2, 2), (2, 3), (3, 2)])
+    def test_gram_polynomials_are_the_permutation_sum(self, dim, degree):
+        words = list(itertools.product(range(1, dim + 1), repeat=degree))
+        for q in GRAM_Q_GRID + (Fraction(5, 7),):
+            direct = [[ref_basis_inner(w1, w2, q) for w2 in words] for w1 in words]
+            gram = _gram(dim, degree)
+            assert [[QPolynomial(dict(p)).evaluate(q) for p in row] for row in gram] == direct
+
+
+def ref_basis_inner(w1, w2, q):
+    n = len(w1)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        if all(w2[perm[k]] == w1[k] for k in range(n)):
+            total += q ** sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+    return total
