@@ -322,36 +322,45 @@ class Expansion:
         return cls(terms)
 
     def pretty(self) -> str:
-        if not self.terms:
-            return "0"
-        rendered = []
-        for (cov, word), poly in self.sorted_terms():
-            factors = [f"c({i},{j})" for i, j in cov.factors]
-            if word.indices:
-                body = " ".join(f"x{h}" for h in word.indices)
-                factors.append(f":{body}:" if word.kind == WICK else body)
-            rendered.append(_term_str(poly, factors))
-        out = rendered[0]
-        for piece in rendered[1:]:
-            if piece.startswith("-"):
-                out += " - " + piece[1:].lstrip()
-            else:
-                out += " + " + piece
-        return out
+        pieces = (
+            _term_pretty(
+                poly.pretty(), len(poly.coeffs) == 1, cov.factors, word.indices, word.kind
+            )
+            for (cov, word), poly in self.sorted_terms()
+        )
+        return "".join(_pretty_sum(pieces))
 
 
-def _term_str(poly: QPolynomial, factors: list[str]) -> str:
-    body = " ".join(factors)
-    coeff = poly.pretty()
-    if not factors:
+def _term_pretty(coeff: str, monomial: bool, factors, indices, kind: str) -> str:
+    """One term of a pretty sum: the coefficient's pretty text (a single
+    monomial when monomial is set), then the covariance factors and the word."""
+    parts = [f"c({i},{j})" for i, j in factors]
+    if indices:
+        body = " ".join([f"x{h}" for h in indices])
+        parts.append(f":{body}:" if kind == WICK else body)
+    if not parts:
         return coeff
-    if len(poly.coeffs) > 1:
+    body = " ".join(parts)
+    if not monomial:
         return f"({coeff}) {body}"
     if coeff == "1":
         return body
     if coeff == "-1":
         return "-" + body
     return f"{coeff} {body}"
+
+
+def _pretty_sum(pieces):
+    """Yield the pretty text of a sum of _term_pretty pieces, one piece at a
+    time: a leading minus sign becomes the operator, and no piece gives 0."""
+    pieces = iter(pieces)
+    first = next(pieces, None)
+    if first is None:
+        yield "0"
+        return
+    yield first
+    for piece in pieces:
+        yield " - " + piece[1:].lstrip() if piece.startswith("-") else " + " + piece
 
 
 def _term_key(item):
@@ -374,13 +383,13 @@ def accumulate_term(
 def _canonical_term(factors, indices, kind: str) -> TermKey:
     """The term key of covariance factors and a word, built from parts that
     are canonical already: factors sorted (i, j) with i < j, indices
-    distinct.  Skips validation and re-sorting; the walker's output meets
-    these conditions by construction, and so does any strictly increasing
-    relabelling of it."""
+    distinct, kind normal when indices is empty.  Skips validation and
+    re-sorting; the walker's output meets these conditions by construction,
+    and so does any strictly increasing relabelling of it."""
     cov = object.__new__(CovarianceMonomial)
     cov.__dict__["factors"] = factors
     word = object.__new__(VariableWord)
-    word.__dict__.update(indices=indices, kind=kind if indices else NORMAL)
+    word.__dict__.update(indices=indices, kind=kind)
     return cov, word
 
 

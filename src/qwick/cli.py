@@ -11,17 +11,18 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .algebra import Expansion, QPolynomial
+from .algebra import QPolynomial, _monomial_str, _pretty_sum, _term_pretty
 from .diagrams import GroundSet, _block_forbid, _walk, ensure_within_cap
 from .errors import QwickError
 from .verify import CHECKS, VerifyConfig, run_check
-from .wick import expand
+from .wick import terms
 
 FORMATS = ("json", "csv", "pretty")
 
@@ -136,34 +137,82 @@ def _json_text(value, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit_csv(rows, fieldnames) -> None:
-    writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+def _write_csv(header, rows) -> None:
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
-def _expansion_rows(expansion: Expansion) -> list[dict]:
-    rows = []
-    for (cov, word), poly in expansion.sorted_terms():
-        rows.append(
-            {
-                "cov": ";".join(f"{i}-{j}" for i, j in cov.factors),
-                "word": " ".join(str(h) for h in word.indices),
-                "kind": word.kind,
-                "poly": poly.pretty(),
-            }
-        )
-    return rows
+# The streaming writers below render each term or diagram as its walk yields
+# it, with the text _json_text would give at that depth: a term or record
+# sits at indent 4 and its fields at indent 6.
 
 
-def _emit_expansion(expansion: Expansion, meta: dict, fmt: str) -> None:
+def _json_pairs(pairs) -> str:
+    if not pairs:
+        return "[]"
+    inner = ",\n        ".join([f"[\n          {i},\n          {j}\n        ]" for i, j in pairs])
+    return "[\n        " + inner + "\n      ]"
+
+
+def _json_ints(values) -> str:
+    if not values:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]"
+
+
+def _write_json_list(meta: dict, key: str, items) -> None:
+    """Write the JSON object of meta with key's list added last, one
+    rendered item of the list at a time."""
+    write = sys.stdout.write
+    indent = "\n  "
+    write("{")
+    for k, v in meta.items():
+        write(f"{indent}{encode_basestring_ascii(k)}: {_json_text(v, indent)},")
+    write(f'{indent}"{key}": [')
+    sep = "\n    "
+    for item in items:
+        write(sep + item)
+        sep = ",\n    "
+    write("]\n}\n" if sep == "\n    " else "\n  ]\n}\n")
+
+
+def _csv_pairs(pairs) -> str:
+    return ";".join([f"{i}-{j}" for i, j in pairs])
+
+
+def _write_terms(stream, meta: dict, fmt: str) -> None:
+    """Write a wick.terms stream as the expansion it sums to, term by term,
+    byte for byte as Expansion.to_json, Expansion.pretty or the CSV rows of
+    its sorted terms would render it.  The stream is already in sorted term
+    order with one term per key, so nothing is collected or sorted."""
     if fmt == "json":
-        _emit_json({**meta, "terms": expansion.to_json()})
+        _write_json_list(
+            meta,
+            "terms",
+            (
+                f'{{\n      "cov": {_json_pairs(pairs)},\n      "word": {_json_ints(singles)},'
+                f'\n      "kind": "{kind}",\n      "poly": [\n        {{\n          "exp": {exp},'
+                f'\n          "num": {coeff},\n          "den": 1\n        }}\n      ]\n    }}'
+                for pairs, singles, kind, exp, coeff in stream
+            ),
+        )
     elif fmt == "csv":
-        _emit_csv(_expansion_rows(expansion), ("cov", "word", "kind", "poly"))
+        _write_csv(
+            ("cov", "word", "kind", "poly"),
+            (
+                (_csv_pairs(pairs), " ".join(map(str, singles)), kind, _monomial_str(exp, coeff))
+                for pairs, singles, kind, exp, coeff in stream
+            ),
+        )
     else:
-        print(expansion.pretty())
+        pieces = (
+            _term_pretty(_monomial_str(exp, coeff), True, pairs, singles, kind)
+            for pairs, singles, kind, exp, coeff in stream
+        )
+        for piece in _pretty_sum(pieces):
+            sys.stdout.write(piece)
+        sys.stdout.write("\n")
 
 
 def cmd_diagrams(args) -> int:
@@ -179,7 +228,24 @@ def cmd_diagrams(args) -> int:
         raise QwickError("diagrams needs --n or --blocks")
     ensure_within_cap(ground.size, args.cap)
 
-    records = []
+    if args.format == "csv":
+        _write_csv(
+            (
+                "pairs", "singletons", "c", "d", "tc", "g", "a",
+                "noncrossing", "strongly_noncrossing", "gap_free",
+            ),
+            (
+                (
+                    _csv_pairs(pairs), " ".join(map(str, singles)), c, d, c + d, g, g - c,
+                    c == 0, c + d == 0, g == 0,
+                )
+                for pairs, singles, c, d, g in _walk(ground.size, forbid=forbid)
+            ),
+        )
+        return 0
+
+    # the summary comes first, so the listing walks the diagrams twice
+    # rather than holding them all
     summary = {
         "total": 0,
         "complete": 0,
@@ -189,67 +255,42 @@ def cmd_diagrams(args) -> int:
         "gap_free": 0,
     }
     complete_crossings = Counter()
-    for pairs, singles, c, d, g in _walk(ground.size, forbid=forbid):
-        noncrossing, strongly_noncrossing, gap_free = c == 0, c + d == 0, g == 0
+    for _, singles, c, d, g in _walk(ground.size, forbid=forbid):
+        noncrossing = c == 0
         summary["total"] += 1
         if not singles:
             summary["complete"] += 1
             complete_crossings[c] += 1
             summary["complete_noncrossing"] += noncrossing
         summary["noncrossing"] += noncrossing
-        summary["strongly_noncrossing"] += strongly_noncrossing
-        summary["gap_free"] += gap_free
-        records.append(
-            {
-                "pairs": pairs,
-                "singletons": singles,
-                "c": c,
-                "d": d,
-                "tc": c + d,
-                "g": g,
-                "a": g - c,
-                "noncrossing": noncrossing,
-                "strongly_noncrossing": strongly_noncrossing,
-                "gap_free": gap_free,
-            }
-        )
+        summary["strongly_noncrossing"] += c + d == 0
+        summary["gap_free"] += g == 0
     crossing_poly = QPolynomial(complete_crossings)
+    walk = _walk(ground.size, forbid=forbid)
 
     if args.format == "json":
-        _emit_json(
-            {
-                "size": ground.size,
-                "blocks": list(ground.blocks) if ground.blocks else None,
-                "summary": summary,
-                "complete_crossing_polynomial": {
-                    "coeffs": crossing_poly.to_json(),
-                    "pretty": crossing_poly.pretty(),
-                },
-                "diagrams": records,
-            }
-        )
-    elif args.format == "csv":
-        rows = [
-            {
-                **rec,
-                "pairs": ";".join(f"{i}-{j}" for i, j in rec["pairs"]),
-                "singletons": " ".join(str(s) for s in rec["singletons"]),
-            }
-            for rec in records
-        ]
-        _emit_csv(
-            rows,
+        meta = {
+            "size": ground.size,
+            "blocks": list(ground.blocks) if ground.blocks else None,
+            "summary": summary,
+            "complete_crossing_polynomial": {
+                "coeffs": crossing_poly.to_json(),
+                "pretty": crossing_poly.pretty(),
+            },
+        }
+        flag = {True: "true", False: "false"}
+        _write_json_list(
+            meta,
+            "diagrams",
             (
-                "pairs",
-                "singletons",
-                "c",
-                "d",
-                "tc",
-                "g",
-                "a",
-                "noncrossing",
-                "strongly_noncrossing",
-                "gap_free",
+                f'{{\n      "pairs": {_json_pairs(pairs)},'
+                f'\n      "singletons": {_json_ints(singles)},'
+                f'\n      "c": {c},\n      "d": {d},\n      "tc": {c + d},'
+                f'\n      "g": {g},\n      "a": {g - c},'
+                f'\n      "noncrossing": {flag[c == 0]},'
+                f'\n      "strongly_noncrossing": {flag[c + d == 0]},'
+                f'\n      "gap_free": {flag[g == 0]}\n    }}'
+                for pairs, singles, c, d, g in walk
             ),
         )
     else:
@@ -259,36 +300,31 @@ def cmd_diagrams(args) -> int:
             "gap_free={gap_free}".format(**summary)
         )
         print(f"sum of q^c over complete diagrams: {crossing_poly.pretty()}")
-        for rec in records:
-            pairs = "".join(f"({i},{j})" for i, j in rec["pairs"]) or "-"
-            singles = ",".join(str(s) for s in rec["singletons"]) or "-"
-            print(
-                f"pairs={pairs} singletons={singles} c={rec['c']} d={rec['d']} "
-                f"tc={rec['tc']} g={rec['g']} a={rec['a']}"
-            )
+        for pairs, singles, c, d, g in walk:
+            pairs = "".join(f"({i},{j})" for i, j in pairs) or "-"
+            singles = ",".join(str(s) for s in singles) or "-"
+            print(f"pairs={pairs} singletons={singles} c={c} d={d} tc={c + d} g={g} a={g - c}")
     return 0
 
 
 def cmd_moments(args) -> int:
-    expansion = expand("moment", args.n, args.free, args.cap)
-    _emit_expansion(expansion, {"n": args.n, "free": args.free}, args.format)
+    stream = terms("moment", args.n, args.free, args.cap)
+    _write_terms(stream, {"n": args.n, "free": args.free}, args.format)
     return 0
 
 
 def cmd_wick(args) -> int:
     name = "wick-to-normal" if args.direction == "to-normal" else "normal-to-wick"
-    expansion = expand(name, args.n, args.free, args.cap)
-    _emit_expansion(
-        expansion,
-        {"direction": args.direction, "n": args.n, "free": args.free},
-        args.format,
+    stream = terms(name, args.n, args.free, args.cap)
+    _write_terms(
+        stream, {"direction": args.direction, "n": args.n, "free": args.free}, args.format
     )
     return 0
 
 
 def cmd_product(args) -> int:
     name = "product-expectation" if args.expectation else "product-expansion"
-    expansion = expand(name, args.blocks, args.free, args.cap)
+    stream = terms(name, args.blocks, args.free, args.cap)
     ground = GroundSet(sum(args.blocks), args.blocks)
     meta = {
         "blocks": list(args.blocks),
@@ -297,7 +333,7 @@ def cmd_product(args) -> int:
         # position p (1-based) carries the lexicographic label labels[p-1]
         "labels": [list(label) for label in ground.lex_labels()],
     }
-    _emit_expansion(expansion, meta, args.format)
+    _write_terms(stream, meta, args.format)
     return 0
 
 
@@ -315,15 +351,10 @@ def cmd_verify(args) -> int:
             }
         )
     elif args.format == "csv":
-        rows = [
-            {
-                "check": r.check,
-                "instance": json.dumps(r.instance, sort_keys=True),
-                "status": r.status,
-            }
-            for r in reports
-        ]
-        _emit_csv(rows, ("check", "instance", "status"))
+        _write_csv(
+            ("check", "instance", "status"),
+            ((r.check, json.dumps(r.instance, sort_keys=True), r.status) for r in reports),
+        )
     else:
         for r in reports:
             print(f"{r.status.upper():4} {r.check} {json.dumps(r.instance, sort_keys=True)}")
@@ -335,10 +366,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flushed here, so that a closed pipe is reported below and not
+        # at interpreter exit
+        sys.stdout.flush()
+        return code
     except (QwickError, KeyError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed stdout early; what is still buffered goes to
+        # devnull, or the flush at exit would fail again with a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was complete", file=sys.stderr)
         return 2
 
 

@@ -2,12 +2,13 @@
 
 Moments, conversions between plain products and Wick products, and
 products of Wick products over block-partitioned index sets.  The
-diagram-sum identities are the rows of one table, IDENTITIES; expand runs
-a row through the diagram walker, and free=True gives its q = 0 form as a
-class filter.  wick_recursive is an independent second route to the Wick
-product.  Every function returns exact canonical data with q kept as a
-formal variable; specializing q is left to the oracle module, fock, which
-defines the Wick product on its own and is not imported here.
+diagram-sum identities are the rows of one table, IDENTITIES; terms streams
+a row's terms from the diagram walker, expand sums them into an Expansion,
+and free=True gives the q = 0 form as a class filter.  wick_recursive is an
+independent second route to the Wick product.  Every function returns exact
+canonical data with q kept as a formal variable; specializing q is left to
+the oracle module, fock, which defines the Wick product on its own and is
+not imported here.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def diagram_term(
 
     labels, when given, must be strictly increasing and maps position p to
     labels[p - 1]; it transfers a diagram on 1..n onto other variable indices.
-    The validating reference for the keys _diagram_sum builds unchecked.
+    The validating reference for the keys _row_terms yields unchecked.
     """
     if labels is None:
         factors = diagram.pairs
@@ -65,25 +66,12 @@ def diagram_term(
     return CovarianceMonomial(factors), VariableWord(word, kind)
 
 
-def _diagram_sum(
-    walk,
-    kind: str,
-    power: Callable[[int, int, int], int],
-    signed: bool = False,
-    labels=None,
-) -> Expansion:
-    """Sum over the walker's (pairs, singletons, c, d, g) stream: each diagram
-    contributes its covariance factors and singleton word, times q to
-    power(c, d, g), negated for an odd pair count when signed.  labels, when
-    given, must be strictly increasing and maps position p to labels[p - 1]."""
+def _diagram_sum(stream) -> Expansion:
+    """Sum a term stream (as from terms) into an expansion."""
     acc: dict = {}
-    for pairs, singles, c, d, g in walk:
-        if labels is not None:
-            pairs = tuple((labels[i - 1], labels[j - 1]) for i, j in pairs)
-            singles = tuple(labels[h - 1] for h in singles)
-        coeff = -1 if signed and len(pairs) % 2 else 1
+    for pairs, singles, kind, exp, coeff in stream:
         cov, word = _canonical_term(pairs, singles, kind)
-        accumulate_term(acc, cov, word, _q_power(power(c, d, g), coeff))
+        accumulate_term(acc, cov, word, _q_power(exp, coeff))
     return Expansion(acc)
 
 
@@ -117,13 +105,16 @@ IDENTITIES = {
 }
 
 
-def expand(
-    name: str, arg, free: bool = False, cap: int | None = None, labels=None
-) -> Expansion:
-    """The identity IDENTITIES[name] on arg: a ground size, or block sizes
-    for a row with blocks.  With free set, the q = 0 form: the walker keeps
-    only the row's zero class, cutting each branch on which that statistic
-    has turned positive.  labels is as for _diagram_sum."""
+def terms(name: str, arg, free: bool = False, cap: int | None = None, labels=None):
+    """The term stream of the identity IDENTITIES[name] on arg: a ground size,
+    or block sizes for a row with blocks.  The ground set, blocks and cap are
+    checked here, before the stream is returned.
+
+    With free set, the q = 0 form: the walker keeps only the row's zero
+    class, cutting each branch on which that statistic has turned positive.
+    labels, when given, must be strictly increasing and maps position p to
+    labels[p - 1].  See _row_terms for what the stream yields.
+    """
     row = IDENTITIES[name]
     if row.blocks:
         blocks = tuple(int(b) for b in arg)
@@ -133,7 +124,35 @@ def expand(
     ensure_within_cap(ground.size, cap)
     forbid = _block_forbid(ground) if row.blocks else None
     walk = _walk(ground.size, row.complete, forbid, row.zero if free else None)
-    return _diagram_sum(walk, row.kind, row.power, row.signed, labels)
+    return _row_terms(row, walk, labels)
+
+
+def _row_terms(row: Identity, walk, labels=None):
+    """Apply a row's term rule to the walker's (pairs, singletons, c, d, g)
+    stream, yielding (pairs, singletons, kind, exp, coeff): the diagram's
+    term is coeff * q^exp times its covariance factors and singleton word.
+    coeff is -1 for an odd pair count when the row is signed and 1
+    otherwise; the empty word is always normal.
+
+    Each diagram gives its own key, since the singletons follow from the
+    pairs, and the walker's lexicographic order of pair tuples is the order
+    of Expansion.sorted_terms, so the stream is the expansion term by term.
+    """
+    kind, power, signed = row.kind, row.power, row.signed
+    for pairs, singles, c, d, g in walk:
+        if labels is not None:
+            pairs = tuple((labels[i - 1], labels[j - 1]) for i, j in pairs)
+            singles = tuple(labels[h - 1] for h in singles)
+        coeff = -1 if signed and len(pairs) % 2 else 1
+        yield pairs, singles, kind if singles else NORMAL, power(c, d, g), coeff
+
+
+def expand(
+    name: str, arg, free: bool = False, cap: int | None = None, labels=None
+) -> Expansion:
+    """The identity IDENTITIES[name] on arg as an expansion; the arguments
+    are as for terms."""
+    return _diagram_sum(terms(name, arg, free, cap, labels))
 
 
 def m_epsilon_expansion(eps: SignSequence, cap: int | None = None) -> Expansion:
@@ -147,7 +166,7 @@ def m_epsilon_expansion(eps: SignSequence, cap: int | None = None) -> Expansion:
         return Expansion.zero()
     ensure_within_cap(len(eps), cap)
     row = IDENTITIES["moment"]
-    return _diagram_sum(_walk(len(eps), row.complete, _sign_forbid(eps)), row.kind, row.power)
+    return _diagram_sum(_row_terms(row, _walk(len(eps), row.complete, _sign_forbid(eps))))
 
 
 def moment_expansion(n: int, cap: int | None = None, free: bool = False) -> Expansion:

@@ -1,19 +1,31 @@
 """Command-line surface: output shapes, determinism, exit codes."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwick import DomainError, cli, verify
+from qwick import (
+    IDENTITIES,
+    DomainError,
+    GroundSet,
+    cli,
+    crossing_stats,
+    enumerate_diagrams,
+    enumerate_nonlinking,
+    expand,
+    verify,
+)
 from qwick.algebra import NORMAL, CovarianceMonomial, Expansion, QPolynomial, VariableWord
 from qwick.verify import VerifyReport
 
@@ -345,8 +357,10 @@ def test_module_entry_point():
 
 # sha256 of stdout, recorded before the incremental diagram walker and the
 # hand-written JSON emitter replaced crossing_stats and json.dumps on these
-# paths, and (the verify entries) before the sampled verify suites shared one
-# runner; every byte must stay the same.
+# paths, (the verify entries) before the sampled verify suites shared one
+# runner, and (the edge cases at the end: an empty term list, the empty word,
+# one-term sums, a diagram with no pairs) before the expansions and listings
+# were streamed from the walker; every byte must stay the same.
 GOLDEN_STDOUT = {
     "diagrams --n 6 --format json": "75b410ea3f739ad464a762863774636ed76275944a5f405ca8faaaa76d5a3422",
     "diagrams --n 6 --format csv": "eccea1ec4b4291633b7e70a755c19b5dd2ffb35eaabea394fd3d03aa69809cf8",
@@ -403,6 +417,20 @@ GOLDEN_STDOUT = {
     "verify wick2-vs-recursion --n 6": "dfcc7357f050bd10f90dbced62dea7a3f97675f6bedf7d1ccb32f70ee9552cb6",
     "verify free --n 5": "0b2564d2ca7feac0a4fa494ae3f93e04dd924b1519d8d1b8c43a12fd25828a60",
     "verify gram --n 3 --dim 2": "23599311f6286be85511f27b5a07909d0bcf8e22adc699dedc2d7d2cc4d1e959",
+    "moments --n 7 --format json": "35af5129553a0e3d202b47ffade61135b60c23a161e45fc2e5c0ddf6c1a988c0",
+    "moments --n 7 --format csv": "1e680bd62666601a0aee97137c145b44028de7838c7b56173c197dff558b9580",
+    "moments --n 7 --format pretty": "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+    "wick to-normal --n 0 --format json": "fa3457cbd99d2bdaecb147a1dd52bce632fd27a5c48f9eaae845bd4e4dddcc69",
+    "wick to-normal --n 0 --format csv": "ade0a80cd0bb5185d70dbbb9fef66c9a98bb5760448f5a972dbd6e7bdf0b13c1",
+    "wick to-normal --n 0 --format pretty": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "wick to-wick --n 1 --format json": "2d295bd4359b339505daf38b28769553f1f22c8af057a5987567e79f16541c00",
+    "wick to-wick --n 1 --format csv": "1ecce22fa45e34f4f51dcff57de3cbace45c31b5f2c3349514840ad7bf6e5492",
+    "wick to-wick --n 1 --format pretty": "0bf759095be4e93c6babbcdb1d265805ffed839aaff06515d6235ab51cde4fb3",
+    "product --blocks 3 --format json": "0cc0f3f072c3cff173653678a9e1748a147a14ee22fd78c1701976e41d9475ce",
+    "product --blocks 3 --format csv": "199182d7b48138693bd2f1ddd69900cb938a439c112da0f97d112a53c17a658b",
+    "product --blocks 3 --format pretty": "bdbcb6f04fa24a30fd212124c876a09e5aad0ed8cee57b27b5444fa11f8bfaf9",
+    "diagrams --n 0 --format json": "de0c96063f181ae81d74b4c7856076c5be512139ffc5d50e87ca251e194b0c4e",
+    "diagrams --n 1 --format json": "5c36d34202cafa49975d3f482dadecdb83c8446a60b47c77d817171c01bbb90f",
 }
 
 
@@ -411,6 +439,165 @@ def test_stdout_is_byte_identical(capsys, command):
     code, out = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+
+
+# Each identity row through its command, against the same expansion built by
+# wick.expand and rendered by Expansion.to_json, Expansion.pretty and
+# csv.DictWriter.
+ROW_COMMANDS = {
+    "moment": "moments",
+    "wick-to-normal": "wick to-normal",
+    "normal-to-wick": "wick to-wick",
+    "product-expectation": "product --expectation",
+    "product-expansion": "product",
+}
+STREAM_BLOCKS = ((2, 3, 2), (4, 4), (1, 2, 2, 1))
+
+
+def row_meta(name, arg, free):
+    if IDENTITIES[name].blocks:
+        return {
+            "blocks": list(arg),
+            "expectation": name == "product-expectation",
+            "free": free,
+            "labels": [[b, k] for b, width in enumerate(arg, 1) for k in range(1, width + 1)],
+        }
+    if name == "moment":
+        return {"n": arg, "free": free}
+    return {"direction": ROW_COMMANDS[name].split()[1], "n": arg, "free": free}
+
+
+def reference_stdout(expansion, meta, fmt):
+    if fmt == "json":
+        return json.dumps({**meta, "terms": expansion.to_json()}, indent=2) + "\n"
+    if fmt == "pretty":
+        return expansion.pretty() + "\n"
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=("cov", "word", "kind", "poly"), lineterminator="\n")
+    writer.writeheader()
+    for (cov, word), poly in expansion.sorted_terms():
+        writer.writerow(
+            {
+                "cov": ";".join(f"{i}-{j}" for i, j in cov.factors),
+                "word": " ".join(str(h) for h in word.indices),
+                "kind": word.kind,
+                "poly": poly.pretty(),
+            }
+        )
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("free", [False, True])
+@pytest.mark.parametrize(
+    "name, arg",
+    [
+        (name, arg)
+        for name in IDENTITIES
+        for arg in (STREAM_BLOCKS if IDENTITIES[name].blocks else range(9))
+    ],
+)
+def test_expansion_commands_match_the_reference_rendering(capsys, name, arg, free, fmt):
+    size = ["--blocks", ",".join(map(str, arg))] if IDENTITIES[name].blocks else ["--n", str(arg)]
+    argv = ROW_COMMANDS[name].split() + size + (["--free"] if free else []) + ["--format", fmt]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == reference_stdout(expand(name, arg, free), row_meta(name, arg, free), fmt)
+
+
+@pytest.mark.parametrize(
+    "argv, ground",
+    [(f"--n {n}", GroundSet(n)) for n in range(8)]
+    + [(f"--blocks {','.join(map(str, b))}", GroundSet(sum(b), b)) for b in STREAM_BLOCKS],
+)
+def test_diagram_listing_matches_crossing_stats(capsys, argv, ground):
+    records = []
+    complete = Counter()
+    for diagram in enumerate_nonlinking(ground) if ground.blocks else enumerate_diagrams(ground):
+        stats = crossing_stats(diagram)
+        if diagram.is_complete:
+            complete[stats.c] += 1
+        records.append(
+            {
+                "pairs": [list(p) for p in diagram.pairs],
+                "singletons": list(diagram.singletons),
+                "c": stats.c,
+                "d": stats.d,
+                "tc": stats.tc,
+                "g": stats.g,
+                "a": stats.a,
+                "noncrossing": stats.c == 0,
+                "strongly_noncrossing": stats.tc == 0,
+                "gap_free": stats.g == 0,
+            }
+        )
+    summary = {
+        "total": len(records),
+        "complete": sum(complete.values()),
+        "complete_noncrossing": complete[0],
+        **{
+            flag: sum(r[flag] for r in records)
+            for flag in ("noncrossing", "strongly_noncrossing", "gap_free")
+        },
+    }
+    poly = QPolynomial(complete)
+    expected = {
+        "size": ground.size,
+        "blocks": list(ground.blocks) if ground.blocks else None,
+        "summary": summary,
+        "complete_crossing_polynomial": {"coeffs": poly.to_json(), "pretty": poly.pretty()},
+        "diagrams": records,
+    }
+    code, out = run_cli(capsys, "diagrams", *argv.split())
+    assert code == 0
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_closed_pipe_is_one_error_line():
+    # several MB of output, far past the pipe buffer
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qwick", "wick", "to-normal", "--n", "10"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.read(64)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err.splitlines() == ["error: stdout was closed before the output was complete"]
+
+
+# The child's own peak resident set size in kB.  Its ru_maxrss would not do:
+# on Linux a child spawned from this process starts out with this process's
+# peak, which under pytest is larger than the bound.  VmHWM is the peak of
+# the child's own address space.
+PEAK_RSS_CHILD = """
+import re, sys
+from qwick.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(re.search(r"VmHWM:\\s*(\\d+) kB", status.read())[1], file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_streamed_output_does_not_grow_memory():
+    # about 12 MB of JSON; building it whole peaked above 130 MB
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, "wick", "to-normal", "--n", "11"],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    peak = int(proc.stderr) * 1024
+    assert peak < 48 * 2**20
 
 
 # Every sampled suite at a cutoff below degree + 1, on the q grid and at
@@ -606,6 +793,8 @@ def test_command_argv_fuzz(case):
             code = exc.code
     assert code in (0, 2)
     if code == 2:
+        # every error is found before the first byte of output
+        assert out.getvalue() == ""
         assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
     if size_and_blocks:
         assert code == 2

@@ -39,6 +39,7 @@ from qwick import (
     wick_to_normal_word,
 )
 from qwick.verify import run_check
+from qwick.wick import terms
 
 
 def reference_sum(diagrams, kind, power, signed=False, keep=None, labels=None):
@@ -388,3 +389,45 @@ class TestAgainstCrossingStats:
 
     def test_every_row_is_verified(self):
         assert {r.instance["target"] for r in run_check("free")} == set(IDENTITIES)
+
+
+STREAM_BLOCKS = ((2, 3, 2), (4, 4), (1, 2, 2, 1))
+
+
+class TestTermStream:
+    """terms yields an identity's expansion term by term, in sorted order."""
+
+    @pytest.mark.parametrize("free", [False, True])
+    @pytest.mark.parametrize(
+        "name, arg",
+        [
+            (name, arg)
+            for name in IDENTITIES
+            for arg in (STREAM_BLOCKS if IDENTITIES[name].blocks else range(9))
+        ],
+    )
+    def test_one_term_per_key_in_sorted_order(self, name, arg, free):
+        streamed = [
+            ((pairs, kind, singles), QPolynomial.q_power(exp, coeff))
+            for pairs, singles, kind, exp, coeff in terms(name, arg, free)
+        ]
+        keys = [key for key, _ in streamed]
+        assert len(set(keys)) == len(keys)
+        expected = [
+            ((cov.factors, word.kind, word.indices), poly)
+            for (cov, word), poly in expand(name, arg, free).sorted_terms()
+        ]
+        assert streamed == expected
+
+    @pytest.mark.parametrize(
+        "name, arg, error",
+        [
+            ("moment", 13, SizeLimitError),
+            ("moment", -1, DomainError),
+            ("product-expansion", (2, 0), DomainError),
+            ("product-expectation", (), DomainError),
+        ],
+    )
+    def test_checks_run_before_the_first_term(self, name, arg, error):
+        with pytest.raises(error):
+            terms(name, arg)
