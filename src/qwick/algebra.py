@@ -1,14 +1,17 @@
 """Exact arithmetic for q-polynomials and canonical symbolic expansions.
 
-Coefficients are fractions.Fraction throughout; no floating point enters
-any computation in this module.  An expansion is the canonical form used
-everywhere downstream: a finite map from (covariance monomial, variable
-word) to a q-polynomial, with zero values never stored, so two expansions
-are equal exactly when their maps are equal.
+Coefficients are exact, an int or else a fractions.Fraction; no floating
+point enters any computation in this module.  An expansion is the canonical
+form used everywhere downstream: a finite map from (covariance monomial,
+variable word) to a q-polynomial, with zero values never stored, so two
+expansions are equal exactly when their maps are equal.  The public
+constructors validate; arithmetic on canonical values builds its results
+through the unchecked _trusted constructors and _canonical_term.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
@@ -21,6 +24,19 @@ WICK = "wick"
 Rational = Union[int, Fraction]
 
 
+def _exact(x: Rational) -> Rational:
+    """x as an int when it is an integer, else the Fraction itself."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _integer(value, what: str) -> int:
+    """value as an int; a non-integer such as 1.5 or "2" is a DomainError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _poly_value(terms, q: Fraction) -> Fraction:
     """The sum of c * q^k over the (k, c) terms, with a single Fraction built."""
     top = max((k for k, _ in terms), default=0)
@@ -31,23 +47,30 @@ def _poly_value(terms, q: Fraction) -> Fraction:
 class QPolynomial:
     """Sparse polynomial in the formal variable q over the rationals.
 
-    coeffs maps exponent to a nonzero Fraction; the empty map is the zero
+    coeffs maps exponent to a nonzero exact coefficient: an int, or a
+    Fraction when the value is not an integer.  The empty map is the zero
     polynomial.  Instances are treated as immutable values.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[int, Rational] | None = None):
-        clean: dict[int, Fraction] = {}
-        if coeffs:
-            for exp, val in coeffs.items():
-                exp = int(exp)
-                if exp < 0:
-                    raise DomainError(f"negative exponent {exp} not supported")
-                val = Fraction(val)
-                if val:
-                    clean[exp] = val
+        clean: dict[int, Rational] = {}
+        for exp, val in (coeffs or {}).items():
+            exp = _integer(exp, "exponent")
+            if exp < 0:
+                raise DomainError(f"negative exponent {exp} not supported")
+            val = _exact(Fraction(val))
+            if val:
+                clean[exp] = val
         self.coeffs = clean
+
+    @classmethod
+    def _trusted(cls, coeffs: dict[int, Rational]) -> QPolynomial:
+        """The polynomial of coeffs, which must be as __init__ leaves them."""
+        poly = object.__new__(cls)
+        poly.coeffs = coeffs
+        return poly
 
     @classmethod
     def zero(cls) -> QPolynomial:
@@ -59,17 +82,17 @@ class QPolynomial:
 
     @classmethod
     def constant(cls, value: Rational) -> QPolynomial:
-        return cls({0: Fraction(value)})
+        return cls({0: value})
 
     @classmethod
     def q_power(cls, exp: int, coeff: Rational = 1) -> QPolynomial:
-        return cls({exp: Fraction(coeff)})
+        return cls({exp: coeff})
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def constant_term(self) -> Fraction:
-        return self.coeffs.get(0, Fraction(0))
+    def constant_term(self) -> Rational:
+        return self.coeffs.get(0, 0)
 
     def max_exponent(self) -> int:
         """Largest exponent with a nonzero coefficient, -1 for the zero polynomial."""
@@ -80,11 +103,13 @@ class QPolynomial:
             return NotImplemented
         merged = dict(self.coeffs)
         for exp, val in other.coeffs.items():
-            merged[exp] = merged.get(exp, Fraction(0)) + val
-        return QPolynomial(merged)
+            val = _exact(merged.pop(exp, 0) + val)
+            if val:
+                merged[exp] = val
+        return QPolynomial._trusted(merged)
 
     def __neg__(self) -> QPolynomial:
-        return QPolynomial({e: -v for e, v in self.coeffs.items()})
+        return QPolynomial._trusted({e: -v for e, v in self.coeffs.items()})
 
     def __sub__(self, other: QPolynomial) -> QPolynomial:
         if not isinstance(other, QPolynomial):
@@ -92,16 +117,17 @@ class QPolynomial:
         return self + (-other)
 
     def __mul__(self, other) -> QPolynomial:
-        if isinstance(other, QPolynomial):
-            out: dict[int, Fraction] = {}
-            for e1, v1 in self.coeffs.items():
-                for e2, v2 in other.coeffs.items():
-                    e = e1 + e2
-                    out[e] = out.get(e, Fraction(0)) + v1 * v2
-            return QPolynomial(out)
         if isinstance(other, (int, Fraction)):
-            return QPolynomial({e: v * other for e, v in self.coeffs.items()})
-        return NotImplemented
+            other = QPolynomial.constant(other)
+        if not isinstance(other, QPolynomial):
+            return NotImplemented
+        out: dict[int, Rational] = {}
+        for e1, v1 in self.coeffs.items():
+            for e2, v2 in other.coeffs.items():
+                v = _exact(out.pop(e1 + e2, 0) + v1 * v2)
+                if v:
+                    out[e1 + e2] = v
+        return QPolynomial._trusted(out)
 
     __rmul__ = __mul__
 
@@ -125,24 +151,18 @@ class QPolynomial:
 
     @classmethod
     def from_json(cls, records) -> QPolynomial:
-        return cls({r["exp"]: Fraction(r["num"], r["den"]) for r in records})
+        coeffs = {}
+        for r in records:
+            if not r["den"]:
+                raise DomainError(f"coefficient denominator must be nonzero, got {r!r}")
+            coeffs[r["exp"]] = Fraction(r["num"], r["den"])
+        return cls(coeffs)
 
     def pretty(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for exp in sorted(self.coeffs):
-            term = _monomial_str(exp, self.coeffs[exp])
-            if not parts:
-                parts.append(term)
-            elif term.startswith("-"):
-                parts.append("- " + term[1:])
-            else:
-                parts.append("+ " + term)
-        return " ".join(parts)
+        return "".join(_pretty_sum(_monomial_str(e, self.coeffs[e]) for e in sorted(self.coeffs)))
 
 
-def _monomial_str(exp: int, coeff: Fraction) -> str:
+def _monomial_str(exp: int, coeff: Rational) -> str:
     if exp == 0:
         return str(coeff)
     var = "q" if exp == 1 else f"q^{exp}"
@@ -153,7 +173,7 @@ def _monomial_str(exp: int, coeff: Fraction) -> str:
     return f"{coeff} {var}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CovarianceMonomial:
     """Product of covariance factors, each an unordered pair of variable indices.
 
@@ -167,7 +187,7 @@ class CovarianceMonomial:
     def __post_init__(self):
         norm = []
         for factor in self.factors:
-            i, j = (int(x) for x in factor)
+            i, j = (_integer(x, "covariance index") for x in factor)
             if i == j:
                 raise DomainError(f"covariance factor needs two distinct indices, got ({i},{j})")
             norm.append((min(i, j), max(i, j)))
@@ -178,13 +198,14 @@ class CovarianceMonomial:
         return cls(())
 
     def __mul__(self, other: CovarianceMonomial) -> CovarianceMonomial:
-        return CovarianceMonomial(self.factors + other.factors)
+        # both factor tuples are canonical: sorting their concatenation merges them
+        return _covariance(tuple(sorted(self.factors + other.factors)))
 
     def __len__(self) -> int:
         return len(self.factors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VariableWord:
     """Ordered product of indexed variables, plain ("normal") or Wick-tagged.
 
@@ -196,7 +217,7 @@ class VariableWord:
     kind: str = NORMAL
 
     def __post_init__(self):
-        indices = tuple(int(i) for i in self.indices)
+        indices = tuple(_integer(i, "variable index") for i in self.indices)
         object.__setattr__(self, "indices", indices)
         if self.kind not in (NORMAL, WICK):
             raise DomainError(f"word kind must be {NORMAL!r} or {WICK!r}, got {self.kind!r}")
@@ -226,15 +247,19 @@ class Expansion:
 
     def __init__(self, terms: Mapping[TermKey, QPolynomial] | None = None):
         clean: dict[TermKey, QPolynomial] = {}
-        if terms:
-            for key, poly in terms.items():
-                if not isinstance(poly, QPolynomial):
-                    poly = QPolynomial.constant(poly)
-                if poly.is_zero():
-                    continue
-                cov, word = key
-                clean[(cov, word)] = poly
+        for (cov, word), poly in (terms or {}).items():
+            if not isinstance(poly, QPolynomial):
+                poly = QPolynomial.constant(poly)
+            if poly.coeffs:
+                clean[cov, word] = poly
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, terms: dict[TermKey, QPolynomial]) -> Expansion:
+        """The expansion of terms, which must be as __init__ leaves them."""
+        e = object.__new__(cls)
+        e.terms = terms
+        return e
 
     @classmethod
     def zero(cls) -> Expansion:
@@ -275,10 +300,9 @@ class Expansion:
         if not isinstance(other, Expansion):
             return NotImplemented
         merged = dict(self.terms)
-        for key, poly in other.terms.items():
-            cur = merged.get(key)
-            merged[key] = poly if cur is None else cur + poly
-        return Expansion(merged)
+        for (cov, word), poly in other.terms.items():
+            accumulate_term(merged, cov, word, poly)
+        return Expansion._trusted(merged)
 
     def __sub__(self, other: Expansion) -> Expansion:
         if not isinstance(other, Expansion):
@@ -289,7 +313,9 @@ class Expansion:
         """Multiply every coefficient by a q-polynomial or rational factor."""
         if not isinstance(factor, QPolynomial):
             factor = QPolynomial.constant(factor)
-        return Expansion({key: poly * factor for key, poly in self.terms.items()})
+        # a product of nonzero polynomials is nonzero
+        terms = self.terms.items() if factor.coeffs else ()
+        return Expansion._trusted({key: poly * factor for key, poly in terms})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Expansion):
@@ -314,12 +340,10 @@ class Expansion:
     def from_json(cls, records) -> Expansion:
         terms: dict[TermKey, QPolynomial] = {}
         for r in records:
-            key = (
-                CovarianceMonomial(tuple((f[0], f[1]) for f in r["cov"])),
-                VariableWord(tuple(r["word"]), r["kind"]),
-            )
-            accumulate_term(terms, key[0], key[1], QPolynomial.from_json(r["poly"]))
-        return cls(terms)
+            cov = CovarianceMonomial(tuple((f[0], f[1]) for f in r["cov"]))
+            word = VariableWord(tuple(r["word"]), r["kind"])
+            accumulate_term(terms, cov, word, QPolynomial.from_json(r["poly"]))
+        return cls._trusted(terms)
 
     def pretty(self) -> str:
         pieces = (
@@ -368,16 +392,20 @@ def _term_key(item):
     return (cov.factors, word.kind, word.indices)
 
 
-def accumulate_term(
-    acc: dict[TermKey, QPolynomial],
-    cov: CovarianceMonomial,
-    word: VariableWord,
-    poly: QPolynomial,
-) -> None:
-    """Add poly onto acc[(cov, word)] while building an expansion."""
+def accumulate_term(acc: dict, cov: CovarianceMonomial, word: VariableWord, poly: QPolynomial):
+    """Add poly onto acc[(cov, word)] while building an expansion; a zero
+    sum deletes the entry, so acc stays clean."""
     key = (cov, word)
-    cur = acc.get(key)
-    acc[key] = poly if cur is None else cur + poly
+    if key in acc:
+        poly = acc.pop(key) + poly
+    if poly.coeffs:
+        acc[key] = poly
+
+
+def _covariance(factors) -> CovarianceMonomial:
+    cov = object.__new__(CovarianceMonomial)
+    object.__setattr__(cov, "factors", factors)
+    return cov
 
 
 def _canonical_term(factors, indices, kind: str) -> TermKey:
@@ -386,11 +414,10 @@ def _canonical_term(factors, indices, kind: str) -> TermKey:
     distinct, kind normal when indices is empty.  Skips validation and
     re-sorting; the walker's output meets these conditions by construction,
     and so does any strictly increasing relabelling of it."""
-    cov = object.__new__(CovarianceMonomial)
-    cov.__dict__["factors"] = factors
     word = object.__new__(VariableWord)
-    word.__dict__.update(indices=indices, kind=kind)
-    return cov, word
+    object.__setattr__(word, "indices", indices)
+    object.__setattr__(word, "kind", kind)
+    return _covariance(factors), word
 
 
 def substitute_wick(e: Expansion, rule: Mapping[VariableWord, Expansion]) -> Expansion:
@@ -411,15 +438,12 @@ def substitute_wick(e: Expansion, rule: Mapping[VariableWord, Expansion]) -> Exp
             if rword.kind != NORMAL:
                 raise DomainError("substitution rules must expand into normal words")
             accumulate_term(out, cov * rcov, rword, poly * rpoly)
-    return Expansion(out)
+    return Expansion._trusted(out)
 
 
 def specialize_free(e: Expansion) -> Expansion:
     """Keep only each coefficient's constant part (the convention that a
     positive power of q vanishes while q^0 stays 1), dropping empty terms."""
-    out: dict[TermKey, QPolynomial] = {}
-    for key, poly in e.terms.items():
-        c = poly.constant_term()
-        if c:
-            out[key] = QPolynomial.constant(c)
-    return Expansion(out)
+    return Expansion._trusted(
+        {key: QPolynomial._trusted({0: p.coeffs[0]}) for key, p in e.terms.items() if 0 in p.coeffs}
+    )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .algebra import NORMAL, Expansion, Rational, _poly_value
+from .algebra import NORMAL, Expansion, Rational, _exact, _poly_value
 from .errors import DomainError, SizeLimitError, TruncationOverflowError
 
 PERMUTATION_CAP = 8
@@ -190,10 +190,6 @@ def wick_operator_form(n: int) -> tuple[tuple[OperatorWord, int], ...]:
             )
             summands.append((OperatorWord(letters), inversions))
     return tuple(summands)
-
-
-def _exact(x: Rational) -> Rational:
-    return x.numerator if x.denominator == 1 else x
 
 
 class Graded:

@@ -41,10 +41,9 @@ from .diagrams import (
 from .errors import DomainError
 
 
-@functools.cache
-def _q_power(exp: int, coeff: int) -> QPolynomial:
-    # shared between terms and expansions: QPolynomial is never mutated
-    return QPolynomial.q_power(exp, coeff)
+# (exp, coeff) -> coeff * q^exp, shared between terms and expansions:
+# a QPolynomial is never mutated
+_q_power = functools.cache(QPolynomial.q_power)
 
 
 def diagram_term(
@@ -67,12 +66,11 @@ def diagram_term(
 
 
 def _diagram_sum(stream) -> Expansion:
-    """Sum a term stream (as from terms) into an expansion."""
-    acc: dict = {}
-    for pairs, singles, kind, exp, coeff in stream:
-        cov, word = _canonical_term(pairs, singles, kind)
-        accumulate_term(acc, cov, word, _q_power(exp, coeff))
-    return Expansion(acc)
+    """Sum a term stream (as from terms) into an expansion; the stream yields
+    every key once (see _row_terms), so there is nothing to merge or clean."""
+    return Expansion._trusted(
+        {_canonical_term(p, s, k): _q_power(e, c) for p, s, k, e, c in stream}
+    )
 
 
 @dataclass(frozen=True)
@@ -202,25 +200,28 @@ def wick_recursive(n: int, cap: int | None = None) -> Expansion:
     if n < 0:
         raise DomainError(f"variable count must be nonnegative, got {n}")
     ensure_within_cap(n, cap)
-    return _wick_recursive(tuple(range(1, n + 1)))
+    memo = {(): Expansion.identity().terms}
+    return Expansion._trusted(_wick_recursive(tuple(range(1, n + 1)), memo))
 
 
-def _wick_recursive(indices: tuple[int, ...]) -> Expansion:
-    if not indices:
-        return Expansion.identity()
-    head, rest = indices[0], indices[1:]
-    acc: dict = {}
-    # multiplying by the field of the head variable on the left prepends it
-    # to every plain word
-    for (cov, word), poly in _wick_recursive(rest).terms.items():
-        accumulate_term(acc, cov, VariableWord((head,) + word.indices, NORMAL), poly)
-    for pos, other in enumerate(rest):
-        trimmed = rest[:pos] + rest[pos + 1 :]
-        factor = QPolynomial.q_power(pos, -1)
-        cov_head = CovarianceMonomial(((head, other),))
-        for (cov, word), poly in _wick_recursive(trimmed).terms.items():
-            accumulate_term(acc, cov_head * cov, word, poly * factor)
-    return Expansion(acc)
+def _wick_recursive(indices: tuple[int, ...], memo: dict) -> dict:
+    """The terms of the Wick product of indices; memo holds those of the
+    empty tuple and of every sub-tuple expanded already in this call."""
+    if indices not in memo:
+        head, rest = indices[0], indices[1:]
+        acc = memo[indices] = {}
+        # multiplying by the field of the head variable on the left prepends
+        # it to every plain word
+        for (cov, word), poly in _wick_recursive(rest, memo).items():
+            key = _canonical_term(cov.factors, (head,) + word.indices, NORMAL)
+            accumulate_term(acc, *key, poly)
+        for pos, other in enumerate(rest):
+            trimmed = rest[:pos] + rest[pos + 1 :]
+            factor = QPolynomial.q_power(pos, -1)
+            cov_head = CovarianceMonomial(((head, other),))
+            for (cov, word), poly in _wick_recursive(trimmed, memo).items():
+                accumulate_term(acc, cov_head * cov, word, poly * factor)
+    return memo[indices]
 
 
 def normal_to_wick(n: int, cap: int | None = None, free: bool = False) -> Expansion:

@@ -265,3 +265,172 @@ class TestSubstituteWick:
         rule = {VariableWord((1,), WICK): make([((), (1,), WICK, {0: 1})])}
         with pytest.raises(DomainError):
             substitute_wick(e, rule)
+
+
+class TestBoundaryValidation:
+    """The public constructors reject a non-integer index or exponent, which
+    int() alone would truncate, and name the bad value."""
+
+    @pytest.mark.parametrize(
+        "build, bad",
+        [
+            (lambda: QPolynomial({1.5: 1}), "1.5"),
+            (lambda: CovarianceMonomial(((1.7, 2),)), "1.7"),
+            (lambda: CovarianceMonomial(((1, Fraction(5, 2)),)), "Fraction(5, 2)"),
+            (lambda: VariableWord((1.9, 1)), "1.9"),
+            (lambda: VariableWord(("2",)), "'2'"),
+            (lambda: QPolynomial.from_json([{"exp": 0, "num": 1, "den": 0}]), "'den': 0"),
+            (lambda: QPolynomial({2.0: 1}), "2.0"),
+        ],
+    )
+    def test_non_integer_is_a_domain_error_naming_it(self, build, bad):
+        with pytest.raises(DomainError) as exc:
+            build()
+        assert bad in str(exc.value)
+
+    def test_ints_and_bools_are_accepted(self):
+        assert QPolynomial({True: 2, 2: True}).coeffs == {1: 2, 2: 1}
+        assert CovarianceMonomial(((3, True),)).factors == ((1, 3),)
+        assert VariableWord((False, 2)).indices == (0, 2)
+        assert QPolynomial.from_json([{"exp": 1, "num": -3, "den": 6}]).coeffs == {
+            1: Fraction(-1, 2)
+        }
+
+    def test_integer_coefficients_are_stored_as_ints(self):
+        p = QPolynomial({0: Fraction(4, 2), 1: Fraction(1, 2), 2: 3})
+        assert [type(v) for _, v in sorted(p.coeffs.items())] == [int, Fraction, int]
+
+
+def as_fractions(poly):
+    return {e: Fraction(v) for e, v in poly.coeffs.items()}
+
+
+def reference_add(*polys):
+    out = {}
+    for poly in polys:
+        for e, v in as_fractions(poly).items():
+            out[e] = out.get(e, Fraction(0)) + v
+    return QPolynomial(out)
+
+
+def reference_mul(a, b):
+    """a times a polynomial or a rational b, through Fractions only."""
+    b = as_fractions(b) if isinstance(b, QPolynomial) else {0: Fraction(b)}
+    out = {}
+    for e1, v1 in as_fractions(a).items():
+        for e2, v2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + v1 * v2
+    return QPolynomial(out)
+
+
+def reference_expansion(items):
+    """The validating Expansion of (key, poly) items, summed with Fractions."""
+    acc = {}
+    for key, poly in items:
+        acc[key] = reference_add(acc[key], poly) if key in acc else reference_add(poly)
+    return Expansion(acc)
+
+
+def exact_coefficients(poly):
+    """No zero coefficient is stored, and each is an int or a Fraction that
+    is not an integer."""
+    return all(
+        v and (type(v) is int or (type(v) is Fraction and v.denominator != 1))
+        for v in poly.coeffs.values()
+    )
+
+
+def is_clean(value):
+    if isinstance(value, QPolynomial):
+        return exact_coefficients(value)
+    return all(poly.coeffs and exact_coefficients(poly) for poly in value.terms.values())
+
+
+def assert_matches(result, reference):
+    assert result == reference
+    assert is_clean(result)
+    assert json.dumps(result.to_json()) == json.dumps(reference.to_json())
+    assert result.pretty() == reference.pretty()
+    assert repr(result) == repr(reference)
+
+
+scalars = st.one_of(st.integers(-3, 3), rationals)
+# few indices, so that merged terms often collide and cancel
+small_covs = st.lists(
+    st.sampled_from(((1, 2), (1, 3), (2, 3))), max_size=2
+).map(lambda factors: CovarianceMonomial(tuple(factors)))
+small_words = st.sets(st.integers(1, 3), max_size=2).map(lambda s: tuple(sorted(s)))
+small_polys = st.dictionaries(st.integers(0, 2), rationals, max_size=2).map(QPolynomial)
+
+
+either_kind = st.sampled_from((NORMAL, WICK))
+
+
+def small_expansions(kinds):
+    keys = st.tuples(small_covs, st.tuples(small_words, kinds).map(lambda t: VariableWord(*t)))
+    return st.dictionaries(keys, small_polys, max_size=4).map(Expansion)
+
+
+@st.composite
+def substitutions(draw):
+    e = draw(small_expansions(either_kind))
+    normal = small_expansions(st.just(NORMAL))
+    return e, {word: draw(normal) for word in e.wick_words()}
+
+
+class TestTrustedArithmetic:
+    """Results built through the trusted constructors against the same
+    operation through the validating constructors with Fraction-only
+    coefficients."""
+
+    @given(small_polys, small_polys)
+    @settings(max_examples=200)
+    def test_polynomial_add_sub_neg(self, a, b):
+        assert_matches(a + b, reference_add(a, b))
+        assert_matches(a - b, reference_add(a, reference_mul(b, -1)))
+        assert_matches(-a, reference_mul(a, Fraction(-1)))
+
+    @given(small_polys, st.one_of(small_polys, scalars))
+    @settings(max_examples=200)
+    def test_polynomial_mul(self, a, b):
+        assert_matches(a * b, reference_mul(a, b))
+        assert_matches(b * a, reference_mul(a, b))
+
+    @given(cov_monomials, cov_monomials)
+    def test_covariance_product(self, a, b):
+        assert (a * b).factors == CovarianceMonomial(a.factors + b.factors).factors
+
+    @given(small_expansions(either_kind), small_expansions(either_kind))
+    @settings(max_examples=100)
+    def test_expansion_add_sub(self, a, b):
+        assert_matches(a + b, reference_expansion([*a.terms.items(), *b.terms.items()]))
+        negated = [(key, reference_mul(p, -1)) for key, p in b.terms.items()]
+        assert_matches(a - b, reference_expansion([*a.terms.items(), *negated]))
+
+    @given(small_expansions(either_kind), st.one_of(small_polys, scalars))
+    @settings(max_examples=100)
+    def test_scaled(self, e, factor):
+        reference = Expansion({key: reference_mul(p, factor) for key, p in e.terms.items()})
+        assert_matches(e.scaled(factor), reference)
+
+    @given(substitutions())
+    @settings(max_examples=100)
+    def test_substitute_wick(self, case):
+        e, rules = case
+        items = []
+        for (cov, word), poly in e.terms.items():
+            if word.kind == NORMAL:
+                items.append(((cov, word), poly))
+                continue
+            for (rcov, rword), rpoly in rules[word].terms.items():
+                key = (CovarianceMonomial(cov.factors + rcov.factors), rword)
+                items.append((key, reference_mul(poly, rpoly)))
+        assert_matches(substitute_wick(e, rules), reference_expansion(items))
+
+    @given(small_expansions(either_kind))
+    @settings(max_examples=100)
+    def test_specialize_free(self, e):
+        reference = Expansion(
+            {key: QPolynomial({0: Fraction(p.constant_term())}) for key, p in e.terms.items()}
+        )
+        assert_matches(specialize_free(e), reference)

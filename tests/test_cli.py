@@ -339,6 +339,92 @@ class TestVerifyCommand:
         assert list(reports[0]["witness"]) == list(witness)
         assert reports[0]["witness"] == witness
 
+    # Whole-expansion witnesses: the failing side's terms reach the output
+    # through Expansion.to_json, so these pin how int and Fraction
+    # coefficients render after a merge, a new term and a cancelled term.
+    # The sha256 values were recorded before the expansion core kept
+    # integer coefficients as ints.
+    @pytest.mark.parametrize(
+        "target, check, word, coeffs, first, sha",
+        [
+            (
+                "substitute_wick",
+                "roundtrip",
+                (),
+                {0: 3, 2: Fraction(-1, 2)},
+                [
+                    {"cov": [], "word": [], "kind": "normal", "poly": [
+                        {"exp": 0, "num": 3, "den": 1}, {"exp": 2, "num": -1, "den": 2}]},
+                    {"cov": [], "word": [1], "kind": "normal", "poly": [
+                        {"exp": 0, "num": 1, "den": 1}]},
+                ],
+                "d600ae1246d65c0c3aa560e1ca8ee0d8bf466c3e4a52feb865d178cdd1af7b75",
+            ),
+            (
+                "substitute_wick",
+                "roundtrip",
+                (1,),
+                {0: -2, 1: 5},
+                [{"cov": [], "word": [1], "kind": "normal", "poly": [
+                    {"exp": 0, "num": -1, "den": 1}, {"exp": 1, "num": 5, "den": 1}]}],
+                "3f2e5b18ff00e9364dbd036584641e44748e99eb0cd21f4eb0897049e558a651",
+            ),
+            (
+                "substitute_wick",
+                "roundtrip",
+                (1,),
+                {0: -1},
+                [],
+                "25afc120b109b40cef376f2c74af1e69cf1f83f56d06b9f1333bde086293ef4e",
+            ),
+            (
+                "wick_recursive",
+                "wick2-vs-recursion",
+                (),
+                {0: 3, 2: Fraction(-1, 2)},
+                [
+                    {"cov": [], "word": [], "kind": "normal", "poly": [
+                        {"exp": 0, "num": 3, "den": 1}, {"exp": 2, "num": -1, "den": 2}]},
+                    {"cov": [], "word": [1], "kind": "normal", "poly": [
+                        {"exp": 0, "num": 1, "den": 1}]},
+                ],
+                "6c22dd9981ba95b97214479ef9f718c453f773e58c2640ac1c455bea793986ce",
+            ),
+            (
+                "wick_recursive",
+                "wick2-vs-recursion",
+                (1,),
+                {0: -2, 1: 5},
+                [{"cov": [], "word": [1], "kind": "normal", "poly": [
+                    {"exp": 0, "num": -1, "den": 1}, {"exp": 1, "num": 5, "den": 1}]}],
+                "afd1de0c06f775777a7763f83a753d0b614796d406587e5a0d236672534f01fd",
+            ),
+            (
+                "wick_recursive",
+                "wick2-vs-recursion",
+                (1,),
+                {0: -1},
+                [],
+                "dfc83101b32312c983ed974f31dfe926af4587aa38e00647368559bebc65a603",
+            ),
+        ],
+    )
+    def test_expansion_witness_is_pinned(
+        self, capsys, monkeypatch, target, check, word, coeffs, first, sha
+    ):
+        wrong = Expansion.single(
+            CovarianceMonomial.identity(), VariableWord(word, NORMAL), QPolynomial(coeffs)
+        )
+        formula = getattr(verify, target)
+        monkeypatch.setattr(verify, target, lambda *a, **k: formula(*a, **k) + wrong)
+        code, out = run_cli(capsys, "verify", check, "--n", "4")
+        reports = json.loads(out)["reports"]
+        assert code == 1
+        assert all(r["status"] == "fail" for r in reports)
+        side = "lhs" if target == "substitute_wick" else "rhs"
+        assert reports[0]["witness"][side] == first
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
+
     def test_verify_deterministic_given_seed(self, capsys):
         _, first = run_cli(capsys, "verify", "t2.1", "--n", "4", "--seed", "7")
         _, second = run_cli(capsys, "verify", "t2.1", "--n", "4", "--seed", "7")

@@ -1,7 +1,11 @@
-"""The two routes to every identity stay independent by import.
+"""The two routes to every identity stay independent by import, and
+validation stays at the API boundary.
 
 The diagram layer (diagrams, wick) and the Fock-space oracle (fock) meet
-only in verify and cli; algebra, which both use, depends on neither.
+only in verify and cli; algebra, which both use, depends on neither.  The
+trusted constructors, which skip validation, are used only by the
+expansion core (algebra and wick); every other module builds its values
+through the validating public constructors.
 """
 
 import ast
@@ -9,6 +13,7 @@ from pathlib import Path
 
 import pytest
 import qwick
+from qwick import CovarianceMonomial, DomainError, VariableWord
 
 PACKAGE = Path(qwick.__file__).parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
@@ -65,3 +70,53 @@ def test_reader_sees_each_import_form():
     assert _absolute("qwick.fock") == {"fock"}
     assert _absolute("qwick") == {"qwick"}
     assert _absolute("itertools") == set()
+
+
+TRUSTED = {"_trusted", "_canonical_term", "_covariance"}
+EXPANSION_CORE = {"algebra", "wick"}
+
+
+def trusted_uses(module: str) -> set[str]:
+    """The trusted constructors a source file names, as a name, an
+    attribute or an import."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found & TRUSTED
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - EXPANSION_CORE))
+def test_trusted_constructors_stay_in_the_expansion_core(module):
+    assert not trusted_uses(module)
+
+
+def test_reader_sees_each_trusted_use():
+    # the reader itself must not miss a use and pass by accident
+    assert trusted_uses("wick") == {"_trusted", "_canonical_term"}
+    assert trusted_uses("algebra") == {"_trusted", "_covariance"}
+
+
+def test_keys_have_no_instance_dict():
+    for value in (CovarianceMonomial(((1, 2),)), VariableWord((1, 3))):
+        assert not hasattr(value, "__dict__")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CovarianceMonomial(((2, 2),)),
+        lambda: CovarianceMonomial(((1, 3), (4, 4))),
+        lambda: VariableWord((1, 2, 1)),
+        lambda: VariableWord((3, 3), "wick"),
+        lambda: VariableWord((1,), "ordered"),
+        lambda: VariableWord((), "other"),
+    ],
+)
+def test_public_constructors_still_validate(build):
+    with pytest.raises(DomainError):
+        build()

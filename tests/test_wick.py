@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+from fractions import Fraction
 
 import pytest
 from qwick import (
@@ -38,8 +39,9 @@ from qwick import (
     wick_to_normal,
     wick_to_normal_word,
 )
+from qwick.algebra import accumulate_term
 from qwick.verify import run_check
-from qwick.wick import terms
+from qwick.wick import _diagram_sum, terms
 
 
 def reference_sum(diagrams, kind, power, signed=False, keep=None, labels=None):
@@ -431,3 +433,33 @@ class TestTermStream:
     def test_checks_run_before_the_first_term(self, name, arg, error):
         with pytest.raises(error):
             terms(name, arg)
+
+
+SUM_BLOCKS = ((1,), (2, 1), (2, 2), (1, 2, 2), (2, 3, 2), (1, 2, 2, 1))
+
+
+@pytest.mark.parametrize("free", [False, True])
+@pytest.mark.parametrize(
+    "name, arg",
+    [
+        (name, arg)
+        for name in IDENTITIES
+        for arg in (SUM_BLOCKS if IDENTITIES[name].blocks else range(8))
+    ],
+)
+def test_diagram_sum_matches_the_validated_accumulation(name, arg, free):
+    # _diagram_sum stores the stream's keys unchecked and unmerged; the
+    # reference validates every key and merges through accumulate_term
+    acc = {}
+    for pairs, singles, kind, exp, coeff in terms(name, arg, free):
+        poly = QPolynomial({exp: Fraction(coeff)})
+        accumulate_term(acc, CovarianceMonomial(pairs), VariableWord(singles, kind), poly)
+    reference = Expansion(acc)
+    result = _diagram_sum(terms(name, arg, free))
+    assert result == reference
+    assert result.to_json() == reference.to_json()
+    assert result.pretty() == reference.pretty()
+    assert all(
+        poly.coeffs and all(type(v) is int and v for v in poly.coeffs.values())
+        for poly in result.terms.values()
+    )
