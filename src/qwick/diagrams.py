@@ -25,6 +25,7 @@ import itertools
 import os
 from dataclasses import dataclass
 
+from .algebra import _integer
 from .errors import DomainError, SizeLimitError
 
 DEFAULT_CAP = 12
@@ -72,10 +73,11 @@ class GroundSet:
     blocks: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "size", _integer(self.size, "ground size"))
         if self.size < 0:
             raise DomainError(f"ground size must be nonnegative, got {self.size}")
         if self.blocks is not None:
-            blocks = tuple(int(b) for b in self.blocks)
+            blocks = tuple(_integer(b, "block size") for b in self.blocks)
             object.__setattr__(self, "blocks", blocks)
             if not blocks:
                 raise DomainError("at least one block is required")
@@ -118,7 +120,8 @@ class FeynmanDiagram:
     pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        pairs = tuple(sorted((int(i), int(j)) for i, j in self.pairs))
+        pairs = ((_integer(i, "position"), _integer(j, "position")) for i, j in self.pairs)
+        pairs = tuple(sorted(pairs))
         object.__setattr__(self, "pairs", pairs)
         seen: set[int] = set()
         for i, j in pairs:
@@ -226,7 +229,7 @@ class SignSequence:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        entries = tuple(int(e) for e in self.entries)
+        entries = tuple(_integer(e, "sign entry") for e in self.entries)
         object.__setattr__(self, "entries", entries)
         if any(e not in (1, -1) for e in entries):
             raise DomainError(f"sign entries must be +1 or -1, got {entries}")

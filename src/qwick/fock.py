@@ -9,8 +9,9 @@ sum with the inversion statistic.  A Wick product acts through its own
 diagrams), so this is a second route to every identity computed there.
 
 Every q-dependence is polynomial, so the operators keep q formal (Graded):
-one run serves every q, and only evaluating the result at a rational q
-builds Fractions.  The public functions run for params.q and evaluate there.
+one run serves every q, results compare as whole polynomials, and only
+evaluating one at a rational q builds Fractions.  The public functions run
+for params.q and evaluate there; Gram positivity is decided in integers.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ PERMUTATION_CAP = 8
 GRAM_WORD_CAP = 100
 # most variables in one Wick product's operator form, which has 2^n summands
 WICK_FORM_CAP = 12
+# most (basis word, power of q) entries of one graded vector, about 1 s per step
+FOCK_SUPPORT_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -201,6 +204,13 @@ class Graded:
         self.entries = {key: c for key, c in entries.items() if not key[0]} if scalar else entries
         self.scalar = scalar
 
+    def __eq__(self, other) -> bool:  # equal as polynomials, hence at every q
+        same_kind = isinstance(other, Graded) and self.scalar == other.scalar
+        return same_kind and self.entries == other.entries
+
+    def __bool__(self) -> bool:
+        return bool(self.entries)
+
     def at(self, q: Fraction) -> Union[Fraction, FockVector]:
         polys: dict[tuple[int, ...], list] = {}
         for (word, k), c in self.entries.items():
@@ -237,6 +247,8 @@ def _step(sign: int, coords, u: dict, params: FockParams, qs) -> dict:
                     key = (word[:i] + word[i + 1 :], k + i)
                     out[key] = out.get(key, 0) + coord * c
         out = {key: c for key, c in out.items() if c}
+    if len(out) > FOCK_SUPPORT_CAP:
+        raise SizeLimitError(f"{len(out)} vector entries exceed the support cap {FOCK_SUPPORT_CAP}")
     return out
 
 
@@ -403,21 +415,20 @@ def q_inner(u: FockVector, v: FockVector, params: FockParams) -> Fraction:
     return total
 
 
-def _positive_definite(matrix: list[list[Fraction]]) -> bool:
-    """Sylvester's criterion in one pass: every leading minor is positive
-    exactly when elimination without row swaps meets only positive pivots.
-    Eliminates in place."""
+def _positive_definite(matrix: list[list[int]]) -> bool:
+    """Sylvester's criterion by fraction-free (Bareiss) elimination of an
+    integer matrix, in place: the k-th pivot is the k-th leading minor."""
     n = len(matrix)
+    prev = 1
     for col in range(n):
         pivot_row = matrix[col]
         pivot = pivot_row[col]
         if pivot <= 0:
             return False
         for row in matrix[col + 1 :]:
-            factor = row[col] / pivot
-            if factor:
-                for k in range(col + 1, n):
-                    row[k] -= factor * pivot_row[k]
+            for k in range(col + 1, n):
+                row[k] = (row[k] * pivot - row[col] * pivot_row[k]) // prev
+        prev = pivot
     return True
 
 
@@ -438,7 +449,10 @@ def gram_check(degree: int, params: FockParams) -> bool:
         raise SizeLimitError(
             f"{params.dim}^{degree} basis words exceed the Gram matrix cap {GRAM_WORD_CAP}"
         )
-    gram = [[_poly_value(p, params.q) for p in row] for row in _gram(params.dim, degree)]
+    # den^top q^k = num^k den^(top - k): a positive multiple of the matrix, in integers
+    num, den, top = params.q.numerator, params.q.denominator, degree * (degree - 1) // 2
+    scale = [num**k * den ** (top - k) for k in range(top + 1)]
+    gram = [[sum(c * scale[k] for k, c in p) for p in row] for row in _gram(params.dim, degree)]
     return _positive_definite(gram)
 
 

@@ -26,6 +26,7 @@ from .algebra import (
     TermKey,
     VariableWord,
     _canonical_term,
+    _integer,
     accumulate_term,
 )
 from .diagrams import (
@@ -115,7 +116,7 @@ def terms(name: str, arg, free: bool = False, cap: int | None = None, labels=Non
     """
     row = IDENTITIES[name]
     if row.blocks:
-        blocks = tuple(int(b) for b in arg)
+        blocks = tuple(_integer(b, "block size") for b in arg)
         ground = GroundSet(sum(blocks), blocks)
     else:
         ground = GroundSet(arg)
@@ -177,7 +178,7 @@ def wick_to_normal_word(indices: Sequence[int], cap: int | None = None) -> Expan
     """Wick product of the given (strictly increasing) variable indices as a
     signed sum of plain products: every diagram contributes its covariance
     factors and singleton word, with sign (-1)^pairs and power g - c."""
-    indices = tuple(int(i) for i in indices)
+    indices = tuple(_integer(i, "variable index") for i in indices)
     if any(a >= b for a, b in zip(indices, indices[1:])):
         raise DomainError(f"variable indices must be strictly increasing, got {indices}")
     n = len(indices)

@@ -27,6 +27,8 @@ from qwick import (
     verify,
 )
 from qwick.algebra import NORMAL, CovarianceMonomial, Expansion, QPolynomial, VariableWord
+from qwick.errors import QwickError
+from qwick.fock import FockParams, Graded
 from qwick.verify import VerifyReport
 
 
@@ -142,6 +144,59 @@ class TestExpansionCommands:
         assert lines[0] == "cov,word,kind,poly"
         assert lines[1] == ",1 2,normal,1"
         assert lines[2] == "1-2,,normal,-1"
+
+
+SMALL_SAMPLED_RUNS = [
+    ("t2.1", {"n": 4}),
+    ("c2.2", {"n": 3}),
+    ("c2.2", {"n": 4, "dim": 1}),
+    ("wick-vector", {"n": 3}),
+    ("t3.3", {"blocks": (1, 2)}),
+    ("t3.4", {"blocks": (2, 1)}),
+    ("t3.4", {"blocks": (1, 1), "dim": 3}),
+]
+SAMPLED_SUITES = ("t2.1", "c2.2", "wick-vector", "t3.3", "t3.4")
+
+
+def reference_sampled(check, cfg, cases):
+    """The sampled runner with every sample evaluated at every grid q, as
+    it ran before the suites decided on whole q-polynomials."""
+    reports = []
+    qs = cfg.q_values()
+    for case in cases:
+        assignments = verify.sample_assignments(case.nvars, cfg.dim, cfg.seed)
+        params = FockParams(cfg.dim, cfg.cutoff(case.nvars), qs[0])
+        values = [(case.oracle(a, params, qs), case.formula(a, params, qs)) for a in assignments]
+        for q0 in qs:
+            for s_idx, (assignment, (lhs, rhs)) in enumerate(zip(assignments, values)):
+                lhs, rhs = lhs.at(q0), rhs.at(q0)
+                reports.append(
+                    verify._report(
+                        check,
+                        {**case.head, "q": str(q0), "sample": s_idx},
+                        case.ok(lhs, rhs),
+                        lhs=lhs,
+                        rhs=rhs,
+                        **dict(case.extra),
+                        vectors=verify._vec_json(assignment),
+                    )
+                )
+    return reports
+
+
+def off_by(graded):
+    """graded with q^2 - q/2 added to its vacuum entry."""
+    entries = dict(graded.entries)
+    for key, c in ((((), 2), 1), (((), 1), Fraction(-1, 2))):
+        entries[key] = entries.get(key, 0) + c
+    return Graded({key: c for key, c in entries.items() if c}, graded.scalar)
+
+
+def sampled_outcome(check, options):
+    try:
+        return [r.to_json() for r in verify.run_check(check, **options)]
+    except QwickError as exc:
+        return type(exc).__name__, str(exc)
 
 
 class TestVerifyCommand:
@@ -271,6 +326,20 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["failures"] == 0
 
+    def test_support_cap_stops_a_long_oracle_run(self):
+        # uncapped, this run's vectors reach 2,015,451 entries and take ~26 s
+        proc = subprocess.run(
+            [sys.executable, "-m", "qwick", "verify", "c2.2", "--n", "5", "--dim", "20"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: 100215 vector entries exceed the support cap 100000"
+        ]
+
     def test_wick_form_past_its_cap_fails_at_once(self):
         proc = subprocess.run(
             [sys.executable, "-m", "qwick", "verify", "wick-vector", "--n", "13"],
@@ -338,6 +407,59 @@ class TestVerifyCommand:
         assert all(r["status"] == "fail" for r in reports)
         assert list(reports[0]["witness"]) == list(witness)
         assert reports[0]["witness"] == witness
+
+    # A formula side off by q^2 - q/2, which is 0 at q = 0 and 1/2 but not
+    # at q = +-1/3: one sample passes at some grid points and fails at
+    # others, so it must take the per-q path.  The sha256 values were
+    # recorded before the sampled suites decided on whole q-polynomials.
+    @pytest.mark.parametrize(
+        "target, argv, fmt, sha",
+        [
+            (
+                "moment_expansion",
+                "verify c2.2 --n 2",
+                "json",
+                "8ac6a9e14189d93f6e19df587396ff81dd8ce2d723556a3a1fda785838ff2789",
+            ),
+            (
+                "moment_expansion",
+                "verify c2.2 --n 2",
+                "csv",
+                "f8703d1d33e82527978247722cac2f43378517144ce33beec072b7f930adbe1c",
+            ),
+            (
+                "expand",
+                "verify t3.4 --blocks 1,1",
+                "json",
+                "cb915f5b41a928cb610a4b739df6ed4a2ba05846587604d175ea3951a8f56b01",
+            ),
+            (
+                "expand",
+                "verify t3.4 --blocks 1,1",
+                "csv",
+                "1086569fcc98a400dbe16095bc29081ed5ccfcada5ec9fe7ebecfc408e4ed0d0",
+            ),
+        ],
+    )
+    def test_mixed_verdict_is_pinned(self, capsys, monkeypatch, target, argv, fmt, sha):
+        wrong = Expansion.single(
+            CovarianceMonomial.identity(),
+            VariableWord((), NORMAL),
+            QPolynomial({2: 1, 1: Fraction(-1, 2)}),
+        )
+        formula = getattr(verify, target)
+        monkeypatch.setattr(verify, target, lambda *a, **k: formula(*a, **k) + wrong)
+        code, out = run_cli(capsys, *argv.split(), "--format", fmt)
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
+        if fmt == "json":
+            verdicts = {}
+            for r in json.loads(out)["reports"]:
+                instance = dict(r["instance"])
+                q = instance.pop("q")
+                verdicts.setdefault(json.dumps(instance), {})[q] = r["status"]
+            assert {"pass", "fail"} in [set(v.values()) for v in verdicts.values()]
+            assert all(v["1/3"] == v["-1/3"] == "fail" for v in verdicts.values())
 
     # Whole-expansion witnesses: the failing side's terms reach the output
     # through Expansion.to_json, so these pin how int and Fraction
@@ -424,6 +546,34 @@ class TestVerifyCommand:
         side = "lhs" if target == "substitute_wick" else "rhs"
         assert reports[0]["witness"][side] == first
         assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("q", [None, Fraction(1, 3)])
+    @pytest.mark.parametrize("level", [None, 2, 3])
+    @pytest.mark.parametrize("off", [False, True])
+    @pytest.mark.parametrize("check, options", SMALL_SAMPLED_RUNS)
+    def test_runner_matches_the_grid_reference(
+        self, monkeypatch, check, options, seed, q, level, off
+    ):
+        # off adds q^2 - q/2 to the vacuum entry of every formula side, so
+        # the per-q fallback is compared too
+        if off:
+            for name in ("graded_expansion", "_tensor"):
+                formula = getattr(verify, name)
+                monkeypatch.setattr(verify, name, lambda *a, _f=formula: off_by(_f(*a)))
+        opts = dict(options, seed=seed, q=q, level=level)
+        got = sampled_outcome(check, opts)
+        monkeypatch.setattr(verify, "_sampled", reference_sampled)
+        assert got == sampled_outcome(check, opts)
+
+    @pytest.mark.parametrize("check", list(SAMPLED_SUITES))
+    def test_passing_samples_are_never_evaluated_per_q(self, monkeypatch, check):
+        def refuse(self, q):
+            raise AssertionError("a passing sample was evaluated at a grid q")
+
+        monkeypatch.setattr(Graded, "at", refuse)
+        reports = verify.run_check(check)
+        assert reports and all(r.passed for r in reports)
 
     def test_verify_deterministic_given_seed(self, capsys):
         _, first = run_cli(capsys, "verify", "t2.1", "--n", "4", "--seed", "7")

@@ -437,6 +437,35 @@ class TestWalker:
                     assert list(_walk(n, complete_only, zero=zero)) == expected
 
 
+class TestIntegerInput:
+    """The diagram-layer constructors reject a non-integer size, block,
+    position or sign, which int() alone would truncate, and name it."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: GroundSet(4.7), "ground size must be an integer, got 4.7"),
+            (lambda: GroundSet(3, (1.5, 1.5)), "block size must be an integer, got 1.5"),
+            (
+                lambda: FeynmanDiagram(GroundSet(4), ((1.9, 3.2),)),
+                "position must be an integer, got 1.9",
+            ),
+            (lambda: SignSequence((1.5, -1)), "sign entry must be an integer, got 1.5"),
+            (lambda: SignSequence(("1", -1)), "sign entry must be an integer, got '1'"),
+        ],
+    )
+    def test_non_integer_is_a_domain_error_naming_it(self, build, message):
+        with pytest.raises(DomainError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    def test_ints_and_bools_are_accepted(self):
+        assert GroundSet(True).size == 1
+        assert GroundSet(3, (True, 2)).blocks == (1, 2)
+        assert FeynmanDiagram(GroundSet(3), ((True, 3),)).pairs == ((1, 3),)
+        assert SignSequence((True, -1)).entries == (1, -1)
+
+
 class TestCapSetting:
     @pytest.mark.parametrize("raw", ["abc", "-1", "1.5"])
     def test_bad_value_is_a_domain_error(self, monkeypatch, raw):

@@ -1,6 +1,7 @@
 """Oracle behaviour: operators, inner products, evaluation, positivity."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,18 @@ from qwick import (
     wick_to_normal,
 )
 from qwick.algebra import NORMAL, CovarianceMonomial, Expansion, QPolynomial, VariableWord
-from qwick.fock import GRAM_WORD_CAP, WICK_FORM_CAP, _gram, _positive_definite, dot, graded_apply
+from qwick import fock
+from qwick.algebra import _poly_value
+from qwick.fock import (
+    GRAM_WORD_CAP,
+    PERMUTATION_CAP,
+    Graded,
+    WICK_FORM_CAP,
+    _gram,
+    _positive_definite,
+    dot,
+    graded_apply,
+)
 from qwick.verify import GRAM_Q_GRID, Q_GRID
 
 E1 = OneParticleVector((1, 0))
@@ -218,6 +230,46 @@ class TestInnerProduct:
         assert direct == peeled.coefficient(())
 
 
+class TestGradedComparison:
+    """Graded sides compare as whole polynomials: equal entries and the same
+    scalar flag, so equal at every q."""
+
+    def test_equal_entries_and_flag(self):
+        assert Graded({((1,), 2): 3}) == Graded({((1,), 2): Fraction(3)})
+        assert Graded({((1,), 2): 3}) != Graded({((1,), 1): 3})
+        assert Graded({((), 0): 1, ((1,), 0): 2}, scalar=True) == Graded({((), 0): 1}, True)
+
+    def test_scalar_flag_must_match(self):
+        # at(q) gives a Fraction on one side and a FockVector on the other
+        assert Graded({((), 0): 1}, scalar=True) != Graded({((), 0): 1})
+
+    def test_other_types_are_unequal(self):
+        assert Graded({}, scalar=True) != 0
+        assert Graded({((), 0): 1}, scalar=True) != Fraction(1)
+
+    def test_truth_is_nonzero_polynomial(self):
+        assert not Graded({})
+        assert not Graded({((1,), 0): 5}, scalar=True)
+        assert Graded({((), 3): -1})
+
+
+class TestSupportCap:
+    F = OneParticleVector((1, -2, 3))
+
+    @pytest.mark.parametrize("cap, fails", [(27, False), (26, True)])
+    def test_a_vector_past_the_cap_raises(self, monkeypatch, cap, fails):
+        # three creations of a full 3-dim vector reach 27 basis words
+        monkeypatch.setattr(fock, "FOCK_SUPPORT_CAP", cap)
+        word = OperatorWord(((1, 1), (1, 1), (1, 1)))
+        if fails:
+            with pytest.raises(SizeLimitError) as exc:
+                apply_operator_word(word, {1: self.F}, FockVector.vacuum(), params("1/3", 3))
+            assert str(exc.value) == "27 vector entries exceed the support cap 26"
+        else:
+            out = apply_operator_word(word, {1: self.F}, FockVector.vacuum(), params("1/3", 3))
+            assert len(out.entries) == 27
+
+
 class TestGram:
     def test_degree_one_is_the_identity(self):
         assert gram_check(1, params("1/3")) is True
@@ -262,6 +314,94 @@ class TestGram:
     def test_pivot_pass_follows_sylvester(self, matrix, expected):
         rows = [[Fraction(x) for x in row] for row in matrix]
         assert _positive_definite(rows) is expected
+
+
+def fraction_pivot_pass(matrix):
+    """Sylvester's criterion as gram_check decided it before the integer
+    elimination: Gaussian elimination over Fractions, positive pivots."""
+    rows = [list(row) for row in matrix]
+    n = len(rows)
+    for col in range(n):
+        if rows[col][col] <= 0:
+            return False
+        for row in rows[col + 1 :]:
+            if row[col]:
+                factor = Fraction(row[col]) / rows[col][col]
+                for k in range(col + 1, n):
+                    row[k] -= factor * rows[col][k]
+    return True
+
+
+def integer_multiple(matrix):
+    """A positive integer multiple of a rational matrix."""
+    lcm = math.lcm(1, *(Fraction(x).denominator for row in matrix for x in row))
+    return [[int(x * lcm) for x in row] for row in matrix]
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices up to 8 x 8: random entries (mostly
+    indefinite), B B^T of any rank (semidefinite, singular below full rank),
+    or B D B^T with signs in D."""
+    n = draw(st.integers(0, 8))
+    entry = st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=6)
+    kind = draw(st.sampled_from(["random", "gram", "signed"]))
+    if kind == "random":
+        upper = {(i, j): draw(entry) for i in range(n) for j in range(i, n)}
+        return [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    rank = draw(st.integers(0, n))
+    b = [[draw(entry) for _ in range(rank)] for _ in range(n)]
+    d = [1 if kind == "gram" else draw(st.sampled_from([-1, 1, 2])) for _ in range(rank)]
+    return [
+        [sum((b[i][k] * d[k] * b[j][k] for k in range(rank)), Fraction(0)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+GRAM_SHAPES = [
+    (dim, degree)
+    for dim in range(1, GRAM_WORD_CAP + 1)
+    for degree in range(PERMUTATION_CAP + 1)
+    if dim**degree <= GRAM_WORD_CAP
+]
+assert len(GRAM_SHAPES) == 223 and (2, 6) in GRAM_SHAPES and (100, 1) in GRAM_SHAPES
+
+
+class TestIntegerElimination:
+    @settings(max_examples=200, deadline=None)
+    @given(symmetric_matrices())
+    def test_bareiss_matches_the_fraction_pivot_pass(self, matrix):
+        assert _positive_definite(integer_multiple(matrix)) is fraction_pivot_pass(matrix)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[0, 0], [0, 1]],
+            [[1, 1], [1, 1]],
+            [[2, 1, 1], [1, 2, 1], [1, 1, -1]],
+            [[-3, 1], [1, 2]],
+            [[1, 2, 3], [2, 4, 6], [3, 6, 9]],
+        ],
+    )
+    def test_singular_indefinite_and_negative_diagonal_fail(self, matrix):
+        assert _positive_definite(matrix) is False is fraction_pivot_pass(matrix)
+
+    def test_pivots_are_the_leading_minors(self):
+        # Bareiss pivots on [[4,2,0],[2,5,1],[0,1,3]]: 4, 4*5-2*2 = 16, det = 44
+        matrix = [[4, 2, 0], [2, 5, 1], [0, 1, 3]]
+        assert _positive_definite(matrix) is True
+        assert matrix[1][1] == 16 and matrix[2][2] == 44
+
+    @pytest.mark.parametrize(
+        "q",
+        GRAM_Q_GRID
+        + tuple(Fraction(s * n, d) for s in (1, -1) for n, d in ((9, 10), (99, 100))),
+    )
+    def test_gram_check_matches_the_fraction_path(self, q):
+        for dim, degree in GRAM_SHAPES:
+            gram = [[_poly_value(p, q) if p else 0 for p in row] for row in _gram(dim, degree)]
+            want = fraction_pivot_pass(gram)
+            assert gram_check(degree, FockParams(dim, max(degree, 1), q)) is want, (dim, degree)
 
 
 class TestEvaluateExpansion:

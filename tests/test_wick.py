@@ -463,3 +463,26 @@ def test_diagram_sum_matches_the_validated_accumulation(name, arg, free):
         poly.coeffs and all(type(v) is int and v for v in poly.coeffs.values())
         for poly in result.terms.values()
     )
+
+
+class TestIntegerInput:
+    """The diagram-sum entry points reject non-integer indices and blocks,
+    which int() alone would truncate, and name the bad value."""
+
+    def test_wick_word_indices(self):
+        with pytest.raises(DomainError) as exc:
+            wick_to_normal_word((1.5, 2.7))
+        assert str(exc.value) == "variable index must be an integer, got 1.5"
+        assert wick_to_normal_word((True, 2)) == wick_to_normal(2)
+
+    def test_product_blocks(self):
+        with pytest.raises(DomainError) as exc:
+            product_expansion((1.5, 1.2))
+        assert str(exc.value) == "block size must be an integer, got 1.5"
+        assert product_expansion((True, 1)) == product_expansion((1, 1))
+
+    @pytest.mark.parametrize("name", ["product-expectation", "product-expansion"])
+    def test_terms_checks_blocks_at_once(self, name):
+        with pytest.raises(DomainError) as exc:
+            terms(name, (2, 0.5))
+        assert str(exc.value) == "block size must be an integer, got 0.5"
