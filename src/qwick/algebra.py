@@ -427,18 +427,33 @@ def substitute_wick(e: Expansion, rule: Mapping[VariableWord, Expansion]) -> Exp
     and covariance monomials merge as multisets.  A Wick word without a rule
     raises KeyError naming the word.
     """
-    out: dict[TermKey, QPolynomial] = {}
+    out: dict = {}  # (factors, indices) -> {exp: coeff}, as every output word is normal
     for (cov, word), poly in e.terms.items():
         if word.kind != WICK:
-            accumulate_term(out, cov, word, poly)
-            continue
-        if word not in rule:
+            images = {(CovarianceMonomial.identity(), word): QPolynomial.one()}
+        elif word not in rule:
             raise KeyError(f"no substitution rule for wick word {word.indices}")
-        for (rcov, rword), rpoly in rule[word].terms.items():
+        else:
+            images = rule[word].terms
+        for (rcov, rword), rpoly in images.items():
             if rword.kind != NORMAL:
                 raise DomainError("substitution rules must expand into normal words")
-            accumulate_term(out, cov * rcov, rword, poly * rpoly)
-    return Expansion._trusted(out)
+            sums = out.setdefault((tuple(sorted(cov.factors + rcov.factors)), rword.indices), {})
+            for e1, v1 in poly.coeffs.items():
+                for e2, v2 in rpoly.coeffs.items():
+                    sums[e1 + e2] = sums.get(e1 + e2, 0) + v1 * v2
+    return _normal_expansion(out)
+
+
+def _normal_expansion(sums: dict) -> Expansion:
+    """The expansion of {(factors, indices): {exp: coeff}} sums of normal words
+    on canonical parts, dropping zero coefficients and empty terms."""
+    terms: dict[TermKey, QPolynomial] = {}
+    for (factors, indices), coeffs in sums.items():
+        coeffs = {exp: _exact(val) for exp, val in coeffs.items() if val}
+        if coeffs:
+            terms[_canonical_term(factors, indices, NORMAL)] = QPolynomial._trusted(coeffs)
+    return Expansion._trusted(terms)
 
 
 def specialize_free(e: Expansion) -> Expansion:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .algebra import NORMAL, Expansion, Rational, _exact, _poly_value
+from .algebra import NORMAL, Expansion, Rational, _exact, _integer, _poly_value
 from .errors import DomainError, SizeLimitError, TruncationOverflowError
 
 PERMUTATION_CAP = 8
@@ -48,6 +48,8 @@ class FockParams:
     q: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _integer(self.dim, "one-particle dimension"))
+        object.__setattr__(self, "level", _integer(self.level, "tensor degree cutoff"))
         object.__setattr__(self, "q", Fraction(self.q))
         if self.dim < 1:
             raise DomainError(f"one-particle dimension must be positive, got {self.dim}")
@@ -162,7 +164,8 @@ class OperatorWord:
     letters: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        letters = tuple((int(s), int(i)) for s, i in self.letters)
+        sign, index = "operator sign", "variable index"
+        letters = tuple((_integer(s, sign), _integer(i, index)) for s, i in self.letters)
         object.__setattr__(self, "letters", letters)
         if any(s not in (1, -1) for s, _ in letters):
             raise DomainError("operator signs must be +1 (create) or -1 (annihilate)")
@@ -252,25 +255,33 @@ def _step(sign: int, coords, u: dict, params: FockParams, qs) -> dict:
     return out
 
 
-def _vector(assignment: Mapping[int, VectorLike], idx: int) -> VectorLike:
-    if idx not in assignment:
-        raise KeyError(f"no vector assigned to variable {idx}")
-    return assignment[idx]
+class _Coordinates(dict):
+    """Each variable's coordinates, exact ints where they are integers, read
+    from the assignment on first use; an unused variable is never read."""
+
+    def __init__(self, assignment: Mapping[int, VectorLike], dim: int):
+        self.assignment, self.dim = assignment, dim
+
+    def __missing__(self, idx: int) -> tuple:
+        if idx not in self.assignment:
+            raise KeyError(f"no vector assigned to variable {idx}")
+        vector = as_vector(self.assignment[idx], self.dim)
+        coords = self[idx] = tuple(_exact(c) for c in vector.coords)
+        return coords
 
 
-def _letters(letters, assignment, u: dict, params: FockParams, qs) -> dict:
+def _letters(letters, coords: _Coordinates, u: dict, params: FockParams, qs) -> dict:
     """Apply (sign, variable) letters, rightmost first; sign 0 is a field."""
     for sign, idx in reversed(letters):
-        coords = tuple(_exact(c) for c in as_vector(_vector(assignment, idx), params.dim).coords)
-        u = _step(sign, coords, u, params, qs)
+        u = _step(sign, coords[idx], u, params, qs)
     return u
 
 
-def _wick(indices, assignment, u: dict, params: FockParams, qs) -> dict:
+def _wick(indices, coords: _Coordinates, u: dict, params: FockParams, qs) -> dict:
     """The Wick product by its operator form, position p standing for indices[p - 1]."""
     indices = tuple(indices)
     form = wick_operator_form(len(indices))
-    by_position = {pos: _vector(assignment, idx) for pos, idx in enumerate(indices, start=1)}
+    by_position = {pos: coords[idx] for pos, idx in enumerate(indices, start=1)}
     out: dict = {}
     for opword, qpow in form:
         for (word, k), c in _letters(opword.letters, by_position, u, params, qs).items():
@@ -282,42 +293,49 @@ def graded_apply(words, assignment, params: FockParams, qs, scalar: bool = False
     """The words applied to the unit vacuum, rightmost first, for every q of
     qs at once (params.q is not read).  Each is an OperatorWord or a
     VariableWord: a product of fields or, Wick-tagged, one Wick product."""
+    return Graded(_apply(words, _Coordinates(assignment, params.dim), params, qs), scalar)
+
+
+def _apply(words, coords: _Coordinates, params: FockParams, qs) -> dict:
     vec = {((), 0): 1}
     for word in reversed(words):
         if isinstance(word, OperatorWord):
-            vec = _letters(word.letters, assignment, vec, params, qs)
+            vec = _letters(word.letters, coords, vec, params, qs)
         elif word.kind == NORMAL:
-            vec = _letters(tuple((0, i) for i in word.indices), assignment, vec, params, qs)
+            vec = _letters(tuple((0, i) for i in word.indices), coords, vec, params, qs)
         else:
-            vec = _wick(word.indices, assignment, vec, params, qs)
-    return Graded(vec, scalar)
+            vec = _wick(word.indices, coords, vec, params, qs)
+    return vec
 
 
 def graded_expansion(e: Expansion, assignment, params: FockParams, qs) -> Graded:
     """evaluate_expansion for every q of qs at once: each term's q-polynomial
     is folded into the powers.  A term acts only at the q where its
     coefficient is nonzero, so only those count for the cutoff."""
+    coords = _Coordinates(assignment, params.dim)
     out: dict = {}
     for (cov, word), poly in e.terms.items():
-        scale = Fraction(1)
+        scale = 1
         for i, j in cov.factors:
-            f, g = (as_vector(_vector(assignment, k), params.dim) for k in (i, j))
-            scale *= dot(f, g)
+            scale *= sum(a * b for a, b in zip(coords[i], coords[j]))
         live = tuple(q for q in qs if poly.evaluate(q)) if scale and word.indices else qs
         if not scale or not live:
             continue
         coeffs = [(p, _exact(a * scale)) for p, a in poly.coeffs.items()]
-        for (w, k), c in graded_apply((word,), assignment, params, live).entries.items():
+        for (w, k), c in _apply((word,), coords, params, live).items():
             for p, a in coeffs:
                 out[w, k + p] = out.get((w, k + p), 0) + a * c
     return Graded({key: c for key, c in out.items() if c}, e.is_scalar())
 
 
 def _numeric(kernel, *args, scalar: bool = False):
-    """kernel(*args, u, params) on a FockVector u, run and evaluated at params.q."""
-    *args, u, params = args
+    """Run a kernel for q = params.q and evaluate it there.  args end with
+    (assignment, u, params); the kernel gets the assignment as _Coordinates
+    and the FockVector u as a graded vector."""
+    *args, assignment, u, params = args
+    coords = _Coordinates(assignment, params.dim)
     graded = {(word, 0): _exact(val) for word, val in u.entries.items()}
-    return Graded(kernel(*args, graded, params, (params.q,)), scalar).at(params.q)
+    return Graded(kernel(*args, coords, graded, params, (params.q,)), scalar).at(params.q)
 
 
 def create(f: VectorLike, u: FockVector, params: FockParams) -> FockVector:

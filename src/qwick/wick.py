@@ -27,7 +27,7 @@ from .algebra import (
     VariableWord,
     _canonical_term,
     _integer,
-    accumulate_term,
+    _normal_expansion,
 )
 from .diagrams import (
     FeynmanDiagram,
@@ -178,12 +178,17 @@ def wick_to_normal_word(indices: Sequence[int], cap: int | None = None) -> Expan
     """Wick product of the given (strictly increasing) variable indices as a
     signed sum of plain products: every diagram contributes its covariance
     factors and singleton word, with sign (-1)^pairs and power g - c."""
-    indices = tuple(_integer(i, "variable index") for i in indices)
-    if any(a >= b for a, b in zip(indices, indices[1:])):
-        raise DomainError(f"variable indices must be strictly increasing, got {indices}")
+    indices = _increasing(indices)
     n = len(indices)
     labels = None if indices == tuple(range(1, n + 1)) else indices
     return expand("wick-to-normal", n, cap=cap, labels=labels)
+
+
+def _increasing(indices: Sequence[int]) -> tuple[int, ...]:
+    indices = tuple(_integer(i, "variable index") for i in indices)
+    if any(a >= b for a, b in zip(indices, indices[1:])):
+        raise DomainError(f"variable indices must be strictly increasing, got {indices}")
+    return indices
 
 
 def wick_to_normal(n: int, cap: int | None = None, free: bool = False) -> Expansion:
@@ -201,27 +206,30 @@ def wick_recursive(n: int, cap: int | None = None) -> Expansion:
     if n < 0:
         raise DomainError(f"variable count must be nonnegative, got {n}")
     ensure_within_cap(n, cap)
-    memo = {(): Expansion.identity().terms}
-    return Expansion._trusted(_wick_recursive(tuple(range(1, n + 1)), memo))
+    memo = {(): {((), ()): {0: 1}}}
+    return _normal_expansion(_wick_recursive(tuple(range(1, n + 1)), memo))
 
 
 def _wick_recursive(indices: tuple[int, ...], memo: dict) -> dict:
-    """The terms of the Wick product of indices; memo holds those of the
-    empty tuple and of every sub-tuple expanded already in this call."""
+    """The Wick product of increasing indices as {(factors, word): {exp:
+    coeff}} sums; memo holds those of the empty tuple and of every sub-tuple
+    expanded already in this call, and is read, never changed in place."""
     if indices not in memo:
         head, rest = indices[0], indices[1:]
-        acc = memo[indices] = {}
         # multiplying by the field of the head variable on the left prepends
         # it to every plain word
-        for (cov, word), poly in _wick_recursive(rest, memo).items():
-            key = _canonical_term(cov.factors, (head,) + word.indices, NORMAL)
-            accumulate_term(acc, *key, poly)
+        acc = {
+            (factors, (head,) + word): dict(coeffs)
+            for (factors, word), coeffs in _wick_recursive(rest, memo).items()
+        }
         for pos, other in enumerate(rest):
             trimmed = rest[:pos] + rest[pos + 1 :]
-            factor = QPolynomial.q_power(pos, -1)
-            cov_head = CovarianceMonomial(((head, other),))
-            for (cov, word), poly in _wick_recursive(trimmed, memo).items():
-                accumulate_term(acc, cov_head * cov, word, poly * factor)
+            # head is below every index of trimmed, so (head, other) sorts first
+            for (factors, word), coeffs in _wick_recursive(trimmed, memo).items():
+                sums = acc.setdefault((((head, other),) + factors, word), {})
+                for exp, coeff in coeffs.items():
+                    sums[exp + pos] = sums.get(exp + pos, 0) - coeff
+        memo[indices] = acc
     return memo[indices]
 
 
@@ -235,8 +243,18 @@ def normal_to_wick(n: int, cap: int | None = None, free: bool = False) -> Expans
 def wick_substitution_rules(
     e: Expansion, cap: int | None = None
 ) -> dict[VariableWord, Expansion]:
-    """Normal-product rewrite rule for every Wick word occurring in e."""
-    return {word: wick_to_normal_word(word.indices, cap=cap) for word in e.wick_words()}
+    """Normal-product rewrite rule for every Wick word occurring in e, each
+    checked as wick_to_normal_word checks it.  Rules of one length differ
+    only by a relabelling, so the walker runs once per word length."""
+    row, walks, rules = IDENTITIES["wick-to-normal"], {}, {}
+    for word in e.wick_words():
+        indices = _increasing(word.indices)
+        n = len(indices)
+        ensure_within_cap(n, cap)
+        if n not in walks:
+            walks[n] = tuple(_walk(n, row.complete))
+        rules[word] = _diagram_sum(_row_terms(row, walks[n], indices))
+    return rules
 
 
 def product_expectation(

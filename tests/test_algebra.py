@@ -1,7 +1,9 @@
 """Exact polynomial arithmetic and canonical-expansion behaviour."""
 
 import json
+from collections.abc import Mapping
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from qwick import (
     specialize_free,
     substitute_wick,
 )
+from qwick.algebra import accumulate_term
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 qpolys = st.dictionaries(
@@ -434,3 +437,120 @@ class TestTrustedArithmetic:
             {key: QPolynomial({0: Fraction(p.constant_term())}) for key, p in e.terms.items()}
         )
         assert_matches(specialize_free(e), reference)
+
+
+def reference_substitute_wick(e, rule):
+    """substitute_wick as a merge of key objects: every term goes through
+    accumulate_term with a CovarianceMonomial product and a QPolynomial
+    product, and the result through the validating Expansion."""
+    out = {}
+    for (cov, word), poly in e.terms.items():
+        if word.kind != WICK:
+            accumulate_term(out, cov, word, poly)
+            continue
+        if word not in rule:
+            raise KeyError(f"no substitution rule for wick word {word.indices}")
+        for (rcov, rword), rpoly in rule[word].terms.items():
+            if rword.kind != NORMAL:
+                raise DomainError("substitution rules must expand into normal words")
+            accumulate_term(out, cov * rcov, rword, poly * rpoly)
+    return Expansion(out)
+
+
+@st.composite
+def cancelling_substitutions(draw):
+    """A substitution case in which some Wick terms rewrite into exactly the
+    negative of normal terms added alongside, so their sums cancel to zero."""
+    e, rules = draw(substitutions())
+    wick_terms = sorted(
+        (item for item in e.terms.items() if item[0][1].kind == WICK),
+        key=lambda item: (item[0][0].factors, item[0][1].indices),
+    )
+    chosen = []
+    if wick_terms:
+        chosen = draw(st.lists(st.sampled_from(wick_terms), unique_by=lambda t: t[0]))
+    scale = draw(st.sampled_from((1, Fraction(1, 3), Fraction(-5, 2))))
+    part = Expansion(dict(chosen))
+    return e - reference_substitute_wick(part, rules).scaled(scale), rules
+
+
+@st.composite
+def faulty_substitutions(draw):
+    """Rules that may be missing, or may hold Wick-kind outputs."""
+    e = draw(small_expansions(either_kind))
+    rules = {}
+    for word in e.wick_words():
+        if draw(st.booleans()):
+            rules[word] = draw(small_expansions(either_kind))
+    return e, rules
+
+
+class ReadOnlyRules(Mapping):
+    """A rule map that is not a dict."""
+
+    def __init__(self, rules):
+        self._rules = rules
+
+    def __getitem__(self, word):
+        return self._rules[word]
+
+    def __iter__(self):
+        return iter(self._rules)
+
+    def __len__(self):
+        return len(self._rules)
+
+
+def substitution_outcome(substitute, e, rules):
+    try:
+        return substitute(e, rules)
+    except (KeyError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+class TestSubstituteWickAgainstKeyObjects:
+    """substitute_wick against the merge of key objects it replaced."""
+
+    @given(st.one_of(substitutions(), cancelling_substitutions()))
+    @settings(max_examples=200)
+    def test_same_expansion(self, case):
+        e, rules = case
+        assert_matches(substitute_wick(e, rules), reference_substitute_wick(e, rules))
+
+    @given(cancelling_substitutions())
+    @settings(max_examples=50)
+    def test_any_mapping_is_a_rule_map(self, case):
+        e, rules = case
+        reference = reference_substitute_wick(e, rules)
+        for wrapped in (MappingProxyType(rules), ReadOnlyRules(rules)):
+            assert_matches(substitute_wick(e, wrapped), reference)
+
+    @given(faulty_substitutions())
+    @settings(max_examples=200)
+    def test_same_error_first(self, case):
+        e, rules = case
+        got = substitution_outcome(substitute_wick, e, rules)
+        expected = substitution_outcome(reference_substitute_wick, e, rules)
+        if isinstance(expected, Expansion):
+            assert_matches(got, expected)
+        else:
+            assert got == expected
+
+    @pytest.mark.parametrize(
+        "rules, error",
+        [
+            ({}, (KeyError, "'no substitution rule for wick word (1, 2)'")),
+            (
+                {VariableWord((1, 2), WICK): make([((), (1, 2), WICK, {0: 1})])},
+                (DomainError, "substitution rules must expand into normal words"),
+            ),
+            (
+                {VariableWord((3,), WICK): make([((), (3,), WICK, {0: 1})])},
+                (KeyError, "'no substitution rule for wick word (1, 2)'"),
+            ),
+        ],
+    )
+    def test_errors_name_the_first_fault(self, rules, error):
+        e = make([((), (1, 2), WICK, {0: 1}), (((1, 2),), (3,), WICK, {1: 2})])
+        assert substitution_outcome(substitute_wick, e, rules) == error
+        assert substitution_outcome(reference_substitute_wick, e, rules) == error

@@ -609,3 +609,83 @@ def ref_basis_inner(w1, w2, q):
         if all(w2[perm[k]] == w1[k] for k in range(n)):
             total += q ** sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
     return total
+
+
+class TestIntegerInput:
+    """The oracle's constructors reject a non-integer sign, index, dimension
+    or cutoff, which int() alone would truncate, and name the bad value."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: OperatorWord(((1, 1), (-1.7, 2))),
+                "operator sign must be an integer, got -1.7",
+            ),
+            (lambda: OperatorWord(((1, 1.5),)), "variable index must be an integer, got 1.5"),
+            (lambda: FockParams(2.5, 3, 0), "one-particle dimension must be an integer, got 2.5"),
+            (lambda: FockParams(2, 2.5, 0), "tensor degree cutoff must be an integer, got 2.5"),
+        ],
+    )
+    def test_non_integer_is_a_domain_error_naming_it(self, build, message):
+        with pytest.raises(DomainError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    def test_ints_and_bools_are_accepted(self):
+        assert OperatorWord(((True, 2), (-1, True))).letters == ((1, 2), (-1, 1))
+        assert FockParams(True, 2, 0).dim == 1
+        assert FockParams(2, True, 0).level == 1
+
+    def test_signs_are_still_checked(self):
+        with pytest.raises(DomainError, match="operator signs must be"):
+            OperatorWord(((2, 1),))
+
+
+class TestCoordinatesOncePerCall:
+    """graded_apply and graded_expansion convert each variable's coordinates
+    once per call, and only those of the variables they use."""
+
+    def count_conversions(self, monkeypatch):
+        calls = []
+        original = fock.as_vector
+
+        def counted(f, dim):
+            calls.append(tuple(f))
+            return original(f, dim)
+
+        monkeypatch.setattr(fock, "as_vector", counted)
+        return calls
+
+    def test_each_used_variable_once(self, monkeypatch):
+        calls = self.count_conversions(monkeypatch)
+        assignment = {1: (1, 2), 2: (0, 3), 3: (5, 5)}
+        words = (VariableWord((1, 2), "wick"), VariableWord((2, 1)), OperatorWord(((1, 1),)))
+        graded_apply(words, assignment, params("1/2"), Q_GRID)
+        assert sorted(calls) == [(0, 3), (1, 2)]
+
+        calls.clear()
+        e = wick_to_normal(2) + moment_expansion(2)
+        fock.graded_expansion(e, {1: (1, 2), 2: (0, 3)}, params("1/2"), Q_GRID)
+        assert sorted(calls) == [(0, 3), (1, 2)]
+
+    def test_unused_variables_are_never_read(self):
+        # an unused variable may be missing, or of the wrong dimension
+        p = params("1/2")
+        assignment = {1: (1, 2), 9: (1, 2, 3)}
+        got = graded_apply((VariableWord((1,)),), assignment, p, Q_GRID)
+        assert got == graded_apply((VariableWord((1,)),), {1: (1, 2)}, p, Q_GRID)
+
+    @pytest.mark.parametrize(
+        "word, missing",
+        [
+            (VariableWord((1, 8, 7), "wick"), 8),
+            (VariableWord((8, 1, 7)), 7),
+            (OperatorWord(((1, 7), (-1, 8))), 8),
+        ],
+    )
+    def test_a_missing_variable_is_named(self, word, missing):
+        # a Wick product names its first missing index; a field or operator
+        # word the first one it applies, rightmost first
+        with pytest.raises(KeyError, match=f"no vector assigned to variable {missing}"):
+            graded_apply((word,), {1: (1, 2)}, params("1/2"), Q_GRID)

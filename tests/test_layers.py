@@ -72,7 +72,7 @@ def test_reader_sees_each_import_form():
     assert _absolute("itertools") == set()
 
 
-TRUSTED = {"_trusted", "_canonical_term", "_covariance"}
+TRUSTED = {"_trusted", "_canonical_term", "_covariance", "_normal_expansion"}
 EXPANSION_CORE = {"algebra", "wick"}
 
 
@@ -97,8 +97,13 @@ def test_trusted_constructors_stay_in_the_expansion_core(module):
 
 def test_reader_sees_each_trusted_use():
     # the reader itself must not miss a use and pass by accident
-    assert trusted_uses("wick") == {"_trusted", "_canonical_term"}
-    assert trusted_uses("algebra") == {"_trusted", "_covariance"}
+    assert trusted_uses("wick") == {"_trusted", "_canonical_term", "_normal_expansion"}
+    assert trusted_uses("algebra") == {
+        "_trusted",
+        "_covariance",
+        "_canonical_term",
+        "_normal_expansion",
+    }
 
 
 def test_keys_have_no_instance_dict():
@@ -120,3 +125,32 @@ def test_keys_have_no_instance_dict():
 def test_public_constructors_still_validate(build):
     with pytest.raises(DomainError):
         build()
+
+
+WALKER_ROUTE = {"_walk", "terms", "_row_terms", "_diagram_sum", "expand", "IDENTITIES"}
+
+
+def names_in_function(module: str, function: str) -> set[str]:
+    """The bare names a module-level function mentions or imports; an
+    attribute such as Expansion.terms is not the module-level function terms."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name)
+    return found
+
+
+@pytest.mark.parametrize("function", ["wick_recursive", "_wick_recursive"])
+def test_recursion_stays_a_second_route(function):
+    # the recursion checks the diagram walker, so it must not go through it
+    assert not names_in_function("wick", function) & WALKER_ROUTE
+
+
+def test_reader_sees_each_walker_use():
+    # the reader itself must not miss a use and pass by accident
+    assert {"_walk", "_row_terms", "IDENTITIES"} <= names_in_function("wick", "terms")
+    assert "_diagram_sum" in names_in_function("wick", "expand")

@@ -2,9 +2,12 @@
 
 import functools
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from qwick import (
     IDENTITIES,
     NORMAL,
@@ -486,3 +489,115 @@ class TestIntegerInput:
         with pytest.raises(DomainError) as exc:
             terms(name, (2, 0.5))
         assert str(exc.value) == "block size must be an integer, got 0.5"
+
+
+def reference_substitution_rules(e, cap=None):
+    """wick_substitution_rules as one wick_to_normal_word call, hence one
+    diagram walk, per Wick word."""
+    return {word: wick_to_normal_word(word.indices, cap=cap) for word in e.wick_words()}
+
+
+def reference_wick_recursive(n):
+    """wick_recursive as a merge of key objects: every term goes through
+    accumulate_term with a CovarianceMonomial product and a QPolynomial
+    product, and the result through the validating Expansion."""
+
+    def expand_(indices, memo):
+        if indices not in memo:
+            head, rest = indices[0], indices[1:]
+            acc = memo[indices] = {}
+            for (cov, word), poly in expand_(rest, memo).items():
+                accumulate_term(acc, cov, VariableWord((head,) + word.indices), poly)
+            for pos, other in enumerate(rest):
+                trimmed = rest[:pos] + rest[pos + 1 :]
+                factor = QPolynomial.q_power(pos, -1)
+                cov_head = CovarianceMonomial(((head, other),))
+                for (cov, word), poly in expand_(trimmed, memo).items():
+                    accumulate_term(acc, cov_head * cov, word, poly * factor)
+        return memo[indices]
+
+    return Expansion(expand_(tuple(range(1, n + 1)), {(): Expansion.identity().terms}))
+
+
+def int_coefficients(e):
+    return all(type(v) is int for poly in e.terms.values() for v in poly.coeffs.values())
+
+
+def rules_outcome(build, e, cap):
+    try:
+        rules = build(e, cap)
+    except (DomainError, SizeLimitError) as exc:
+        return type(exc), str(exc)
+    assert all(int_coefficients(rule) for rule in rules.values())
+    return [(word, json.dumps(rule.to_json())) for word, rule in rules.items()]
+
+
+increasing_words = st.sets(st.integers(1, 9), min_size=1, max_size=6).map(sorted)
+any_order_words = st.lists(st.integers(1, 9), min_size=1, max_size=6, unique=True)
+wick_word_lists = st.lists(
+    st.one_of(increasing_words, any_order_words).map(lambda ix: VariableWord(tuple(ix), WICK)),
+    min_size=1,
+    max_size=5,
+)
+
+
+NOT_INCREASING = "variable indices must be strictly increasing"
+
+
+class TestSubstitutionRulesAgainstOneWalkPerWord:
+    """wick_substitution_rules against one wick_to_normal_word per word."""
+
+    @given(st.lists(increasing_words, max_size=6), st.sampled_from((None, 6, 9)))
+    @settings(max_examples=100)
+    def test_same_rules(self, words, cap):
+        e = Expansion(
+            {(CovarianceMonomial(), VariableWord(tuple(w), WICK)): QPolynomial.one() for w in words}
+        )
+        assert rules_outcome(wick_substitution_rules, e, cap) == rules_outcome(
+            reference_substitution_rules, e, cap
+        )
+
+    @given(wick_word_lists, st.sampled_from((None, 0, 2, 4)))
+    @settings(max_examples=200)
+    def test_same_error_first(self, words, cap):
+        e = Expansion({(CovarianceMonomial(), w): QPolynomial.one() for w in words})
+        assert rules_outcome(wick_substitution_rules, e, cap) == rules_outcome(
+            reference_substitution_rules, e, cap
+        )
+
+    @pytest.mark.parametrize(
+        "words, cap, error",
+        [
+            (((3, 1),), None, (DomainError, f"{NOT_INCREASING}, got (3, 1)")),
+            (((1, 2, 3),), 2, (SizeLimitError, "ground size 3 exceeds enumeration cap 2")),
+            (((1, 2, 3), (3, 1)), 2, (SizeLimitError, "ground size 3 exceeds enumeration cap 2")),
+            (((2, 1), (2, 3, 4)), 2, (DomainError, f"{NOT_INCREASING}, got (2, 1)")),
+        ],
+    )
+    def test_errors_name_the_first_fault(self, words, cap, error):
+        e = Expansion(
+            {(CovarianceMonomial(), VariableWord(w, WICK)): QPolynomial.one() for w in words}
+        )
+        assert rules_outcome(wick_substitution_rules, e, cap) == error
+        assert rules_outcome(reference_substitution_rules, e, cap) == error
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_roundtrip_rules(self, n):
+        e = normal_to_wick(n)
+        rules = wick_substitution_rules(e)
+        assert rules_outcome(wick_substitution_rules, e, None) == rules_outcome(
+            reference_substitution_rules, e, None
+        )
+        assert substitute_wick(e, rules) == Expansion(
+            {(CovarianceMonomial(), VariableWord(tuple(range(1, n + 1)))): 1}
+        )
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_recursion_matches_the_key_object_merge(n):
+    result = wick_recursive(n)
+    reference = reference_wick_recursive(n)
+    assert result == reference == wick_to_normal(n)
+    assert json.dumps(result.to_json()) == json.dumps(reference.to_json())
+    assert int_coefficients(result)
+    assert wick_recursive(n) == result
