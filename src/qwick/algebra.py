@@ -2,11 +2,12 @@
 
 Coefficients are exact, an int or else a fractions.Fraction; no floating
 point enters any computation in this module.  An expansion is the canonical
-form used everywhere downstream: a finite map from (covariance monomial,
-variable word) to a q-polynomial, with zero values never stored, so two
-expansions are equal exactly when their maps are equal.  The public
-constructors validate; arithmetic on canonical values builds its results
-through the unchecked _trusted constructors and _canonical_term.
+form used everywhere downstream: a finite map from (factors, indices, kind)
+tuples, the form in which the diagram walker yields its terms, to a
+q-polynomial, with zero values never stored, so two expansions are equal
+exactly when their maps are equal.  The public constructors validate, the
+keys through CovarianceMonomial and VariableWord; arithmetic on canonical
+values builds its results through the unchecked _trusted constructors.
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ class CovarianceMonomial:
 
     Factors are stored as (min, max) and the multiset is kept sorted, so the
     stored form is canonical; covariances are symmetric, which is what makes
-    the unordered storage sound.
+    the unordered storage sound.  It validates the factors of a term key.
     """
 
     factors: tuple[tuple[int, int], ...] = ()
@@ -197,10 +198,6 @@ class CovarianceMonomial:
     def identity(cls) -> CovarianceMonomial:
         return cls(())
 
-    def __mul__(self, other: CovarianceMonomial) -> CovarianceMonomial:
-        # both factor tuples are canonical: sorting their concatenation merges them
-        return _covariance(tuple(sorted(self.factors + other.factors)))
-
     def __len__(self) -> int:
         return len(self.factors)
 
@@ -210,7 +207,8 @@ class VariableWord:
     """Ordered product of indexed variables, plain ("normal") or Wick-tagged.
 
     The empty word is the identity operator and is always stored with the
-    normal tag, so scalar terms have a single canonical key.
+    normal tag, so scalar terms have a single canonical key.  It validates
+    the word and kind of a term key.
     """
 
     indices: tuple[int, ...] = ()
@@ -230,32 +228,37 @@ class VariableWord:
         return len(self.indices)
 
 
-IDENTITY_WORD = VariableWord((), NORMAL)
-
-TermKey = tuple[CovarianceMonomial, VariableWord]
+def _term_key(factors, indices, kind: str) -> tuple:
+    """The canonical (factors, indices, kind) key of a term, validated
+    through CovarianceMonomial and VariableWord."""
+    factors = CovarianceMonomial(factors).factors
+    word = VariableWord(indices, kind)
+    return factors, word.indices, word.kind
 
 
 class Expansion:
     """Canonical finite sum of (q-polynomial) * (covariance monomial) * (word).
 
-    terms maps (CovarianceMonomial, VariableWord) to QPolynomial with no
-    zero entries, so equality of expansions is equality of the maps.  An
-    expansion whose words are all empty represents a scalar.
+    terms maps (factors, indices, kind) keys to QPolynomials with no zero
+    entries: factors are sorted (i, j) pairs with i < j, indices are
+    distinct, and kind is normal when the word is empty.  The constructor
+    sums keys that are equal once canonical, so equality of expansions is
+    equality of the maps.  An expansion whose words are all empty
+    represents a scalar.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[TermKey, QPolynomial] | None = None):
-        clean: dict[TermKey, QPolynomial] = {}
-        for (cov, word), poly in (terms or {}).items():
+    def __init__(self, terms: Mapping[tuple, QPolynomial] | None = None):
+        clean: dict = {}
+        for key, poly in (terms or {}).items():
             if not isinstance(poly, QPolynomial):
                 poly = QPolynomial.constant(poly)
-            if poly.coeffs:
-                clean[cov, word] = poly
+            accumulate_term(clean, _term_key(*key), poly)
         self.terms = clean
 
     @classmethod
-    def _trusted(cls, terms: dict[TermKey, QPolynomial]) -> Expansion:
+    def _trusted(cls, terms: dict) -> Expansion:
         """The expansion of terms, which must be as __init__ leaves them."""
         e = object.__new__(cls)
         e.terms = terms
@@ -267,7 +270,7 @@ class Expansion:
 
     @classmethod
     def scalar(cls, value: Rational) -> Expansion:
-        return cls({(CovarianceMonomial.identity(), IDENTITY_WORD): QPolynomial.constant(value)})
+        return cls({((), (), NORMAL): value})
 
     @classmethod
     def identity(cls) -> Expansion:
@@ -277,31 +280,32 @@ class Expansion:
     def single(
         cls, cov: CovarianceMonomial, word: VariableWord, poly: QPolynomial
     ) -> Expansion:
-        return cls({(cov, word): poly})
+        return cls({(cov.factors, word.indices, word.kind): poly})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_scalar(self) -> bool:
-        return all(not word.indices for _, word in self.terms)
+        return not any(indices for _, indices, _ in self.terms)
 
-    def sorted_terms(self) -> list[tuple[TermKey, QPolynomial]]:
-        return sorted(self.terms.items(), key=_term_key)
+    def sorted_terms(self) -> list[tuple[tuple, QPolynomial]]:
+        """The terms ordered by factors, then kind, then word."""
+        return sorted(self.terms.items(), key=lambda item: (item[0][0], item[0][2], item[0][1]))
 
     def max_exponent(self) -> int:
         return max((p.max_exponent() for p in self.terms.values()), default=-1)
 
     def wick_words(self) -> tuple[VariableWord, ...]:
         """Distinct Wick-tagged words occurring in the expansion, sorted."""
-        words = {word for _, word in self.terms if word.kind == WICK}
-        return tuple(sorted(words, key=lambda w: w.indices))
+        words = {indices for _, indices, kind in self.terms if kind == WICK}
+        return tuple(VariableWord(indices, WICK) for indices in sorted(words))
 
     def __add__(self, other: Expansion) -> Expansion:
         if not isinstance(other, Expansion):
             return NotImplemented
         merged = dict(self.terms)
-        for (cov, word), poly in other.terms.items():
-            accumulate_term(merged, cov, word, poly)
+        for key, poly in other.terms.items():
+            accumulate_term(merged, key, poly)
         return Expansion._trusted(merged)
 
     def __sub__(self, other: Expansion) -> Expansion:
@@ -328,29 +332,26 @@ class Expansion:
     def to_json(self) -> list[dict]:
         return [
             {
-                "cov": [list(f) for f in cov.factors],
-                "word": list(word.indices),
-                "kind": word.kind,
+                "cov": [list(f) for f in factors],
+                "word": list(indices),
+                "kind": kind,
                 "poly": poly.to_json(),
             }
-            for (cov, word), poly in self.sorted_terms()
+            for (factors, indices, kind), poly in self.sorted_terms()
         ]
 
     @classmethod
     def from_json(cls, records) -> Expansion:
-        terms: dict[TermKey, QPolynomial] = {}
+        terms: dict = {}
         for r in records:
-            cov = CovarianceMonomial(tuple((f[0], f[1]) for f in r["cov"]))
-            word = VariableWord(tuple(r["word"]), r["kind"])
-            accumulate_term(terms, cov, word, QPolynomial.from_json(r["poly"]))
+            key = _term_key(tuple((f[0], f[1]) for f in r["cov"]), tuple(r["word"]), r["kind"])
+            accumulate_term(terms, key, QPolynomial.from_json(r["poly"]))
         return cls._trusted(terms)
 
     def pretty(self) -> str:
         pieces = (
-            _term_pretty(
-                poly.pretty(), len(poly.coeffs) == 1, cov.factors, word.indices, word.kind
-            )
-            for (cov, word), poly in self.sorted_terms()
+            _term_pretty(poly.pretty(), len(poly.coeffs) == 1, *key)
+            for key, poly in self.sorted_terms()
         )
         return "".join(_pretty_sum(pieces))
 
@@ -387,37 +388,13 @@ def _pretty_sum(pieces):
         yield " - " + piece[1:].lstrip() if piece.startswith("-") else " + " + piece
 
 
-def _term_key(item):
-    (cov, word), _ = item
-    return (cov.factors, word.kind, word.indices)
-
-
-def accumulate_term(acc: dict, cov: CovarianceMonomial, word: VariableWord, poly: QPolynomial):
-    """Add poly onto acc[(cov, word)] while building an expansion; a zero
-    sum deletes the entry, so acc stays clean."""
-    key = (cov, word)
+def accumulate_term(acc: dict, key: tuple, poly: QPolynomial):
+    """Add poly onto acc[key] while building an expansion; a zero sum
+    deletes the entry, so acc stays clean."""
     if key in acc:
         poly = acc.pop(key) + poly
     if poly.coeffs:
         acc[key] = poly
-
-
-def _covariance(factors) -> CovarianceMonomial:
-    cov = object.__new__(CovarianceMonomial)
-    object.__setattr__(cov, "factors", factors)
-    return cov
-
-
-def _canonical_term(factors, indices, kind: str) -> TermKey:
-    """The term key of covariance factors and a word, built from parts that
-    are canonical already: factors sorted (i, j) with i < j, indices
-    distinct, kind normal when indices is empty.  Skips validation and
-    re-sorting; the walker's output meets these conditions by construction,
-    and so does any strictly increasing relabelling of it."""
-    word = object.__new__(VariableWord)
-    object.__setattr__(word, "indices", indices)
-    object.__setattr__(word, "kind", kind)
-    return _covariance(factors), word
 
 
 def substitute_wick(e: Expansion, rule: Mapping[VariableWord, Expansion]) -> Expansion:
@@ -428,17 +405,21 @@ def substitute_wick(e: Expansion, rule: Mapping[VariableWord, Expansion]) -> Exp
     raises KeyError naming the word.
     """
     out: dict = {}  # (factors, indices) -> {exp: coeff}, as every output word is normal
-    for (cov, word), poly in e.terms.items():
-        if word.kind != WICK:
-            images = {(CovarianceMonomial.identity(), word): QPolynomial.one()}
-        elif word not in rule:
-            raise KeyError(f"no substitution rule for wick word {word.indices}")
+    images: dict = {}  # Wick word indices -> the terms of its rule
+    for (factors, indices, kind), poly in e.terms.items():
+        if kind != WICK:
+            image = [(((), indices, NORMAL), QPolynomial.one())]
         else:
-            images = rule[word].terms
-        for (rcov, rword), rpoly in images.items():
-            if rword.kind != NORMAL:
+            if indices not in images:
+                word = VariableWord(indices, WICK)
+                if word not in rule:
+                    raise KeyError(f"no substitution rule for wick word {indices}")
+                images[indices] = rule[word].terms.items()
+            image = images[indices]
+        for (rfactors, rindices, rkind), rpoly in image:
+            if rkind != NORMAL:
                 raise DomainError("substitution rules must expand into normal words")
-            sums = out.setdefault((tuple(sorted(cov.factors + rcov.factors)), rword.indices), {})
+            sums = out.setdefault((tuple(sorted(factors + rfactors)), rindices), {})
             for e1, v1 in poly.coeffs.items():
                 for e2, v2 in rpoly.coeffs.items():
                     sums[e1 + e2] = sums.get(e1 + e2, 0) + v1 * v2
@@ -448,11 +429,11 @@ def substitute_wick(e: Expansion, rule: Mapping[VariableWord, Expansion]) -> Exp
 def _normal_expansion(sums: dict) -> Expansion:
     """The expansion of {(factors, indices): {exp: coeff}} sums of normal words
     on canonical parts, dropping zero coefficients and empty terms."""
-    terms: dict[TermKey, QPolynomial] = {}
+    terms: dict = {}
     for (factors, indices), coeffs in sums.items():
         coeffs = {exp: _exact(val) for exp, val in coeffs.items() if val}
         if coeffs:
-            terms[_canonical_term(factors, indices, NORMAL)] = QPolynomial._trusted(coeffs)
+            terms[factors, indices, NORMAL] = QPolynomial._trusted(coeffs)
     return Expansion._trusted(terms)
 
 

@@ -226,7 +226,8 @@ def _step(sign: int, coords, u: dict, params: FockParams, qs) -> dict:
     """Creation (sign 1) prepends a letter and keeps the power of q;
     annihilation (-1) deletes position i, adding i to it; the field (0) is
     their sum.  Creation on a word at the cutoff raises if the word is
-    nonzero at one of qs, the q values the result is for, else drops it."""
+    nonzero at one of qs, the q values the result is for, else drops it.
+    The support cap is checked after each input entry's fan-out."""
     out: dict = {}
     if sign >= 0:
         letters = [(letter, coord) for letter, coord in enumerate(coords, start=1) if coord]
@@ -237,6 +238,7 @@ def _step(sign: int, coords, u: dict, params: FockParams, qs) -> dict:
                 continue
             for letter, coord in letters:
                 out[((letter,) + word, k)] = coord * c
+            _within_support_cap(out)
         for word, terms in over.items():
             if any(_poly_value(terms, q) for q in qs):
                 raise TruncationOverflowError(
@@ -249,10 +251,14 @@ def _step(sign: int, coords, u: dict, params: FockParams, qs) -> dict:
                 if coord:
                     key = (word[:i] + word[i + 1 :], k + i)
                     out[key] = out.get(key, 0) + coord * c
+            _within_support_cap(out)
         out = {key: c for key, c in out.items() if c}
+    return out
+
+
+def _within_support_cap(out: dict) -> None:
     if len(out) > FOCK_SUPPORT_CAP:
         raise SizeLimitError(f"{len(out)} vector entries exceed the support cap {FOCK_SUPPORT_CAP}")
-    return out
 
 
 class _Coordinates(dict):
@@ -278,12 +284,18 @@ def _letters(letters, coords: _Coordinates, u: dict, params: FockParams, qs) -> 
 
 
 def _wick(indices, coords: _Coordinates, u: dict, params: FockParams, qs) -> dict:
-    """The Wick product by its operator form, position p standing for indices[p - 1]."""
+    """The Wick product by its operator form, position p standing for
+    indices[p - 1].  A summand's annihilators act first and each lowers the
+    degree by one, so one with more of them than u's top degree gives zero
+    and is skipped."""
     indices = tuple(indices)
     form = wick_operator_form(len(indices))
     by_position = {pos: coords[idx] for pos, idx in enumerate(indices, start=1)}
+    top = max((len(word) for word, _ in u), default=0)
     out: dict = {}
     for opword, qpow in form:
+        if sum(sign < 0 for sign, _ in opword.letters) > top:
+            continue
         for (word, k), c in _letters(opword.letters, by_position, u, params, qs).items():
             out[word, k + qpow] = out.get((word, k + qpow), 0) + c
     return {key: c for key, c in out.items() if c}
@@ -301,28 +313,34 @@ def _apply(words, coords: _Coordinates, params: FockParams, qs) -> dict:
     for word in reversed(words):
         if isinstance(word, OperatorWord):
             vec = _letters(word.letters, coords, vec, params, qs)
-        elif word.kind == NORMAL:
-            vec = _letters(tuple((0, i) for i in word.indices), coords, vec, params, qs)
         else:
-            vec = _wick(word.indices, coords, vec, params, qs)
+            vec = _variables(word.indices, word.kind, coords, vec, params, qs)
     return vec
+
+
+def _variables(indices, kind: str, coords: _Coordinates, u: dict, params: FockParams, qs) -> dict:
+    """A product of fields, or when kind is WICK one Wick product."""
+    if kind == NORMAL:
+        return _letters(tuple((0, i) for i in indices), coords, u, params, qs)
+    return _wick(indices, coords, u, params, qs)
 
 
 def graded_expansion(e: Expansion, assignment, params: FockParams, qs) -> Graded:
     """evaluate_expansion for every q of qs at once: each term's q-polynomial
-    is folded into the powers.  A term acts only at the q where its
-    coefficient is nonzero, so only those count for the cutoff."""
+    is folded into the powers, and its word acts as its kind says.  A term
+    acts only at the q where its coefficient is nonzero, so only those count
+    for the cutoff."""
     coords = _Coordinates(assignment, params.dim)
     out: dict = {}
-    for (cov, word), poly in e.terms.items():
+    for (factors, indices, kind), poly in e.terms.items():
         scale = 1
-        for i, j in cov.factors:
+        for i, j in factors:
             scale *= sum(a * b for a, b in zip(coords[i], coords[j]))
-        live = tuple(q for q in qs if poly.evaluate(q)) if scale and word.indices else qs
+        live = tuple(q for q in qs if poly.evaluate(q)) if scale and indices else qs
         if not scale or not live:
             continue
         coeffs = [(p, _exact(a * scale)) for p, a in poly.coeffs.items()]
-        for (w, k), c in _apply((word,), coords, params, live).items():
+        for (w, k), c in _variables(indices, kind, coords, {((), 0): 1}, params, live).items():
             for p, a in coeffs:
                 out[w, k + p] = out.get((w, k + p), 0) + a * c
     return Graded({key: c for key, c in out.items() if c}, e.is_scalar())

@@ -18,8 +18,8 @@ from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .algebra import (
+    NORMAL,
     WICK,
-    CovarianceMonomial,
     Expansion,
     VariableWord,
     specialize_free,
@@ -315,7 +315,7 @@ def check_roundtrip(cfg: VerifyConfig) -> list[VerifyReport]:
         wick_form = normal_to_wick(n, cap=cfg.cap)
         rules = wick_substitution_rules(wick_form, cap=cfg.cap)
         result = substitute_wick(wick_form, rules)
-        expected = Expansion({(CovarianceMonomial(), VariableWord(range(1, n + 1))): 1})
+        expected = Expansion({((), tuple(range(1, n + 1)), NORMAL): 1})
         reports.append(
             _report("roundtrip", {"n": n}, result == expected, lhs=result, rhs=expected)
         )

@@ -20,14 +20,12 @@ from typing import Callable, Sequence
 from .algebra import (
     NORMAL,
     WICK,
-    CovarianceMonomial,
     Expansion,
     QPolynomial,
-    TermKey,
     VariableWord,
-    _canonical_term,
     _integer,
     _normal_expansion,
+    _term_key,
 )
 from .diagrams import (
     FeynmanDiagram,
@@ -47,11 +45,10 @@ from .errors import DomainError
 _q_power = functools.cache(QPolynomial.q_power)
 
 
-def diagram_term(
-    diagram: FeynmanDiagram, kind: str = NORMAL, labels=None
-) -> TermKey:
-    """The term a diagram contributes: one covariance factor per pair and the
-    increasing word of its singletons, with coefficient 1 left to the caller.
+def diagram_term(diagram: FeynmanDiagram, kind: str = NORMAL, labels=None) -> tuple:
+    """The (factors, indices, kind) key of the term a diagram contributes:
+    one covariance factor per pair and the increasing word of its
+    singletons, with coefficient 1 left to the caller.
 
     labels, when given, must be strictly increasing and maps position p to
     labels[p - 1]; it transfers a diagram on 1..n onto other variable indices.
@@ -63,15 +60,15 @@ def diagram_term(
     else:
         factors = tuple((labels[i - 1], labels[j - 1]) for i, j in diagram.pairs)
         word = tuple(labels[h - 1] for h in diagram.singletons)
-    return CovarianceMonomial(factors), VariableWord(word, kind)
+    return _term_key(factors, word, kind)
 
 
 def _diagram_sum(stream) -> Expansion:
     """Sum a term stream (as from terms) into an expansion; the stream yields
-    every key once (see _row_terms), so there is nothing to merge or clean."""
-    return Expansion._trusted(
-        {_canonical_term(p, s, k): _q_power(e, c) for p, s, k, e, c in stream}
-    )
+    every key once and canonical (see _row_terms), and its (pairs,
+    singletons, kind) is the expansion's key, so nothing is merged, checked
+    or converted."""
+    return Expansion._trusted({(p, s, k): _q_power(e, c) for p, s, k, e, c in stream})
 
 
 @dataclass(frozen=True)
@@ -133,9 +130,12 @@ def _row_terms(row: Identity, walk, labels=None):
     coeff is -1 for an odd pair count when the row is signed and 1
     otherwise; the empty word is always normal.
 
-    Each diagram gives its own key, since the singletons follow from the
-    pairs, and the walker's lexicographic order of pair tuples is the order
-    of Expansion.sorted_terms, so the stream is the expansion term by term.
+    (pairs, singletons, kind) is the Expansion key of the term as it stands:
+    the pairs come sorted with i < j, the singletons increasing, and a
+    strictly increasing relabelling keeps both.  Each diagram gives its own
+    key, since the singletons follow from the pairs, and the walker's
+    lexicographic order of pair tuples is the order of
+    Expansion.sorted_terms, so the stream is the expansion term by term.
     """
     kind, power, signed = row.kind, row.power, row.signed
     for pairs, singles, c, d, g in walk:

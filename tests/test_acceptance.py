@@ -19,7 +19,7 @@ from qwick import (
     moment_expansion,
     wick_to_normal,
 )
-from qwick.algebra import NORMAL, CovarianceMonomial, Expansion, VariableWord
+from qwick.algebra import NORMAL, Expansion
 from qwick.verify import run_check
 
 
@@ -92,9 +92,9 @@ def test_criterion_08_free_case():
     ok, detail = suite_ok("free", n=6)
     expected = Expansion(
         {
-            (CovarianceMonomial(()), VariableWord((1, 2, 3), NORMAL)): QPolynomial.one(),
-            (CovarianceMonomial(((1, 2),)), VariableWord((3,), NORMAL)): QPolynomial.constant(-1),
-            (CovarianceMonomial(((2, 3),)), VariableWord((1,), NORMAL)): QPolynomial.constant(-1),
+            ((), (1, 2, 3), NORMAL): QPolynomial.one(),
+            (((1, 2),), (3,), NORMAL): QPolynomial.constant(-1),
+            (((2, 3),), (1,), NORMAL): QPolynomial.constant(-1),
         }
     )
     display = wick_to_normal(3, free=True)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwick import (
+    IDENTITIES,
     NORMAL,
     WICK,
     CovarianceMonomial,
@@ -22,8 +23,10 @@ from qwick import (
     crossing_stats,
     diagram_term,
     enumerate_complete,
+    expand,
     specialize_free,
     substitute_wick,
+    wick_recursive,
 )
 from qwick.algebra import accumulate_term
 
@@ -32,18 +35,15 @@ qpolys = st.dictionaries(
     st.integers(min_value=0, max_value=6), rationals, max_size=5
 ).map(QPolynomial)
 
-cov_monomials = st.lists(
+cov_factors = st.lists(
     st.tuples(st.integers(1, 6), st.integers(1, 6)).filter(lambda t: t[0] != t[1]),
     max_size=2,
-).map(lambda factors: CovarianceMonomial(tuple(factors)))
+).map(tuple)
 
-variable_words = st.tuples(
-    st.sets(st.integers(1, 6), max_size=3).map(lambda s: tuple(sorted(s))),
-    st.sampled_from((NORMAL, WICK)),
-).map(lambda t: VariableWord(*t))
+word_indices = st.sets(st.integers(1, 6), max_size=3).map(lambda s: tuple(sorted(s)))
 
 expansions = st.dictionaries(
-    st.tuples(cov_monomials, variable_words), qpolys, max_size=4
+    st.tuples(cov_factors, word_indices, st.sampled_from((NORMAL, WICK))), qpolys, max_size=4
 ).map(Expansion)
 
 
@@ -51,7 +51,7 @@ def make(terms):
     """terms: iterable of (cov pairs, word, kind, {exp: coeff})."""
     acc = {}
     for cov, word, kind, poly in terms:
-        key = (CovarianceMonomial(tuple(cov)), VariableWord(tuple(word), kind))
+        key = (tuple(cov), tuple(word), kind)
         cur = acc.get(key, QPolynomial.zero())
         acc[key] = cur + QPolynomial(poly)
     return Expansion(acc)
@@ -117,10 +117,9 @@ class TestCovarianceMonomial:
         m = CovarianceMonomial(((4, 1), (2, 3)))
         assert m.factors == ((1, 4), (2, 3))
 
-    def test_multiset_multiplication(self):
-        a = CovarianceMonomial(((1, 2),))
-        b = CovarianceMonomial(((1, 2), (3, 4)))
-        assert (a * b).factors == ((1, 2), (1, 2), (3, 4))
+    def test_repeated_factors_stay_a_multiset(self):
+        m = CovarianceMonomial(((3, 4), (1, 2), (2, 1)))
+        assert m.factors == ((1, 2), (1, 2), (3, 4))
 
     def test_equal_indices_rejected(self):
         with pytest.raises(DomainError):
@@ -143,27 +142,22 @@ class TestVariableWord:
 
 class TestDiagramTerm:
     def test_complete_pair(self):
-        cov, word = diagram_term(FeynmanDiagram(GroundSet(2), ((1, 2),)))
-        assert cov.factors == ((1, 2),)
-        assert word.indices == ()
+        assert diagram_term(FeynmanDiagram(GroundSet(2), ((1, 2),))) == (((1, 2),), (), NORMAL)
 
     def test_pair_with_singleton(self):
-        cov, word = diagram_term(FeynmanDiagram(GroundSet(3), ((1, 3),)))
-        assert cov.factors == ((1, 3),)
-        assert word.indices == (2,)
+        factors, indices, kind = diagram_term(FeynmanDiagram(GroundSet(3), ((1, 3),)))
+        assert factors == ((1, 3),)
+        assert indices == (2,)
 
     def test_large_example_singleton_word(self):
         d = FeynmanDiagram(GroundSet(10), ((1, 3), (2, 6), (4, 9), (8, 10)))
-        cov, word = diagram_term(d)
-        assert len(cov.factors) == 4
-        assert word.indices == (5, 7)
+        factors, indices, kind = diagram_term(d)
+        assert len(factors) == 4
+        assert indices == (5, 7)
 
     def test_relabelling(self):
         d = FeynmanDiagram(GroundSet(3), ((1, 3),))
-        cov, word = diagram_term(d, WICK, labels=(2, 5, 9))
-        assert cov.factors == ((2, 9),)
-        assert word.indices == (5,)
-        assert word.kind == WICK
+        assert diagram_term(d, WICK, labels=(2, 5, 9)) == (((2, 9),), (5,), WICK)
 
 
 class TestExpansion:
@@ -299,6 +293,42 @@ class TestBoundaryValidation:
             1: Fraction(-1, 2)
         }
 
+    @pytest.mark.parametrize(
+        "key, bad",
+        [
+            ((((1.5, 2),), (), NORMAL), "1.5"),
+            ((((1, 2), (3, Fraction(7, 2))), (4,), WICK), "Fraction(7, 2)"),
+            (((), (1, 2.5), WICK), "2.5"),
+            (((), ("3",), NORMAL), "'3'"),
+            ((((3, 3),), (1,), NORMAL), "(3,3)"),
+            (((), (4, 2, 4), NORMAL), "(4, 2, 4)"),
+            (((), (1,), "ordered"), "'ordered'"),
+            ((((1, 2),), (), "other"), "'other'"),
+        ],
+    )
+    def test_tuple_keys_are_validated(self, key, bad):
+        with pytest.raises(DomainError) as exc:
+            Expansion({key: 1})
+        assert bad in str(exc.value)
+
+    def test_keys_equal_once_canonical_merge(self):
+        e = Expansion({(((2, 1),), (3,), WICK): 1, (((1, 2),), (3,), WICK): QPolynomial({1: 2})})
+        assert e.terms == {(((1, 2),), (3,), WICK): QPolynomial({0: 1, 1: 2})}
+        e = Expansion(
+            {
+                (((4, 3), (2, 1)), (), NORMAL): 1,
+                (((1, 2), (3, 4)), (), WICK): -1,
+                ((), (5,), NORMAL): 1,
+            }
+        )
+        assert e.terms == {((), (5,), NORMAL): QPolynomial.one()}
+
+    def test_an_empty_wick_word_is_stored_as_normal(self):
+        e = Expansion({(((1, 2),), (), WICK): 3})
+        assert list(e.terms) == [(((1, 2),), (), NORMAL)]
+        assert e == Expansion({(((1, 2),), (), NORMAL): 3})
+        assert e.wick_words() == ()
+
     def test_integer_coefficients_are_stored_as_ints(self):
         p = QPolynomial({0: Fraction(4, 2), 1: Fraction(1, 2), 2: 3})
         assert [type(v) for _, v in sorted(p.coeffs.items())] == [int, Fraction, int]
@@ -359,9 +389,7 @@ def assert_matches(result, reference):
 
 scalars = st.one_of(st.integers(-3, 3), rationals)
 # few indices, so that merged terms often collide and cancel
-small_covs = st.lists(
-    st.sampled_from(((1, 2), (1, 3), (2, 3))), max_size=2
-).map(lambda factors: CovarianceMonomial(tuple(factors)))
+small_covs = st.lists(st.sampled_from(((1, 2), (1, 3), (2, 3))), max_size=2).map(tuple)
 small_words = st.sets(st.integers(1, 3), max_size=2).map(lambda s: tuple(sorted(s)))
 small_polys = st.dictionaries(st.integers(0, 2), rationals, max_size=2).map(QPolynomial)
 
@@ -370,7 +398,7 @@ either_kind = st.sampled_from((NORMAL, WICK))
 
 
 def small_expansions(kinds):
-    keys = st.tuples(small_covs, st.tuples(small_words, kinds).map(lambda t: VariableWord(*t)))
+    keys = st.tuples(small_covs, small_words, kinds)
     return st.dictionaries(keys, small_polys, max_size=4).map(Expansion)
 
 
@@ -399,10 +427,6 @@ class TestTrustedArithmetic:
         assert_matches(a * b, reference_mul(a, b))
         assert_matches(b * a, reference_mul(a, b))
 
-    @given(cov_monomials, cov_monomials)
-    def test_covariance_product(self, a, b):
-        assert (a * b).factors == CovarianceMonomial(a.factors + b.factors).factors
-
     @given(small_expansions(either_kind), small_expansions(either_kind))
     @settings(max_examples=100)
     def test_expansion_add_sub(self, a, b):
@@ -421,13 +445,13 @@ class TestTrustedArithmetic:
     def test_substitute_wick(self, case):
         e, rules = case
         items = []
-        for (cov, word), poly in e.terms.items():
-            if word.kind == NORMAL:
-                items.append(((cov, word), poly))
+        for (factors, indices, kind), poly in e.terms.items():
+            if kind == NORMAL:
+                items.append(((factors, indices, kind), poly))
                 continue
-            for (rcov, rword), rpoly in rules[word].terms.items():
-                key = (CovarianceMonomial(cov.factors + rcov.factors), rword)
-                items.append((key, reference_mul(poly, rpoly)))
+            rule = rules[VariableWord(indices, kind)]
+            for (rfactors, rindices, rkind), rpoly in rule.terms.items():
+                items.append(((factors + rfactors, rindices, rkind), reference_mul(poly, rpoly)))
         assert_matches(substitute_wick(e, rules), reference_expansion(items))
 
     @given(small_expansions(either_kind))
@@ -439,21 +463,80 @@ class TestTrustedArithmetic:
         assert_matches(specialize_free(e), reference)
 
 
+def assert_plain_keys(e):
+    """Every key is a canonical (factors, indices, kind) tuple built of
+    tuples, ints and a str, never an instance of a key class."""
+    for key in e.terms:
+        assert type(key) is tuple and len(key) == 3
+        factors, indices, kind = key
+        assert type(factors) is tuple and all(type(f) is tuple for f in factors)
+        assert all(type(i) is int for f in factors for i in f)
+        assert type(indices) is tuple and all(type(i) is int for i in indices)
+        assert type(kind) is str
+        word = VariableWord(indices, kind)
+        assert key == (CovarianceMonomial(factors).factors, word.indices, word.kind)
+
+
+class TestKeysArePlainTuples:
+    """No operation brings back key objects: every result is keyed by the
+    same plain tuples that the diagram walker yields."""
+
+    @given(
+        small_expansions(either_kind),
+        small_expansions(either_kind),
+        st.one_of(small_polys, scalars),
+    )
+    @settings(max_examples=100)
+    def test_arithmetic_and_json(self, a, b, factor):
+        for result in (
+            a + b,
+            a - b,
+            a.scaled(factor),
+            specialize_free(a),
+            Expansion.from_json(a.to_json()),
+        ):
+            assert_plain_keys(result)
+
+    @given(substitutions())
+    @settings(max_examples=100)
+    def test_substitute_wick(self, case):
+        assert_plain_keys(substitute_wick(*case))
+
+    @given(
+        st.sampled_from(sorted(IDENTITIES)),
+        st.integers(0, 6),
+        st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        st.booleans(),
+    )
+    @settings(max_examples=50)
+    def test_expand_and_recursion(self, name, n, blocks, free):
+        assert_plain_keys(expand(name, blocks if IDENTITIES[name].blocks else n, free))
+        assert_plain_keys(wick_recursive(n))
+
+    def test_bools_become_ints(self):
+        e = Expansion({(((3, True),), (False, 2), WICK): 1})
+        assert list(e.terms) == [(((1, 3),), (0, 2), WICK)]
+        assert_plain_keys(e)
+
+
 def reference_substitute_wick(e, rule):
-    """substitute_wick as a merge of key objects: every term goes through
-    accumulate_term with a CovarianceMonomial product and a QPolynomial
-    product, and the result through the validating Expansion."""
+    """substitute_wick as a merge of validated keys: every term goes through
+    accumulate_term with its joined factors sorted by CovarianceMonomial and
+    a QPolynomial product, and the result through the validating Expansion."""
     out = {}
-    for (cov, word), poly in e.terms.items():
-        if word.kind != WICK:
-            accumulate_term(out, cov, word, poly)
+    for key, poly in e.terms.items():
+        factors, indices, kind = key
+        if kind != WICK:
+            accumulate_term(out, key, poly)
             continue
+        word = VariableWord(indices, kind)
         if word not in rule:
             raise KeyError(f"no substitution rule for wick word {word.indices}")
-        for (rcov, rword), rpoly in rule[word].terms.items():
-            if rword.kind != NORMAL:
+        for (rfactors, rindices, rkind), rpoly in rule[word].terms.items():
+            if rkind != NORMAL:
                 raise DomainError("substitution rules must expand into normal words")
-            accumulate_term(out, cov * rcov, rword, poly * rpoly)
+            joined = CovarianceMonomial(factors + rfactors).factors
+            accumulate_term(out, (joined, rindices, rkind), poly * rpoly)
     return Expansion(out)
 
 
@@ -463,8 +546,8 @@ def cancelling_substitutions(draw):
     negative of normal terms added alongside, so their sums cancel to zero."""
     e, rules = draw(substitutions())
     wick_terms = sorted(
-        (item for item in e.terms.items() if item[0][1].kind == WICK),
-        key=lambda item: (item[0][0].factors, item[0][1].indices),
+        (item for item in e.terms.items() if item[0][2] == WICK),
+        key=lambda item: item[0],
     )
     chosen = []
     if wick_terms:
@@ -509,7 +592,7 @@ def substitution_outcome(substitute, e, rules):
 
 
 class TestSubstituteWickAgainstKeyObjects:
-    """substitute_wick against the merge of key objects it replaced."""
+    """substitute_wick against a merge that validates every key it builds."""
 
     @given(st.one_of(substitutions(), cancelling_substitutions()))
     @settings(max_examples=200)

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -336,8 +337,27 @@ class TestVerifyCommand:
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
+        # the cap is checked after each entry's fan-out, so the step stops
+        # one entry past it
         assert proc.stderr.splitlines() == [
-            "error: 100215 vector entries exceed the support cap 100000"
+            "error: 100001 vector entries exceed the support cap 100000"
+        ]
+
+    def test_support_cap_stops_one_wide_step_early(self):
+        # one creation step of this run fans each entry out 300 ways; checked
+        # only once the step was done, it ran for minutes
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "qwick", "verify", "c2.2", "--n", "4", "--dim", "300"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: 100016 vector entries exceed the support cap 100000"
         ]
 
     def test_wick_form_past_its_cap_fails_at_once(self):
@@ -711,12 +731,12 @@ def reference_stdout(expansion, meta, fmt):
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=("cov", "word", "kind", "poly"), lineterminator="\n")
     writer.writeheader()
-    for (cov, word), poly in expansion.sorted_terms():
+    for (factors, indices, kind), poly in expansion.sorted_terms():
         writer.writerow(
             {
-                "cov": ";".join(f"{i}-{j}" for i, j in cov.factors),
-                "word": " ".join(str(h) for h in word.indices),
-                "kind": word.kind,
+                "cov": ";".join(f"{i}-{j}" for i, j in factors),
+                "word": " ".join(str(h) for h in indices),
+                "kind": kind,
                 "poly": poly.pretty(),
             }
         )

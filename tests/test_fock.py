@@ -269,6 +269,17 @@ class TestSupportCap:
             out = apply_operator_word(word, {1: self.F}, FockVector.vacuum(), params("1/3", 3))
             assert len(out.entries) == 27
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_a_step_stops_once_an_entry_fans_out_past_the_cap(self, monkeypatch, sign):
+        # each of the three input words fans out to three new entries, so the
+        # second one passes a cap of 5, before the step's nine are all built
+        monkeypatch.setattr(fock, "FOCK_SUPPORT_CAP", 5)
+        u = FockVector({(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1})
+        word = OperatorWord(((sign, 1),))
+        with pytest.raises(SizeLimitError) as exc:
+            apply_operator_word(word, {1: self.F}, u, params("1/3", 3))
+        assert str(exc.value) == "6 vector entries exceed the support cap 5"
+
 
 class TestGram:
     def test_degree_one_is_the_identity(self):
@@ -515,6 +526,40 @@ def oracle_cases(draw):
     u = draw(st.dictionaries(words, COORDINATE.filter(bool), min_size=1, max_size=3))
     level = draw(st.integers(2, 5))
     return FockParams(dim, level, draw(Q_VALUES)), assignment, u
+
+
+def operator_form_sum(indices, assignment, u, p):
+    """The Wick product of indices as the sum of its operator-form summands,
+    each applied through apply_operator_word and weighted by q to its power."""
+    total = FockVector()
+    for opword, qpow in wick_operator_form(len(indices)):
+        letters = tuple((sign, indices[pos - 1]) for sign, pos in opword.letters)
+        total = total + apply_operator_word(OperatorWord(letters), assignment, u, p).scaled(
+            p.q**qpow
+        )
+    return total
+
+
+@st.composite
+def low_degree_cases(draw):
+    """A Wick product of n variables on a vector whose top degree is below n,
+    so that the summands with more annihilators than that degree vanish."""
+    n = draw(st.integers(1, 4))
+    indices = tuple(draw(st.permutations(range(1, 5)))[:n])
+    coords = st.lists(COORDINATE, min_size=2, max_size=2).map(tuple)
+    assignment = {i: draw(coords) for i in range(1, 5)}
+    words = st.lists(st.integers(1, 2), max_size=n - 1).map(tuple)
+    u = draw(st.dictionaries(words, COORDINATE.filter(bool), max_size=3))
+    return indices, assignment, FockVector(u), FockParams(2, 8, draw(Q_VALUES))
+
+
+class TestWickSkipsDeadSummands:
+    @given(low_degree_cases())
+    @settings(max_examples=100)
+    def test_matches_the_full_operator_form(self, case):
+        indices, assignment, u, p = case
+        got = apply_wick_product(indices, assignment, u, p)
+        assert got == operator_form_sum(indices, assignment, u, p)
 
 
 class TestAgainstReference:

@@ -72,7 +72,7 @@ def test_reader_sees_each_import_form():
     assert _absolute("itertools") == set()
 
 
-TRUSTED = {"_trusted", "_canonical_term", "_covariance", "_normal_expansion"}
+TRUSTED = {"_trusted", "_normal_expansion"}
 EXPANSION_CORE = {"algebra", "wick"}
 
 
@@ -97,13 +97,8 @@ def test_trusted_constructors_stay_in_the_expansion_core(module):
 
 def test_reader_sees_each_trusted_use():
     # the reader itself must not miss a use and pass by accident
-    assert trusted_uses("wick") == {"_trusted", "_canonical_term", "_normal_expansion"}
-    assert trusted_uses("algebra") == {
-        "_trusted",
-        "_covariance",
-        "_canonical_term",
-        "_normal_expansion",
-    }
+    assert trusted_uses("wick") == {"_trusted", "_normal_expansion"}
+    assert trusted_uses("algebra") == {"_trusted", "_normal_expansion"}
 
 
 def test_keys_have_no_instance_dict():

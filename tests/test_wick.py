@@ -77,7 +77,7 @@ FREE_CLASSES = {
 def make(terms):
     acc = {}
     for cov, word, kind, poly in terms:
-        key = (CovarianceMonomial(tuple(cov)), VariableWord(tuple(word), kind))
+        key = (tuple(cov), tuple(word), kind)
         cur = acc.get(key, QPolynomial.zero())
         acc[key] = cur + QPolynomial(poly)
     return Expansion(acc)
@@ -419,8 +419,8 @@ class TestTermStream:
         keys = [key for key, _ in streamed]
         assert len(set(keys)) == len(keys)
         expected = [
-            ((cov.factors, word.kind, word.indices), poly)
-            for (cov, word), poly in expand(name, arg, free).sorted_terms()
+            ((pairs, kind, singles), poly)
+            for (pairs, singles, kind), poly in expand(name, arg, free).sorted_terms()
         ]
         assert streamed == expected
 
@@ -452,11 +452,10 @@ SUM_BLOCKS = ((1,), (2, 1), (2, 2), (1, 2, 2), (2, 3, 2), (1, 2, 2, 1))
 )
 def test_diagram_sum_matches_the_validated_accumulation(name, arg, free):
     # _diagram_sum stores the stream's keys unchecked and unmerged; the
-    # reference validates every key and merges through accumulate_term
+    # reference merges through accumulate_term and validates every key
     acc = {}
     for pairs, singles, kind, exp, coeff in terms(name, arg, free):
-        poly = QPolynomial({exp: Fraction(coeff)})
-        accumulate_term(acc, CovarianceMonomial(pairs), VariableWord(singles, kind), poly)
+        accumulate_term(acc, (pairs, singles, kind), QPolynomial({exp: Fraction(coeff)}))
     reference = Expansion(acc)
     result = _diagram_sum(terms(name, arg, free))
     assert result == reference
@@ -498,22 +497,22 @@ def reference_substitution_rules(e, cap=None):
 
 
 def reference_wick_recursive(n):
-    """wick_recursive as a merge of key objects: every term goes through
-    accumulate_term with a CovarianceMonomial product and a QPolynomial
-    product, and the result through the validating Expansion."""
+    """wick_recursive as a merge of validated keys: every term goes through
+    accumulate_term with its factors sorted by CovarianceMonomial and a
+    QPolynomial product, and the result through the validating Expansion."""
 
     def expand_(indices, memo):
         if indices not in memo:
             head, rest = indices[0], indices[1:]
             acc = memo[indices] = {}
-            for (cov, word), poly in expand_(rest, memo).items():
-                accumulate_term(acc, cov, VariableWord((head,) + word.indices), poly)
+            for (factors, word, kind), poly in expand_(rest, memo).items():
+                accumulate_term(acc, (factors, (head,) + word, NORMAL), poly)
             for pos, other in enumerate(rest):
                 trimmed = rest[:pos] + rest[pos + 1 :]
                 factor = QPolynomial.q_power(pos, -1)
-                cov_head = CovarianceMonomial(((head, other),))
-                for (cov, word), poly in expand_(trimmed, memo).items():
-                    accumulate_term(acc, cov_head * cov, word, poly * factor)
+                for (factors, word, kind), poly in expand_(trimmed, memo).items():
+                    joined = CovarianceMonomial(((head, other),) + factors).factors
+                    accumulate_term(acc, (joined, word, kind), poly * factor)
         return memo[indices]
 
     return Expansion(expand_(tuple(range(1, n + 1)), {(): Expansion.identity().terms}))
@@ -551,7 +550,7 @@ class TestSubstitutionRulesAgainstOneWalkPerWord:
     @settings(max_examples=100)
     def test_same_rules(self, words, cap):
         e = Expansion(
-            {(CovarianceMonomial(), VariableWord(tuple(w), WICK)): QPolynomial.one() for w in words}
+            {((), tuple(w), WICK): QPolynomial.one() for w in words}
         )
         assert rules_outcome(wick_substitution_rules, e, cap) == rules_outcome(
             reference_substitution_rules, e, cap
@@ -560,7 +559,7 @@ class TestSubstitutionRulesAgainstOneWalkPerWord:
     @given(wick_word_lists, st.sampled_from((None, 0, 2, 4)))
     @settings(max_examples=200)
     def test_same_error_first(self, words, cap):
-        e = Expansion({(CovarianceMonomial(), w): QPolynomial.one() for w in words})
+        e = Expansion({((), w.indices, w.kind): QPolynomial.one() for w in words})
         assert rules_outcome(wick_substitution_rules, e, cap) == rules_outcome(
             reference_substitution_rules, e, cap
         )
@@ -576,7 +575,7 @@ class TestSubstitutionRulesAgainstOneWalkPerWord:
     )
     def test_errors_name_the_first_fault(self, words, cap, error):
         e = Expansion(
-            {(CovarianceMonomial(), VariableWord(w, WICK)): QPolynomial.one() for w in words}
+            {((), tuple(w), WICK): QPolynomial.one() for w in words}
         )
         assert rules_outcome(wick_substitution_rules, e, cap) == error
         assert rules_outcome(reference_substitution_rules, e, cap) == error
@@ -589,7 +588,7 @@ class TestSubstitutionRulesAgainstOneWalkPerWord:
             reference_substitution_rules, e, None
         )
         assert substitute_wick(e, rules) == Expansion(
-            {(CovarianceMonomial(), VariableWord(tuple(range(1, n + 1)))): 1}
+            {((), tuple(range(1, n + 1)), NORMAL): 1}
         )
 
 
