@@ -6,7 +6,7 @@ class QwickError(ValueError):
 
 
 class SizeLimitError(QwickError):
-    """An enumeration or permutation-sum cap was exceeded."""
+    """An enumeration, operator-form, vector-support or Gram cap was exceeded."""
 
 
 class DomainError(QwickError):

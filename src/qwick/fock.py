@@ -3,8 +3,9 @@
 A basis word is a tuple over 1..dim; vectors are finitely supported
 rational combinations of basis words up to the configured tensor degree.
 Creation prepends, annihilation deletes with weights q^(position-1) times
-the matching coordinate, and the inner product is the explicit permutation
-sum with the inversion statistic.  A Wick product acts through its own
+the matching coordinate, and as the adjoint of creation it gives the inner
+product: a basis word pairs with a vector through what annihilating its
+letters leaves in the vacuum.  A Wick product acts through its own
 2^n-summand operator form.  Nothing here comes from the diagram layer (wick,
 diagrams), so this is a second route to every identity computed there.
 
@@ -25,10 +26,10 @@ from typing import Mapping, Sequence, Union
 from .algebra import NORMAL, Expansion, Rational, _exact, _integer, _poly_value
 from .errors import DomainError, SizeLimitError, TruncationOverflowError
 
-PERMUTATION_CAP = 8
-# largest basis of one Gram matrix: its dim^degree squared entries are each a
-# permutation sum, so the cost grows far faster than the word count
+# most basis words of one Gram matrix: listing them alone costs dim^degree
 GRAM_WORD_CAP = 100
+# largest degree of one Gram matrix, which the word cap leaves unbounded at dim 1
+GRAM_DEGREE_CAP = 8
 # most variables in one Wick product's operator form, which has 2^n summands
 WICK_FORM_CAP = 12
 # most (basis word, power of q) entries of one graded vector, about 1 s per step
@@ -411,43 +412,30 @@ def vacuum_expectation(
     return _numeric(_letters, letters, assignment, FockVector.vacuum(), params, scalar=True)
 
 
-def _basis_inner(w1: tuple[int, ...], w2: tuple[int, ...]) -> dict[int, int]:
-    """The inner product of two basis words: inversions -> permutation count."""
-    if sorted(w1) != sorted(w2):
-        return {}
-    n = len(w1)
-    total: dict[int, int] = {}
-    for perm in itertools.permutations(range(n)):
-        if all(w2[perm[k]] == w1[k] for k in range(n)):
-            inversions = sum(
-                1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
-            )
-            total[inversions] = total.get(inversions, 0) + 1
-    return total
+def _units(dim: int) -> dict[int, tuple[int, ...]]:
+    """The coordinates of each basis letter 1..dim."""
+    return {x: tuple(int(x == y) for y in range(1, dim + 1)) for x in range(1, dim + 1)}
+
+
+def _inner(word, units, v: dict) -> tuple:
+    """<word, v> for a basis word and a graded vector, as (power of q,
+    coefficient) pairs: the vacuum part of v once the word's letters are
+    annihilated from it, first letter first (annihilation reads no params)."""
+    annihilated = _letters(tuple((-1, x) for x in reversed(word)), units, v, None, ())
+    return tuple((k, c) for (rest, k), c in annihilated.items() if not rest)
 
 
 def q_inner(u: FockVector, v: FockVector, params: FockParams) -> Fraction:
-    """The q-deformed hermitian form, by explicit permutation enumeration.
-
-    Words of different degrees are orthogonal; equal-degree basis words pair
-    through every letter-matching permutation, each weighted by q to its
-    inversion count.  The permutation sum is factorial in the degree, hence
-    the word-length cap.
-    """
-    for vec in (u, v):
-        for word in vec.entries:
-            if len(word) > PERMUTATION_CAP:
-                raise SizeLimitError(
-                    f"word of length {len(word)} exceeds the permutation cap {PERMUTATION_CAP}"
-                )
+    """The q-deformed inner product at params.q: each basis word of u pairs
+    with v through _inner, so words of different degrees are orthogonal.  Only
+    letter equality matters, so letters are numbered in order of appearance."""
+    letters = dict.fromkeys(x for vec in (u, v) for word in vec.entries for x in word)
+    label = {x: i for i, x in enumerate(letters, start=1)}
+    units = _units(len(label))
+    graded = {(tuple(map(label.get, w)), 0): _exact(c) for w, c in v.entries.items()}
     total = Fraction(0)
-    for w1, c1 in u.entries.items():
-        for w2, c2 in v.entries.items():
-            if len(w1) != len(w2):
-                continue
-            kernel = _basis_inner(w1, w2)
-            if kernel:
-                total += c1 * c2 * _poly_value(kernel.items(), params.q)
+    for word, c in u.entries.items():
+        total += c * _poly_value(_inner(tuple(map(label.get, word)), units, graded), params.q)
     return total
 
 
@@ -468,36 +456,49 @@ def _positive_definite(matrix: list[list[int]]) -> bool:
     return True
 
 
-def gram_check(degree: int, params: FockParams) -> bool:
-    """Exact positive-definiteness of the Gram matrix of all degree-d basis
-    words, decided by the signs of the leading principal minors.
-
-    Only meaningful for -1 < q < 1; anything else raises DomainError.  More
-    than GRAM_WORD_CAP basis words raise SizeLimitError.
-    """
+def ensure_gram_shape(degree: int, params: FockParams) -> None:
+    """Raise as gram_check does: DomainError for q outside (-1, 1) or a negative
+    degree, SizeLimitError past GRAM_DEGREE_CAP or GRAM_WORD_CAP."""
     if not -1 < params.q < 1:
         raise DomainError(f"positivity requires -1 < q < 1, got q = {params.q}")
     if degree < 0:
         raise DomainError(f"degree must be nonnegative, got {degree}")
-    if degree > PERMUTATION_CAP:
-        raise SizeLimitError(f"degree {degree} exceeds the permutation cap {PERMUTATION_CAP}")
+    if degree > GRAM_DEGREE_CAP:
+        raise SizeLimitError(f"degree {degree} exceeds the Gram degree cap {GRAM_DEGREE_CAP}")
     if params.dim**degree > GRAM_WORD_CAP:
         raise SizeLimitError(
             f"{params.dim}^{degree} basis words exceed the Gram matrix cap {GRAM_WORD_CAP}"
         )
+
+
+def gram_check(degree: int, params: FockParams) -> bool:
+    """Exact positive-definiteness of the Gram matrix of all degree-d basis
+    words, decided by the signs of the leading principal minors of each
+    block: a block-diagonal matrix is positive definite exactly when each
+    block is.  The shape must pass ensure_gram_shape."""
+    ensure_gram_shape(degree, params)
     # den^top q^k = num^k den^(top - k): a positive multiple of the matrix, in integers
     num, den, top = params.q.numerator, params.q.denominator, degree * (degree - 1) // 2
     scale = [num**k * den ** (top - k) for k in range(top + 1)]
-    gram = [[sum(c * scale[k] for k, c in p) for p in row] for row in _gram(params.dim, degree)]
-    return _positive_definite(gram)
+    return all(
+        _positive_definite([[sum(c * scale[k] for k, c in p) for p in row] for row in block])
+        for _, block in _gram(params.dim, degree)
+    )
 
 
 @functools.cache
-def _gram(dim: int, degree: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-    """The Gram matrix of the degree-d basis words, as inversion polynomials
-    in (power, count) pairs."""
-    words = list(itertools.product(range(1, dim + 1), repeat=degree))
-    return tuple(tuple(tuple(_basis_inner(w1, w2).items()) for w2 in words) for w1 in words)
+def _gram(dim: int, degree: int) -> tuple:
+    """The Gram matrix of the degree-d basis words as one (words, entries)
+    block per letter multiset, since words of different content are
+    orthogonal; each entry is an inversion polynomial in (power, count) pairs."""
+    blocks: dict[tuple[int, ...], list] = {}
+    for word in itertools.product(range(1, dim + 1), repeat=degree):
+        blocks.setdefault(tuple(sorted(word)), []).append(word)
+    units = _units(dim)
+    return tuple(
+        (tuple(ws), tuple(tuple(_inner(a, units, {(b, 0): 1}) for b in ws) for a in ws))
+        for ws in blocks.values()
+    )
 
 
 def evaluate_expansion(

@@ -33,6 +33,7 @@ from .fock import (
     Graded,
     OneParticleVector,
     OperatorWord,
+    ensure_gram_shape,
     graded_apply,
     graded_expansion,
     gram_check,
@@ -349,23 +350,18 @@ def check_free(cfg: VerifyConfig) -> list[VerifyReport]:
 
 
 def check_gram(cfg: VerifyConfig) -> list[VerifyReport]:
-    """id gram: exact positive-definiteness of the inner-product Gram matrices."""
+    """id gram: exact positive-definiteness of the inner-product Gram matrices.
+    Every shape is checked before the first is built, in run order."""
     dims = (cfg.dim,) if cfg.dim is not None else (1, 2)
-    degrees = _sizes(cfg.n)
+    runs = itertools.product(cfg.q_values(GRAM_Q_GRID), dims, _sizes(cfg.n))
+    shapes = [(degree, FockParams(dim, max(degree, 1), q0)) for q0, dim, degree in runs]
+    for degree, params in shapes:
+        ensure_gram_shape(degree, params)
     reports = []
-    for q0 in cfg.q_values(GRAM_Q_GRID):
-        for dim in dims:
-            for degree in degrees:
-                params = FockParams(dim, max(degree, 1), q0)
-                ok = gram_check(degree, params)
-                reports.append(
-                    _report(
-                        "gram",
-                        {"dim": dim, "degree": degree, "q": str(q0)},
-                        ok,
-                        positive_definite=ok,
-                    )
-                )
+    for degree, params in shapes:
+        ok = gram_check(degree, params)
+        instance = {"dim": params.dim, "degree": degree, "q": str(params.q)}
+        reports.append(_report("gram", instance, ok, positive_definite=ok))
     return reports
 
 

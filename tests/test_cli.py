@@ -20,11 +20,13 @@ from qwick import (
     IDENTITIES,
     DomainError,
     GroundSet,
+    SizeLimitError,
     cli,
     crossing_stats,
     enumerate_diagrams,
     enumerate_nonlinking,
     expand,
+    fock,
     verify,
 )
 from qwick.algebra import NORMAL, CovarianceMonomial, Expansion, QPolynomial, VariableWord
@@ -320,6 +322,15 @@ class TestVerifyCommand:
         assert calls == []
         assert code == 2
         assert captured.err.splitlines() == [f"error: {message}"]
+
+    def test_oversized_gram_run_builds_no_matrix(self, monkeypatch):
+        calls = []
+        original = fock._gram
+        monkeypatch.setattr(fock, "_gram", lambda *a: calls.append(a) or original(*a))
+        with pytest.raises(SizeLimitError) as exc:
+            verify.run_check("gram", n=7, dim=2)
+        assert calls == []
+        assert str(exc.value) == "2^7 basis words exceed the Gram matrix cap 100"
 
     def test_enumeration_cap_does_not_bound_the_oracle(self, capsys, monkeypatch):
         monkeypatch.setenv("QWICK_CAP", "3")
@@ -673,6 +684,10 @@ GOLDEN_STDOUT = {
     "verify wick2-vs-recursion --n 6": "dfcc7357f050bd10f90dbced62dea7a3f97675f6bedf7d1ccb32f70ee9552cb6",
     "verify free --n 5": "0b2564d2ca7feac0a4fa494ae3f93e04dd924b1519d8d1b8c43a12fd25828a60",
     "verify gram --n 3 --dim 2": "23599311f6286be85511f27b5a07909d0bcf8e22adc699dedc2d7d2cc4d1e959",
+    "verify gram --n 6 --dim 2": "da9aa2be457fb8fbf7021e6b1204cb4e6e1b44c2bbf5634a5a47a910aaad82b7",
+    "verify gram --n 4 --dim 3": "61555179a14e92a952badbdae0e338d54e632b93bc5de2d13bcc4b6ad006bf32",
+    "verify gram --n 1 --dim 100": "7120e7fd81cb1fdd549c5bbd23baade361531e082568d37110640c74e839ed81",
+    "verify gram --n 8 --dim 1": "ba4f1853e55d7efaa94f45925d1da4632f50c9dfc730940a5cf3b71e37bd9708",
     "moments --n 7 --format json": "35af5129553a0e3d202b47ffade61135b60c23a161e45fc2e5c0ddf6c1a988c0",
     "moments --n 7 --format csv": "1e680bd62666601a0aee97137c145b44028de7838c7b56173c197dff558b9580",
     "moments --n 7 --format pretty": "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",

@@ -1,5 +1,6 @@
 """Oracle behaviour: operators, inner products, evaluation, positivity."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -34,8 +35,8 @@ from qwick.algebra import NORMAL, CovarianceMonomial, Expansion, QPolynomial, Va
 from qwick import fock
 from qwick.algebra import _poly_value
 from qwick.fock import (
+    GRAM_DEGREE_CAP,
     GRAM_WORD_CAP,
-    PERMUTATION_CAP,
     Graded,
     WICK_FORM_CAP,
     _gram,
@@ -202,16 +203,39 @@ class TestInnerProduct:
         v = FockVector({(2, 1): 1})
         assert q_inner(u, v, params("1/3")) == Fraction(1, 3)
 
+    def test_only_letter_equality_matters(self):
+        # letters outside 1..dim pair as any other letters do
+        u = FockVector({(0, 7): 1, (2,): 3})
+        v = FockVector({(7, 0): 1, (7,): 5})
+        assert q_inner(u, v, params("1/3", dim=1)) == Fraction(1, 3)
+
     def test_cross_degree_is_zero(self):
         u = FockVector({(1,): 1})
         v = FockVector({(1, 1): 1})
         assert q_inner(u, v, params("1/3")) == 0
 
-    def test_word_length_cap(self):
-        p = FockParams(1, 10, Fraction(0))
+    def test_long_word_has_the_q_factorial_norm(self):
+        # <1^9, 1^9> = [9]_q!, past the degree any Gram matrix reaches
+        q = Fraction(1, 2)
         u = FockVector({(1,) * 9: 1})
-        with pytest.raises(SizeLimitError, match="8"):
-            q_inner(u, u, p)
+        want = math.prod(sum(q**j for j in range(k)) for k in range(1, 10))
+        assert q_inner(u, u, FockParams(1, 10, q)) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_the_permutation_sum(self, data):
+        dim = data.draw(st.integers(1, 3))
+        word = st.lists(st.integers(1, dim), max_size=4).map(tuple)
+        coeff = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+        u, v = (FockVector(data.draw(st.dictionaries(word, coeff, max_size=5))) for _ in "uv")
+        pairs = [
+            (c1 * c2, ref_inner(w1, w2))
+            for w1, c1 in u.entries.items()
+            for w2, c2 in v.entries.items()
+        ]
+        for q in GRAM_Q_GRID:
+            want = sum((c * _poly_value(poly.items(), q) for c, poly in pairs), Fraction(0))
+            assert q_inner(u, v, FockParams(dim, 4, q)) == want
 
     def test_consistency_with_operator_route(self):
         # <a+(f)a+(g) vac, a+(h)a+(k) vac> computed both ways
@@ -298,8 +322,18 @@ class TestGram:
             gram_check(1, FockParams(2, 2, Fraction(1)))
 
     def test_degree_above_cap_rejected(self):
-        with pytest.raises(SizeLimitError):
+        assert GRAM_DEGREE_CAP == 8
+        assert gram_check(8, FockParams(1, 8, Fraction(0))) is True
+        with pytest.raises(SizeLimitError, match="degree 9 exceeds the Gram degree cap 8"):
             gram_check(9, FockParams(1, 9, Fraction(0)))
+
+    def test_every_block_must_pass(self, monkeypatch):
+        # no Gram block fails for -1 < q < 1, so stand in blocks of constant entries
+        one = ((0, 1),)
+        good, bad = ((one,),), ((one, one), (one, one))
+        for blocks, expected in [((good, good), True), ((good, bad), False), ((bad, good), False)]:
+            monkeypatch.setattr(fock, "_gram", lambda dim, degree: [((), b) for b in blocks])
+            assert gram_check(1, params("1/3")) is expected
 
     def test_too_many_basis_words_rejected(self):
         assert 3**5 > GRAM_WORD_CAP >= 3**4
@@ -372,7 +406,7 @@ def symmetric_matrices(draw):
 GRAM_SHAPES = [
     (dim, degree)
     for dim in range(1, GRAM_WORD_CAP + 1)
-    for degree in range(PERMUTATION_CAP + 1)
+    for degree in range(GRAM_DEGREE_CAP + 1)
     if dim**degree <= GRAM_WORD_CAP
 ]
 assert len(GRAM_SHAPES) == 223 and (2, 6) in GRAM_SHAPES and (100, 1) in GRAM_SHAPES
@@ -409,10 +443,31 @@ class TestIntegerElimination:
         + tuple(Fraction(s * n, d) for s in (1, -1) for n, d in ((9, 10), (99, 100))),
     )
     def test_gram_check_matches_the_fraction_path(self, q):
+        # the whole matrix from the defining permutation sum, not block by block
         for dim, degree in GRAM_SHAPES:
-            gram = [[_poly_value(p, q) if p else 0 for p in row] for row in _gram(dim, degree)]
+            words, ref = ref_gram(dim, degree)
+            polys = [[ref[w1, w2].items() for w2 in words] for w1 in words]
+            gram = [[_poly_value(p, q) if p else 0 for p in row] for row in polys]
             want = fraction_pivot_pass(gram)
             assert gram_check(degree, FockParams(dim, max(degree, 1), q)) is want, (dim, degree)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(-2, 5), Fraction(3, 4)])
+    def test_distinct_letters_follow_zagier(self, n, q):
+        # Zagier 1992: the block of the n! orderings of n distinct letters has
+        # determinant prod_k (1 - q^(k^2 + k))^((n - k) n! / (k^2 + k))
+        words = sorted(itertools.permutations(range(1, n + 1)))
+        num, den, top = q.numerator, q.denominator, n * (n - 1) // 2
+        units = fock._units(n)
+        entries = [[fock._inner(w1, units, {(w2, 0): 1}) for w2 in words] for w1 in words]
+        matrix = [[sum(c * num**k * den ** (top - k) for k, c in p) for p in r] for r in entries]
+        want = math.prod(
+            (1 - q ** (k * k + k)) ** ((n - k) * math.factorial(n) // (k * k + k))
+            for k in range(1, n)
+        )
+        # the last Bareiss pivot is the determinant of the den^top multiple
+        assert _positive_definite(matrix) is True
+        assert matrix[-1][-1] == want * den ** (top * len(words))
 
 
 class TestEvaluateExpansion:
@@ -638,22 +693,39 @@ class TestAgainstReference:
         else:
             assert got == ("overflow", "creation on a degree-1 word exceeds the cutoff 1")
 
-    @pytest.mark.parametrize("dim, degree", [(1, 3), (2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("dim, degree", [(1, 3), (2, 2), (2, 3), (3, 2), (2, 6)])
     def test_gram_polynomials_are_the_permutation_sum(self, dim, degree):
-        words = list(itertools.product(range(1, dim + 1), repeat=degree))
-        for q in GRAM_Q_GRID + (Fraction(5, 7),):
-            direct = [[ref_basis_inner(w1, w2, q) for w2 in words] for w1 in words]
-            gram = _gram(dim, degree)
-            assert [[QPolynomial(dict(p)).evaluate(q) for p in row] for row in gram] == direct
+        words, ref = ref_gram(dim, degree)
+        blocks = _gram(dim, degree)
+        # the blocks partition the words, and words in different blocks are orthogonal
+        assert sorted(w for block_words, _ in blocks for w in block_words) == words
+        block_of = {w: b for b, (block_words, _) in enumerate(blocks) for w in block_words}
+        assert all(not poly for (w1, w2), poly in ref.items() if block_of[w1] != block_of[w2])
+        for block_words, entries in blocks:
+            assert len(entries) == len(block_words)
+            for w1, row in zip(block_words, entries):
+                assert [dict(p) for p in row] == [ref[w1, w2] for w2 in block_words]
 
 
-def ref_basis_inner(w1, w2, q):
+def ref_inner(w1, w2):
+    """<w1, w2> by its defining sum over the permutations that carry w2 onto
+    w1, each weighted by q to its inversions, as {inversions: count}."""
+    if len(w1) != len(w2):
+        return {}
     n = len(w1)
-    total = Fraction(0)
+    total = {}
     for perm in itertools.permutations(range(n)):
         if all(w2[perm[k]] == w1[k] for k in range(n)):
-            total += q ** sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+            inversions = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+            total[inversions] = total.get(inversions, 0) + 1
     return total
+
+
+@functools.cache
+def ref_gram(dim, degree):
+    """The degree-d words over 1..dim in order, and every ref_inner between them."""
+    words = list(itertools.product(range(1, dim + 1), repeat=degree))
+    return words, {(w1, w2): ref_inner(w1, w2) for w1 in words for w2 in words}
 
 
 class TestIntegerInput:

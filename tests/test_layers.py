@@ -101,6 +101,29 @@ def test_reader_sees_each_trusted_use():
     assert trusted_uses("algebra") == {"_trusted", "_normal_expansion"}
 
 
+def permutation_uses(source: str) -> bool:
+    """Whether source names itertools.permutations, as an attribute or an import."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "permutations":
+            return True
+        if isinstance(node, ast.alias) and node.name == "permutations":
+            return True
+    return False
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_the_permutation_sum_stays_in_the_tests(module):
+    # the oracle's inner product goes through the annihilation kernel; the
+    # defining permutation sum is the tests' reference for it
+    assert not permutation_uses((PACKAGE / f"{module}.py").read_text())
+
+
+def test_reader_sees_each_permutation_use():
+    assert permutation_uses("import itertools\nitertools.permutations(range(3))")
+    assert permutation_uses("from itertools import permutations")
+    assert not permutation_uses("import itertools\nitertools.product(range(3), repeat=2)")
+
+
 def test_keys_have_no_instance_dict():
     for value in (CovarianceMonomial(((1, 2),)), VariableWord((1, 3))):
         assert not hasattr(value, "__dict__")
