@@ -15,7 +15,6 @@ from .algebra import (
     QPolynomial,
     VariableWord,
     specialize_free,
-    substitute_wick,
 )
 from .diagrams import (
     CrossingStats,
@@ -60,11 +59,11 @@ from .wick import (
     expand,
     m_epsilon_expansion,
     moment_expansion,
+    normal_form,
     normal_to_wick,
     product_expansion,
     product_expectation,
     wick_recursive,
-    wick_substitution_rules,
     wick_to_normal,
     wick_to_normal_word,
 )

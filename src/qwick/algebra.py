@@ -295,11 +295,6 @@ class Expansion:
     def max_exponent(self) -> int:
         return max((p.max_exponent() for p in self.terms.values()), default=-1)
 
-    def wick_words(self) -> tuple[VariableWord, ...]:
-        """Distinct Wick-tagged words occurring in the expansion, sorted."""
-        words = {indices for _, indices, kind in self.terms if kind == WICK}
-        return tuple(VariableWord(indices, WICK) for indices in sorted(words))
-
     def __add__(self, other: Expansion) -> Expansion:
         if not isinstance(other, Expansion):
             return NotImplemented
@@ -395,46 +390,6 @@ def accumulate_term(acc: dict, key: tuple, poly: QPolynomial):
         poly = acc.pop(key) + poly
     if poly.coeffs:
         acc[key] = poly
-
-
-def substitute_wick(e: Expansion, rule: Mapping[VariableWord, Expansion]) -> Expansion:
-    """Replace every Wick-tagged word through the rule map.
-
-    Rule outputs must contain only normal-kind words; q-polynomials multiply
-    and covariance monomials merge as multisets.  A Wick word without a rule
-    raises KeyError naming the word.
-    """
-    out: dict = {}  # (factors, indices) -> {exp: coeff}, as every output word is normal
-    images: dict = {}  # Wick word indices -> the terms of its rule
-    for (factors, indices, kind), poly in e.terms.items():
-        if kind != WICK:
-            image = [(((), indices, NORMAL), QPolynomial.one())]
-        else:
-            if indices not in images:
-                word = VariableWord(indices, WICK)
-                if word not in rule:
-                    raise KeyError(f"no substitution rule for wick word {indices}")
-                images[indices] = rule[word].terms.items()
-            image = images[indices]
-        for (rfactors, rindices, rkind), rpoly in image:
-            if rkind != NORMAL:
-                raise DomainError("substitution rules must expand into normal words")
-            sums = out.setdefault((tuple(sorted(factors + rfactors)), rindices), {})
-            for e1, v1 in poly.coeffs.items():
-                for e2, v2 in rpoly.coeffs.items():
-                    sums[e1 + e2] = sums.get(e1 + e2, 0) + v1 * v2
-    return _normal_expansion(out)
-
-
-def _normal_expansion(sums: dict) -> Expansion:
-    """The expansion of {(factors, indices): {exp: coeff}} sums of normal words
-    on canonical parts, dropping zero coefficients and empty terms."""
-    terms: dict = {}
-    for (factors, indices), coeffs in sums.items():
-        coeffs = {exp: _exact(val) for exp, val in coeffs.items() if val}
-        if coeffs:
-            terms[factors, indices, NORMAL] = QPolynomial._trusted(coeffs)
-    return Expansion._trusted(terms)
 
 
 def specialize_free(e: Expansion) -> Expansion:

@@ -350,8 +350,14 @@ def graded_expansion(e: Expansion, assignment, params: FockParams, qs) -> Graded
 def _numeric(kernel, *args, scalar: bool = False):
     """Run a kernel for q = params.q and evaluate it there.  args end with
     (assignment, u, params); the kernel gets the assignment as _Coordinates
-    and the FockVector u as a graded vector."""
+    and the FockVector u as a graded vector, whose letters must lie in
+    1..params.dim."""
     *args, assignment, u, params = args
+    basis = range(1, params.dim + 1)
+    for word in u.entries:
+        for letter in word:
+            if letter not in basis:
+                raise DomainError(f"basis letter {letter!r} lies outside 1..{params.dim}")
     coords = _Coordinates(assignment, params.dim)
     graded = {(word, 0): _exact(val) for word, val in u.entries.items()}
     return Graded(kernel(*args, coords, graded, params, (params.q,)), scalar).at(params.q)

@@ -4,16 +4,18 @@ Moments, conversions between plain products and Wick products, and
 products of Wick products over block-partitioned index sets.  The
 diagram-sum identities are the rows of one table, IDENTITIES; terms streams
 a row's terms from the diagram walker, expand sums them into an Expansion,
-and free=True gives the q = 0 form as a class filter.  wick_recursive is an
-independent second route to the Wick product.  Every function returns exact
-canonical data with q kept as a formal variable; specializing q is left to
-the oracle module, fock, which defines the Wick product on its own and is
-not imported here.
+and free=True gives the q = 0 form as a class filter.  normal_form rewrites
+the Wick words of an expansion through the wick-to-normal row.
+wick_recursive is an independent second route to the Wick product.  Every
+function returns exact canonical data with q kept as a formal variable;
+specializing q is left to the oracle module, fock, which defines the Wick
+product on its own and is not imported here.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -22,9 +24,8 @@ from .algebra import (
     WICK,
     Expansion,
     QPolynomial,
-    VariableWord,
+    _exact,
     _integer,
-    _normal_expansion,
     _term_key,
 )
 from .diagrams import (
@@ -71,6 +72,17 @@ def _diagram_sum(stream) -> Expansion:
     return Expansion._trusted({(p, s, k): _q_power(e, c) for p, s, k, e, c in stream})
 
 
+def _normal_expansion(sums: dict) -> Expansion:
+    """The expansion of {(factors, indices): {exp: coeff}} sums of normal words
+    on canonical parts, dropping zero coefficients and empty terms."""
+    out: dict = {}
+    for (factors, indices), coeffs in sums.items():
+        coeffs = {exp: _exact(val) for exp, val in coeffs.items() if val}
+        if coeffs:
+            out[factors, indices, NORMAL] = QPolynomial._trusted(coeffs)
+    return Expansion._trusted(out)
+
+
 @dataclass(frozen=True)
 class Identity:
     """One diagram-sum identity, stated as data.
@@ -101,15 +113,14 @@ IDENTITIES = {
 }
 
 
-def terms(name: str, arg, free: bool = False, cap: int | None = None, labels=None):
+def terms(name: str, arg, free: bool = False, cap: int | None = None):
     """The term stream of the identity IDENTITIES[name] on arg: a ground size,
     or block sizes for a row with blocks.  The ground set, blocks and cap are
     checked here, before the stream is returned.
 
     With free set, the q = 0 form: the walker keeps only the row's zero
     class, cutting each branch on which that statistic has turned positive.
-    labels, when given, must be strictly increasing and maps position p to
-    labels[p - 1].  See _row_terms for what the stream yields.
+    See _row_terms for what the stream yields.
     """
     row = IDENTITIES[name]
     if row.blocks:
@@ -120,7 +131,7 @@ def terms(name: str, arg, free: bool = False, cap: int | None = None, labels=Non
     ensure_within_cap(ground.size, cap)
     forbid = _block_forbid(ground) if row.blocks else None
     walk = _walk(ground.size, row.complete, forbid, row.zero if free else None)
-    return _row_terms(row, walk, labels)
+    return _row_terms(row, walk)
 
 
 def _row_terms(row: Identity, walk, labels=None):
@@ -128,7 +139,9 @@ def _row_terms(row: Identity, walk, labels=None):
     stream, yielding (pairs, singletons, kind, exp, coeff): the diagram's
     term is coeff * q^exp times its covariance factors and singleton word.
     coeff is -1 for an odd pair count when the row is signed and 1
-    otherwise; the empty word is always normal.
+    otherwise; the empty word is always normal.  labels, when given, must be
+    strictly increasing and maps position p to labels[p - 1], moving the
+    terms onto other variable indices.
 
     (pairs, singletons, kind) is the Expansion key of the term as it stands:
     the pairs come sorted with i < j, the singletons increasing, and a
@@ -146,12 +159,10 @@ def _row_terms(row: Identity, walk, labels=None):
         yield pairs, singles, kind if singles else NORMAL, power(c, d, g), coeff
 
 
-def expand(
-    name: str, arg, free: bool = False, cap: int | None = None, labels=None
-) -> Expansion:
+def expand(name: str, arg, free: bool = False, cap: int | None = None) -> Expansion:
     """The identity IDENTITIES[name] on arg as an expansion; the arguments
     are as for terms."""
-    return _diagram_sum(terms(name, arg, free, cap, labels))
+    return _diagram_sum(terms(name, arg, free, cap))
 
 
 def m_epsilon_expansion(eps: SignSequence, cap: int | None = None) -> Expansion:
@@ -179,9 +190,9 @@ def wick_to_normal_word(indices: Sequence[int], cap: int | None = None) -> Expan
     signed sum of plain products: every diagram contributes its covariance
     factors and singleton word, with sign (-1)^pairs and power g - c."""
     indices = _increasing(indices)
-    n = len(indices)
-    labels = None if indices == tuple(range(1, n + 1)) else indices
-    return expand("wick-to-normal", n, cap=cap, labels=labels)
+    ensure_within_cap(len(indices), cap)
+    row = IDENTITIES["wick-to-normal"]
+    return _diagram_sum(_row_terms(row, _walk(len(indices), row.complete), indices))
 
 
 def _increasing(indices: Sequence[int]) -> tuple[int, ...]:
@@ -240,21 +251,35 @@ def normal_to_wick(n: int, cap: int | None = None, free: bool = False) -> Expans
     return expand("normal-to-wick", n, free, cap)
 
 
-def wick_substitution_rules(
-    e: Expansion, cap: int | None = None
-) -> dict[VariableWord, Expansion]:
-    """Normal-product rewrite rule for every Wick word occurring in e, each
-    checked as wick_to_normal_word checks it.  Rules of one length differ
-    only by a relabelling, so the walker runs once per word length."""
-    row, walks, rules = IDENTITIES["wick-to-normal"], {}, {}
-    for word in e.wick_words():
-        indices = _increasing(word.indices)
-        n = len(indices)
-        ensure_within_cap(n, cap)
-        if n not in walks:
-            walks[n] = tuple(_walk(n, row.complete))
-        rules[word] = _diagram_sum(_row_terms(row, walks[n], indices))
-    return rules
+def normal_form(e: Expansion, cap: int | None = None) -> Expansion:
+    """e with every Wick-tagged word rewritten into plain products by the
+    wick-to-normal row; normal terms pass through unchanged.
+
+    Every Wick word is checked as wick_to_normal_word checks it, in sorted
+    order, before the first is rewritten.  Words of one length differ only
+    by a relabelling, so the walker runs once per length and _row_terms
+    moves that walk onto each word in turn; covariance factors merge as
+    multisets and q-polynomials multiply.
+    """
+    row = IDENTITIES["wick-to-normal"]
+    outer: dict = {}  # Wick word -> the (factors, coeffs) of its terms in e
+    sums: dict = {}  # (factors, indices) -> {exp: coeff}, as every output word is normal
+    for (factors, indices, kind), poly in e.terms.items():
+        if kind == WICK:
+            outer.setdefault(indices, []).append((factors, poly.coeffs))
+        else:
+            sums[factors, indices] = dict(poly.coeffs)
+    for indices in sorted(outer):
+        ensure_within_cap(len(_increasing(indices)), cap)
+    for n, words in itertools.groupby(sorted(outer, key=len), len):
+        walk = tuple(_walk(n, row.complete))
+        for indices in words:
+            for pairs, singles, _, exp, sign in _row_terms(row, walk, indices):
+                for factors, coeffs in outer[indices]:
+                    acc = sums.setdefault((tuple(sorted(factors + pairs)), singles), {})
+                    for k, c in coeffs.items():
+                        acc[k + exp] = acc.get(k + exp, 0) + sign * c
+    return _normal_expansion(sums)
 
 
 def product_expectation(

@@ -1,9 +1,7 @@
 """Exact polynomial arithmetic and canonical-expansion behaviour."""
 
 import json
-from collections.abc import Mapping
 from fractions import Fraction
-from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -24,11 +22,10 @@ from qwick import (
     diagram_term,
     enumerate_complete,
     expand,
+    normal_form,
     specialize_free,
-    substitute_wick,
     wick_recursive,
 )
-from qwick.algebra import accumulate_term
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 qpolys = st.dictionaries(
@@ -223,7 +220,7 @@ class TestExpansion:
         assert Expansion.zero().pretty() == "0"
 
 
-class TestSubstituteWick:
+class TestNormalForm:
     def test_two_variable_round_trip(self):
         e = make(
             [
@@ -231,37 +228,17 @@ class TestSubstituteWick:
                 (((1, 2),), (), NORMAL, {0: 1}),
             ]
         )
-        rule = {
-            VariableWord((1, 2), WICK): make(
-                [
-                    ((), (1, 2), NORMAL, {0: 1}),
-                    (((1, 2),), (), NORMAL, {0: -1}),
-                ]
-            )
-        }
-        assert substitute_wick(e, rule) == make([((), (1, 2), NORMAL, {0: 1})])
+        assert normal_form(e) == make([((), (1, 2), NORMAL, {0: 1})])
 
     def test_expansion_without_wick_terms_is_unchanged(self):
         e = make([((), (1, 2), NORMAL, {0: 1}), (((1, 2),), (), NORMAL, {1: -1})])
-        assert substitute_wick(e, {}) == e
+        assert normal_form(e) == e
 
     def test_three_variable_round_trip(self):
-        from qwick import normal_to_wick, wick_substitution_rules
+        from qwick import normal_to_wick
 
         e = normal_to_wick(3)
-        result = substitute_wick(e, wick_substitution_rules(e))
-        assert result == make([((), (1, 2, 3), NORMAL, {0: 1})])
-
-    def test_missing_rule_names_the_word(self):
-        e = make([((), (1, 2), WICK, {0: 1})])
-        with pytest.raises(KeyError, match=r"\(1, 2\)"):
-            substitute_wick(e, {})
-
-    def test_rules_must_be_normal(self):
-        e = make([((), (1,), WICK, {0: 1})])
-        rule = {VariableWord((1,), WICK): make([((), (1,), WICK, {0: 1})])}
-        with pytest.raises(DomainError):
-            substitute_wick(e, rule)
+        assert normal_form(e) == make([((), (1, 2, 3), NORMAL, {0: 1})])
 
 
 class TestBoundaryValidation:
@@ -327,7 +304,6 @@ class TestBoundaryValidation:
         e = Expansion({(((1, 2),), (), WICK): 3})
         assert list(e.terms) == [(((1, 2),), (), NORMAL)]
         assert e == Expansion({(((1, 2),), (), NORMAL): 3})
-        assert e.wick_words() == ()
 
     def test_integer_coefficients_are_stored_as_ints(self):
         p = QPolynomial({0: Fraction(4, 2), 1: Fraction(1, 2), 2: 3})
@@ -402,13 +378,6 @@ def small_expansions(kinds):
     return st.dictionaries(keys, small_polys, max_size=4).map(Expansion)
 
 
-@st.composite
-def substitutions(draw):
-    e = draw(small_expansions(either_kind))
-    normal = small_expansions(st.just(NORMAL))
-    return e, {word: draw(normal) for word in e.wick_words()}
-
-
 class TestTrustedArithmetic:
     """Results built through the trusted constructors against the same
     operation through the validating constructors with Fraction-only
@@ -439,20 +408,6 @@ class TestTrustedArithmetic:
     def test_scaled(self, e, factor):
         reference = Expansion({key: reference_mul(p, factor) for key, p in e.terms.items()})
         assert_matches(e.scaled(factor), reference)
-
-    @given(substitutions())
-    @settings(max_examples=100)
-    def test_substitute_wick(self, case):
-        e, rules = case
-        items = []
-        for (factors, indices, kind), poly in e.terms.items():
-            if kind == NORMAL:
-                items.append(((factors, indices, kind), poly))
-                continue
-            rule = rules[VariableWord(indices, kind)]
-            for (rfactors, rindices, rkind), rpoly in rule.terms.items():
-                items.append(((factors + rfactors, rindices, rkind), reference_mul(poly, rpoly)))
-        assert_matches(substitute_wick(e, rules), reference_expansion(items))
 
     @given(small_expansions(either_kind))
     @settings(max_examples=100)
@@ -497,10 +452,10 @@ class TestKeysArePlainTuples:
         ):
             assert_plain_keys(result)
 
-    @given(substitutions())
+    @given(small_expansions(either_kind))
     @settings(max_examples=100)
-    def test_substitute_wick(self, case):
-        assert_plain_keys(substitute_wick(*case))
+    def test_normal_form(self, e):
+        assert_plain_keys(normal_form(e))
 
     @given(
         st.sampled_from(sorted(IDENTITIES)),
@@ -517,123 +472,3 @@ class TestKeysArePlainTuples:
         e = Expansion({(((3, True),), (False, 2), WICK): 1})
         assert list(e.terms) == [(((1, 3),), (0, 2), WICK)]
         assert_plain_keys(e)
-
-
-def reference_substitute_wick(e, rule):
-    """substitute_wick as a merge of validated keys: every term goes through
-    accumulate_term with its joined factors sorted by CovarianceMonomial and
-    a QPolynomial product, and the result through the validating Expansion."""
-    out = {}
-    for key, poly in e.terms.items():
-        factors, indices, kind = key
-        if kind != WICK:
-            accumulate_term(out, key, poly)
-            continue
-        word = VariableWord(indices, kind)
-        if word not in rule:
-            raise KeyError(f"no substitution rule for wick word {word.indices}")
-        for (rfactors, rindices, rkind), rpoly in rule[word].terms.items():
-            if rkind != NORMAL:
-                raise DomainError("substitution rules must expand into normal words")
-            joined = CovarianceMonomial(factors + rfactors).factors
-            accumulate_term(out, (joined, rindices, rkind), poly * rpoly)
-    return Expansion(out)
-
-
-@st.composite
-def cancelling_substitutions(draw):
-    """A substitution case in which some Wick terms rewrite into exactly the
-    negative of normal terms added alongside, so their sums cancel to zero."""
-    e, rules = draw(substitutions())
-    wick_terms = sorted(
-        (item for item in e.terms.items() if item[0][2] == WICK),
-        key=lambda item: item[0],
-    )
-    chosen = []
-    if wick_terms:
-        chosen = draw(st.lists(st.sampled_from(wick_terms), unique_by=lambda t: t[0]))
-    scale = draw(st.sampled_from((1, Fraction(1, 3), Fraction(-5, 2))))
-    part = Expansion(dict(chosen))
-    return e - reference_substitute_wick(part, rules).scaled(scale), rules
-
-
-@st.composite
-def faulty_substitutions(draw):
-    """Rules that may be missing, or may hold Wick-kind outputs."""
-    e = draw(small_expansions(either_kind))
-    rules = {}
-    for word in e.wick_words():
-        if draw(st.booleans()):
-            rules[word] = draw(small_expansions(either_kind))
-    return e, rules
-
-
-class ReadOnlyRules(Mapping):
-    """A rule map that is not a dict."""
-
-    def __init__(self, rules):
-        self._rules = rules
-
-    def __getitem__(self, word):
-        return self._rules[word]
-
-    def __iter__(self):
-        return iter(self._rules)
-
-    def __len__(self):
-        return len(self._rules)
-
-
-def substitution_outcome(substitute, e, rules):
-    try:
-        return substitute(e, rules)
-    except (KeyError, DomainError) as exc:
-        return type(exc), str(exc)
-
-
-class TestSubstituteWickAgainstKeyObjects:
-    """substitute_wick against a merge that validates every key it builds."""
-
-    @given(st.one_of(substitutions(), cancelling_substitutions()))
-    @settings(max_examples=200)
-    def test_same_expansion(self, case):
-        e, rules = case
-        assert_matches(substitute_wick(e, rules), reference_substitute_wick(e, rules))
-
-    @given(cancelling_substitutions())
-    @settings(max_examples=50)
-    def test_any_mapping_is_a_rule_map(self, case):
-        e, rules = case
-        reference = reference_substitute_wick(e, rules)
-        for wrapped in (MappingProxyType(rules), ReadOnlyRules(rules)):
-            assert_matches(substitute_wick(e, wrapped), reference)
-
-    @given(faulty_substitutions())
-    @settings(max_examples=200)
-    def test_same_error_first(self, case):
-        e, rules = case
-        got = substitution_outcome(substitute_wick, e, rules)
-        expected = substitution_outcome(reference_substitute_wick, e, rules)
-        if isinstance(expected, Expansion):
-            assert_matches(got, expected)
-        else:
-            assert got == expected
-
-    @pytest.mark.parametrize(
-        "rules, error",
-        [
-            ({}, (KeyError, "'no substitution rule for wick word (1, 2)'")),
-            (
-                {VariableWord((1, 2), WICK): make([((), (1, 2), WICK, {0: 1})])},
-                (DomainError, "substitution rules must expand into normal words"),
-            ),
-            (
-                {VariableWord((3,), WICK): make([((), (3,), WICK, {0: 1})])},
-                (KeyError, "'no substitution rule for wick word (1, 2)'"),
-            ),
-        ],
-    )
-    def test_errors_name_the_first_fault(self, rules, error):
-        e = make([((), (1, 2), WICK, {0: 1}), (((1, 2),), (3,), WICK, {1: 2})])
-        assert substitution_outcome(substitute_wick, e, rules) == error
-        assert substitution_outcome(reference_substitute_wick, e, rules) == error

@@ -501,7 +501,7 @@ class TestVerifyCommand:
         "target, check, word, coeffs, first, sha",
         [
             (
-                "substitute_wick",
+                "normal_form",
                 "roundtrip",
                 (),
                 {0: 3, 2: Fraction(-1, 2)},
@@ -514,7 +514,7 @@ class TestVerifyCommand:
                 "d600ae1246d65c0c3aa560e1ca8ee0d8bf466c3e4a52feb865d178cdd1af7b75",
             ),
             (
-                "substitute_wick",
+                "normal_form",
                 "roundtrip",
                 (1,),
                 {0: -2, 1: 5},
@@ -523,7 +523,7 @@ class TestVerifyCommand:
                 "3f2e5b18ff00e9364dbd036584641e44748e99eb0cd21f4eb0897049e558a651",
             ),
             (
-                "substitute_wick",
+                "normal_form",
                 "roundtrip",
                 (1,),
                 {0: -1},
@@ -574,7 +574,7 @@ class TestVerifyCommand:
         reports = json.loads(out)["reports"]
         assert code == 1
         assert all(r["status"] == "fail" for r in reports)
-        side = "lhs" if target == "substitute_wick" else "rhs"
+        side = "lhs" if target == "normal_form" else "rhs"
         assert reports[0]["witness"][side] == first
         assert hashlib.sha256(out.encode()).hexdigest() == sha
 
@@ -869,6 +869,22 @@ def test_streamed_output_does_not_grow_memory():
     assert proc.returncode == 0
     peak = int(proc.stderr) * 1024
     assert peak < 48 * 2**20
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_roundtrip_holds_one_word_image_at_a_time():
+    # holding the rewrite of all 1,024 Wick words of normal_to_wick(11) at
+    # once, 269,039 terms, peaked at 168 MB
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, "verify", "roundtrip", "--n", "11"],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    peak = int(proc.stderr) * 1024
+    assert peak < 110 * 2**20
 
 
 # Every sampled suite at a cutoff below degree + 1, on the q grid and at

@@ -806,3 +806,39 @@ class TestCoordinatesOncePerCall:
         # word the first one it applies, rightmost first
         with pytest.raises(KeyError, match=f"no vector assigned to variable {missing}"):
             graded_apply((word,), {1: (1, 2)}, params("1/2"), Q_GRID)
+
+
+class TestLettersOutsideTheBasis:
+    """A basis word of an input vector has letters in 1..dim; a letter
+    outside, which would read another letter's coordinate or none, is a
+    DomainError naming it."""
+
+    P = FockParams(2, 3, Fraction(1, 3))
+
+    @pytest.mark.parametrize(
+        "apply",
+        [
+            lambda u, p: create((0, 1), u, p),
+            lambda u, p: annihilate((0, 1), u, p),
+            lambda u, p: field_apply((0, 1), u, p),
+            lambda u, p: apply_operator_word(OperatorWord(((-1, 1),)), {1: (1, 1)}, u, p),
+            lambda u, p: apply_field_word((1,), {1: (1, 1)}, u, p),
+            lambda u, p: apply_wick_product((1,), {1: (1, 1)}, u, p),
+        ],
+    )
+    @pytest.mark.parametrize("letter", [0, 3])
+    def test_each_operator_rejects_it(self, apply, letter):
+        for word in ((letter,), (1, letter, 2)):
+            with pytest.raises(DomainError) as exc:
+                apply(FockVector({(1,): 1, word: 1}), self.P)
+            assert str(exc.value) == f"basis letter {letter} lies outside 1..2"
+
+    def test_letters_in_range_still_apply(self):
+        u = FockVector({(2,): 3, (1, 2): 1})
+        assert annihilate((0, 1), u, self.P) == FockVector({(): 3, (1,): Fraction(1, 3)})
+
+    def test_the_inner_product_still_numbers_letters_itself(self):
+        # q_inner reads no coordinates, so any letters pair by equality
+        assert q_inner(FockVector({(0, 3): 1}), FockVector({(3, 0): 2}), self.P) == Fraction(2, 3)
+        u = FockVector({(0, 3): 1, (3, 3): 1})
+        assert q_inner(u, FockVector({(3, 0): 2, (3, 3): 1}), self.P) == 2

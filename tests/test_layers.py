@@ -98,7 +98,7 @@ def test_trusted_constructors_stay_in_the_expansion_core(module):
 def test_reader_sees_each_trusted_use():
     # the reader itself must not miss a use and pass by accident
     assert trusted_uses("wick") == {"_trusted", "_normal_expansion"}
-    assert trusted_uses("algebra") == {"_trusted", "_normal_expansion"}
+    assert trusted_uses("algebra") == {"_trusted"}
 
 
 def permutation_uses(source: str) -> bool:
@@ -172,3 +172,9 @@ def test_reader_sees_each_walker_use():
     # the reader itself must not miss a use and pass by accident
     assert {"_walk", "_row_terms", "IDENTITIES"} <= names_in_function("wick", "terms")
     assert "_diagram_sum" in names_in_function("wick", "expand")
+
+
+def test_normal_form_relabels_the_walk():
+    # the rewrite moves one walk per word length onto each Wick word through
+    # _row_terms, so the row's sign and power rule is stated nowhere else
+    assert {"_walk", "_row_terms", "IDENTITIES"} <= names_in_function("wick", "normal_form")

@@ -31,14 +31,13 @@ from qwick import (
     expand,
     m_epsilon_expansion,
     moment_expansion,
+    normal_form,
     normal_to_wick,
     product_expansion,
     product_expectation,
     specialize_free,
-    substitute_wick,
     wick_operator_form,
     wick_recursive,
-    wick_substitution_rules,
     wick_to_normal,
     wick_to_normal_word,
 )
@@ -231,7 +230,7 @@ class TestNormalToWick:
     def test_round_trip_to_bare_word(self):
         for n in range(1, 7):
             e = normal_to_wick(n)
-            result = substitute_wick(e, wick_substitution_rules(e))
+            result = normal_form(e)
             expected = make([((), tuple(range(1, n + 1)), NORMAL, {0: 1})])
             assert result == expected
 
@@ -282,7 +281,7 @@ class TestProducts:
         # and compare against distributing the blocks' own normal forms,
         # e.g. (x1 x2 - c12)(x3 x4 - c34) for blocks (2, 2)
         e = product_expansion((2, 2))
-        got = substitute_wick(e, wick_substitution_rules(e))
+        got = normal_form(e)
         assert got == make(
             [
                 ((), (1, 2, 3, 4), NORMAL, {0: 1}),
@@ -292,7 +291,7 @@ class TestProducts:
             ]
         )
         e = product_expansion((1, 2, 2))
-        got = substitute_wick(e, wick_substitution_rules(e))
+        got = normal_form(e)
         assert got == make(
             [
                 ((), (1, 2, 3, 4, 5), NORMAL, {0: 1}),
@@ -491,9 +490,32 @@ class TestIntegerInput:
 
 
 def reference_substitution_rules(e, cap=None):
-    """wick_substitution_rules as one wick_to_normal_word call, hence one
-    diagram walk, per Wick word."""
-    return {word: wick_to_normal_word(word.indices, cap=cap) for word in e.wick_words()}
+    """The rewrite rule of every Wick word of e, in sorted word order, as one
+    wick_to_normal_word call, hence one diagram walk, per word."""
+    words = sorted({indices for _, indices, kind in e.terms if kind == WICK})
+    return {word: wick_to_normal_word(word, cap=cap) for word in words}
+
+
+def reference_substitute_wick(e, rules):
+    """Every Wick word of e rewritten through its rule, as a merge of
+    validated keys: every term goes through accumulate_term with its joined
+    factors sorted by CovarianceMonomial and a QPolynomial product, and the
+    result through the validating Expansion."""
+    out = {}
+    for key, poly in e.terms.items():
+        factors, indices, kind = key
+        if kind != WICK:
+            accumulate_term(out, key, poly)
+            continue
+        for (rfactors, rindices, rkind), rpoly in rules[indices].terms.items():
+            joined = CovarianceMonomial(factors + rfactors).factors
+            accumulate_term(out, (joined, rindices, rkind), poly * rpoly)
+    return Expansion(out)
+
+
+def reference_normal_form(e, cap=None):
+    """normal_form through a rule map built whole: one walk per Wick word."""
+    return reference_substitute_wick(e, reference_substitution_rules(e, cap))
 
 
 def reference_wick_recursive(n):
@@ -522,13 +544,23 @@ def int_coefficients(e):
     return all(type(v) is int for poly in e.terms.values() for v in poly.coeffs.values())
 
 
-def rules_outcome(build, e, cap):
+def exact_coefficients(e):
+    """No zero coefficient is stored, and each is an int or a Fraction that
+    is not an integer."""
+    return all(
+        v and (type(v) is int or v.denominator != 1)
+        for poly in e.terms.values()
+        for v in poly.coeffs.values()
+    )
+
+
+def rewrite_outcome(rewrite, e, cap):
     try:
-        rules = build(e, cap)
+        result = rewrite(e, cap)
     except (DomainError, SizeLimitError) as exc:
         return type(exc), str(exc)
-    assert all(int_coefficients(rule) for rule in rules.values())
-    return [(word, json.dumps(rule.to_json())) for word, rule in rules.items()]
+    assert exact_coefficients(result)
+    return result, json.dumps(result.to_json()), result.pretty()
 
 
 increasing_words = st.sets(st.integers(1, 9), min_size=1, max_size=6).map(sorted)
@@ -543,8 +575,34 @@ wick_word_lists = st.lists(
 NOT_INCREASING = "variable indices must be strictly increasing"
 
 
-class TestSubstitutionRulesAgainstOneWalkPerWord:
-    """wick_substitution_rules against one wick_to_normal_word per word."""
+# few indices and rational coefficients, so that rewritten terms often
+# collide with each other and with the normal terms, and cancel
+few_covs = st.lists(st.sampled_from(((1, 2), (1, 3), (2, 4), (3, 4))), max_size=2).map(tuple)
+few_words = st.sets(st.integers(1, 4), max_size=4).map(lambda s: tuple(sorted(s)))
+rational_polys = st.dictionaries(
+    st.integers(0, 2), st.fractions(min_value=-3, max_value=3, max_denominator=6), max_size=2
+).map(QPolynomial)
+mixed_expansions = st.dictionaries(
+    st.tuples(few_covs, few_words, st.sampled_from((NORMAL, WICK))), rational_polys, max_size=5
+).map(Expansion)
+
+
+@st.composite
+def cancelling_expansions(draw):
+    """A mixed expansion less the rewrite of some of its Wick terms, scaled,
+    so that those terms' images cancel against normal terms."""
+    e = draw(mixed_expansions)
+    wick_terms = sorted(item for item in e.terms.items() if item[0][2] == WICK)
+    chosen = []
+    if wick_terms:
+        chosen = draw(st.lists(st.sampled_from(wick_terms), unique_by=lambda t: t[0]))
+    scale = draw(st.sampled_from((1, Fraction(1, 3), Fraction(-5, 2))))
+    return e - reference_normal_form(Expansion(dict(chosen))).scaled(scale)
+
+
+class TestNormalFormAgainstRuleMaps:
+    """normal_form against a rule map with one wick_to_normal_word per Wick
+    word, substituted term by term through validated keys."""
 
     @given(st.lists(increasing_words, max_size=6), st.sampled_from((None, 6, 9)))
     @settings(max_examples=100)
@@ -552,16 +610,23 @@ class TestSubstitutionRulesAgainstOneWalkPerWord:
         e = Expansion(
             {((), tuple(w), WICK): QPolynomial.one() for w in words}
         )
-        assert rules_outcome(wick_substitution_rules, e, cap) == rules_outcome(
-            reference_substitution_rules, e, cap
+        assert rewrite_outcome(normal_form, e, cap) == rewrite_outcome(
+            reference_normal_form, e, cap
+        )
+
+    @given(st.one_of(mixed_expansions, cancelling_expansions()), st.sampled_from((None, 2, 4)))
+    @settings(max_examples=200)
+    def test_same_expansion(self, e, cap):
+        assert rewrite_outcome(normal_form, e, cap) == rewrite_outcome(
+            reference_normal_form, e, cap
         )
 
     @given(wick_word_lists, st.sampled_from((None, 0, 2, 4)))
     @settings(max_examples=200)
     def test_same_error_first(self, words, cap):
         e = Expansion({((), w.indices, w.kind): QPolynomial.one() for w in words})
-        assert rules_outcome(wick_substitution_rules, e, cap) == rules_outcome(
-            reference_substitution_rules, e, cap
+        assert rewrite_outcome(normal_form, e, cap) == rewrite_outcome(
+            reference_normal_form, e, cap
         )
 
     @pytest.mark.parametrize(
@@ -571,25 +636,49 @@ class TestSubstitutionRulesAgainstOneWalkPerWord:
             (((1, 2, 3),), 2, (SizeLimitError, "ground size 3 exceeds enumeration cap 2")),
             (((1, 2, 3), (3, 1)), 2, (SizeLimitError, "ground size 3 exceeds enumeration cap 2")),
             (((2, 1), (2, 3, 4)), 2, (DomainError, f"{NOT_INCREASING}, got (2, 1)")),
+            # the first fault is the first in sorted word order, not in term
+            # order or by length, and a normal term's word is never checked
+            (((3, 1), (1, 2, 3)), 2, (SizeLimitError, "ground size 3 exceeds enumeration cap 2")),
+            (((1, 2, 3, 4), (2, 1)), 3, (SizeLimitError, "ground size 4 exceeds enumeration cap 3")),
         ],
     )
     def test_errors_name_the_first_fault(self, words, cap, error):
         e = Expansion(
             {((), tuple(w), WICK): QPolynomial.one() for w in words}
         )
-        assert rules_outcome(wick_substitution_rules, e, cap) == error
-        assert rules_outcome(reference_substitution_rules, e, cap) == error
+        e = e + Expansion({(((1, 2),), (6, 5, 4, 3, 2, 1), NORMAL): 1})
+        assert rewrite_outcome(normal_form, e, cap) == error
+        assert rewrite_outcome(reference_normal_form, e, cap) == error
 
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_roundtrip_rules(self, n):
+    def test_roundtrip(self, n):
         e = normal_to_wick(n)
-        rules = wick_substitution_rules(e)
-        assert rules_outcome(wick_substitution_rules, e, None) == rules_outcome(
-            reference_substitution_rules, e, None
+        expected = Expansion({((), tuple(range(1, n + 1)), NORMAL): 1})
+        assert rewrite_outcome(normal_form, e, None) == rewrite_outcome(
+            reference_normal_form, e, None
         )
-        assert substitute_wick(e, rules) == Expansion(
-            {((), tuple(range(1, n + 1)), NORMAL): 1}
+        assert normal_form(e) == expected
+
+    def test_one_walk_per_word_length(self, monkeypatch):
+        import qwick.wick
+
+        walked = []
+        walk = qwick.wick._walk
+        monkeypatch.setattr(
+            qwick.wick, "_walk", lambda n, *args: walked.append(n) or walk(n, *args)
         )
+        # terms in mixed length order, and a normal term, which is not walked
+        e = normal_to_wick(6) + Expansion({((), (2, 4, 6), WICK): 1, ((), (1, 5), NORMAL): 3})
+        assert rewrite_outcome(normal_form, e, None) == rewrite_outcome(
+            reference_normal_form, e, None
+        )
+        walked.clear()
+        normal_form(e)
+        assert walked == [2, 3, 4, 6]
+        walked.clear()
+        plain = Expansion({((), (1, 2), NORMAL): 1, (((1, 2),), (), NORMAL): Fraction(-1, 2)})
+        assert normal_form(plain, cap=0) == plain
+        assert walked == []
 
 
 @pytest.mark.parametrize("n", range(10))
