@@ -101,10 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_json(payload) -> None:
-    print(_json_text(payload))
-
-
 _JSON_SCALARS = {
     str: encode_basestring_ascii,
     int: int.__repr__,
@@ -343,13 +339,8 @@ def cmd_verify(args) -> int:
     )
     failures = sum(1 for r in reports if not r.passed)
     if args.format == "json":
-        _emit_json(
-            {
-                "check": args.check,
-                "reports": [r.to_json() for r in reports],
-                "failures": failures,
-            }
-        )
+        records = [r.to_json() for r in reports]
+        print(_json_text({"check": args.check, "reports": records, "failures": failures}))
     elif args.format == "csv":
         _write_csv(
             ("check", "instance", "status"),

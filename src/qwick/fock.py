@@ -180,7 +180,8 @@ def wick_operator_form(n: int) -> tuple[tuple[OperatorWord, int], ...]:
     One summand per split of the variables into a creator set and an
     annihilator set (each listed increasingly), weighted by q raised to the
     number of creator/annihilator index inversions: 2^n summands, so more
-    than WICK_FORM_CAP variables raise SizeLimitError.
+    than WICK_FORM_CAP variables raise SizeLimitError.  They come with n,
+    n - 1, ..., 0 creators, and _wick relies on that order.
     """
     if n < 0:
         raise DomainError(f"variable count must be nonnegative, got {n}")
@@ -287,8 +288,8 @@ def _letters(letters, coords: _Coordinates, u: dict, params: FockParams, qs) -> 
 def _wick(indices, coords: _Coordinates, u: dict, params: FockParams, qs) -> dict:
     """The Wick product by its operator form, position p standing for
     indices[p - 1].  A summand's annihilators act first and each lowers the
-    degree by one, so one with more of them than u's top degree gives zero
-    and is skipped."""
+    degree by one, so the first with more of them than u's top degree, and
+    every later one, gives zero."""
     indices = tuple(indices)
     form = wick_operator_form(len(indices))
     by_position = {pos: coords[idx] for pos, idx in enumerate(indices, start=1)}
@@ -296,7 +297,7 @@ def _wick(indices, coords: _Coordinates, u: dict, params: FockParams, qs) -> dic
     out: dict = {}
     for opword, qpow in form:
         if sum(sign < 0 for sign, _ in opword.letters) > top:
-            continue
+            break
         for (word, k), c in _letters(opword.letters, by_position, u, params, qs).items():
             out[word, k + qpow] = out.get((word, k + qpow), 0) + c
     return {key: c for key, c in out.items() if c}
@@ -306,17 +307,14 @@ def graded_apply(words, assignment, params: FockParams, qs, scalar: bool = False
     """The words applied to the unit vacuum, rightmost first, for every q of
     qs at once (params.q is not read).  Each is an OperatorWord or a
     VariableWord: a product of fields or, Wick-tagged, one Wick product."""
-    return Graded(_apply(words, _Coordinates(assignment, params.dim), params, qs), scalar)
-
-
-def _apply(words, coords: _Coordinates, params: FockParams, qs) -> dict:
+    coords = _Coordinates(assignment, params.dim)
     vec = {((), 0): 1}
     for word in reversed(words):
         if isinstance(word, OperatorWord):
             vec = _letters(word.letters, coords, vec, params, qs)
         else:
             vec = _variables(word.indices, word.kind, coords, vec, params, qs)
-    return vec
+    return Graded(vec, scalar)
 
 
 def _variables(indices, kind: str, coords: _Coordinates, u: dict, params: FockParams, qs) -> dict:
@@ -327,23 +325,25 @@ def _variables(indices, kind: str, coords: _Coordinates, u: dict, params: FockPa
 
 
 def graded_expansion(e: Expansion, assignment, params: FockParams, qs) -> Graded:
-    """evaluate_expansion for every q of qs at once: each term's q-polynomial
-    is folded into the powers, and its word acts as its kind says.  A term
-    acts only at the q where its coefficient is nonzero, so only those count
-    for the cutoff."""
+    """evaluate_expansion for every q of qs at once.  Each word acts once, as
+    its kind says, on the vacuum weighted by its terms' q-polynomials scaled
+    by their covariances and summed, so it acts only at the q where that sum
+    is nonzero, and only those count for the cutoff."""
     coords = _Coordinates(assignment, params.dim)
-    out: dict = {}
+    starts: dict = {}
     for (factors, indices, kind), poly in e.terms.items():
         scale = 1
         for i, j in factors:
             scale *= sum(a * b for a, b in zip(coords[i], coords[j]))
-        live = tuple(q for q in qs if poly.evaluate(q)) if scale and indices else qs
-        if not scale or not live:
-            continue
-        coeffs = [(p, _exact(a * scale)) for p, a in poly.coeffs.items()]
-        for (w, k), c in _variables(indices, kind, coords, {((), 0): 1}, params, live).items():
-            for p, a in coeffs:
-                out[w, k + p] = out.get((w, k + p), 0) + a * c
+        if scale:
+            start = starts.setdefault((indices, kind), {})
+            for p, a in poly.coeffs.items():
+                start[(), p] = start.get(((), p), 0) + a * scale
+    out: dict = {}
+    for (indices, kind), start in starts.items():
+        start = {key: c for key, c in start.items() if c}
+        for key, c in _variables(indices, kind, coords, start, params, qs).items():
+            out[key] = out.get(key, 0) + c
     return Graded({key: c for key, c in out.items() if c}, e.is_scalar())
 
 
@@ -512,9 +512,10 @@ def evaluate_expansion(
 ) -> Union[Fraction, FockVector]:
     """Evaluate a symbolic expansion on concrete vectors at the configured q.
 
-    Covariance factors become dot products, coefficients evaluate at q, and
-    each word acts on the unit vacuum (Wick-tagged words through their
-    creator/annihilator operator form).  Returns the vacuum coefficient when
-    every word is empty, otherwise the full vector.
+    Covariance factors become dot products, and each word acts once on the
+    vacuum weighted by its terms' summed, covariance-scaled coefficients
+    (Wick-tagged words through their creator/annihilator operator form), so
+    it acts only where that sum is nonzero at q.  Returns the vacuum
+    coefficient when every word is empty, otherwise the full vector.
     """
     return graded_expansion(e, assignment, params, (params.q,)).at(params.q)

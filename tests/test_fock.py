@@ -26,12 +26,13 @@ from qwick import (
     field_apply,
     gram_check,
     moment_expansion,
+    product_expansion,
     q_inner,
     vacuum_expectation,
     wick_operator_form,
     wick_to_normal,
 )
-from qwick.algebra import NORMAL, CovarianceMonomial, Expansion, QPolynomial, VariableWord
+from qwick.algebra import NORMAL, WICK, CovarianceMonomial, Expansion, QPolynomial, VariableWord
 from qwick import fock
 from qwick.algebra import _poly_value
 from qwick.fock import (
@@ -503,6 +504,85 @@ class TestEvaluateExpansion:
         assert lhs == rhs
 
 
+def reference_graded_expansion(e, assignment, params, qs):
+    """graded_expansion term by term: each term's word acts on the unit
+    vacuum for the q where the term's own coefficient is nonzero, and its
+    output is scaled by the term's covariances and q-polynomial."""
+    coords = fock._Coordinates(assignment, params.dim)
+    out = {}
+    for (factors, indices, kind), poly in e.terms.items():
+        scale = 1
+        for i, j in factors:
+            scale *= sum(a * b for a, b in zip(coords[i], coords[j]))
+        live = tuple(q for q in qs if poly.evaluate(q)) if scale and indices else qs
+        if not scale or not live:
+            continue
+        coeffs = [(p, a * scale) for p, a in poly.coeffs.items()]
+        vacuum = {((), 0): 1}
+        for (w, k), c in fock._variables(indices, kind, coords, vacuum, params, live).items():
+            for p, a in coeffs:
+                out[w, k + p] = out.get((w, k + p), 0) + a * c
+    return Graded({key: c for key, c in out.items() if c}, e.is_scalar())
+
+
+# a few words, each carrying several terms through different covariances,
+# with rational q-polynomials of up to three terms
+WORD_POOL = st.lists(
+    st.tuples(
+        st.lists(st.integers(1, 4), max_size=4, unique=True).map(tuple),
+        st.sampled_from((NORMAL, WICK)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+POOL_COVS = st.lists(st.sampled_from(((1, 2), (1, 5), (2, 3), (5, 6))), max_size=2).map(tuple)
+POOL_POLYS = st.dictionaries(
+    st.integers(0, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool),
+    min_size=1,
+    max_size=3,
+).map(QPolynomial)
+
+
+@st.composite
+def pooled_expansions(draw):
+    words = draw(WORD_POOL)
+    keys = st.tuples(POOL_COVS, st.sampled_from(words)).map(lambda t: (t[0],) + t[1])
+    return Expansion(draw(st.dictionaries(keys, POOL_POLYS, min_size=1, max_size=8)))
+
+
+class TestOneRunPerWord:
+    """graded_expansion sums the terms on one word into one weighted vacuum
+    and runs the word on it once."""
+
+    @given(pooled_expansions(), st.integers(1, 2), st.data())
+    @settings(max_examples=150)
+    def test_matches_the_per_term_route(self, e, dim, data):
+        coords = st.lists(COORDINATE, min_size=dim, max_size=dim).map(tuple)
+        assignment = {i: data.draw(coords) for i in range(1, 7)}
+        p = FockParams(dim, 5, 0)  # the suites' default cutoff: one above the top degree 4
+        got = fock.graded_expansion(e, assignment, p, Q_GRID)
+        want = reference_graded_expansion(e, assignment, p, Q_GRID)
+        for q in Q_GRID:
+            assert got.at(q) == want.at(q)
+
+    def test_one_kernel_run_per_word(self, monkeypatch):
+        calls = []
+        original = fock._variables
+
+        def counted(indices, kind, *args):
+            calls.append((indices, kind))
+            return original(indices, kind, *args)
+
+        monkeypatch.setattr(fock, "_variables", counted)
+        e = product_expansion((2, 2, 1))
+        assignment = {i: (1, i) for i in range(1, 6)}  # every covariance is nonzero
+        fock.graded_expansion(e, assignment, params("1/2", level=6), Q_GRID)
+        words = {(indices, kind) for _, indices, kind in e.terms}
+        assert len(words) < len(e.terms)
+        assert sorted(calls) == sorted(words)
+
+
 # The oracle before it kept q formal: one direct Fraction pass per q.  The
 # public functions must give the same values, of the same types.
 def ref_create(coords, u, level):
@@ -616,6 +696,13 @@ class TestWickSkipsDeadSummands:
         got = apply_wick_product(indices, assignment, u, p)
         assert got == operator_form_sum(indices, assignment, u, p)
 
+    @pytest.mark.parametrize("n", range(11))
+    def test_annihilator_counts_never_decrease(self, n):
+        # _wick stops at the first summand with more annihilators than the
+        # input's top degree, so a reordered form would drop later summands
+        counts = [sum(sign < 0 for sign, _ in w.letters) for w, _ in wick_operator_form(n)]
+        assert counts == sorted(counts)
+
 
 class TestAgainstReference:
     @given(oracle_cases(), SIGNED_LETTERS)
@@ -692,6 +779,16 @@ class TestAgainstReference:
             assert_same(got, {})
         else:
             assert got == ("overflow", "creation on a degree-1 word exceeds the cutoff 1")
+
+    def test_terms_that_cancel_on_one_word_give_zero(self):
+        # c(1,2) x3 x5 - c(1,4) x3 x5 at cutoff 1: x3 x5 overflows, but the
+        # covariances are equal, so the word's summed coefficient is zero
+        word = VariableWord((3, 5), NORMAL)
+        e = Expansion.single(CovarianceMonomial(((1, 2),)), word, QPolynomial.one())
+        e = e - Expansion.single(CovarianceMonomial(((1, 4),)), word, QPolynomial.one())
+        assignment = {1: (1, 0), 2: (1, 0), 4: (1, 0), 3: (1, 0), 5: (0, 1)}
+        got = evaluate_expansion(e, assignment, FockParams(2, 1, Fraction(1, 3)))
+        assert got == FockVector({})
 
     @pytest.mark.parametrize("dim, degree", [(1, 3), (2, 2), (2, 3), (3, 2), (2, 6)])
     def test_gram_polynomials_are_the_permutation_sum(self, dim, degree):

@@ -148,13 +148,17 @@ def test_public_constructors_still_validate(build):
 WALKER_ROUTE = {"_walk", "terms", "_row_terms", "_diagram_sum", "expand", "IDENTITIES"}
 
 
+def function_node(module: str, function: str) -> ast.FunctionDef:
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    return node
+
+
 def names_in_function(module: str, function: str) -> set[str]:
     """The bare names a module-level function mentions or imports; an
     attribute such as Expansion.terms is not the module-level function terms."""
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
-    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
     found = set()
-    for sub in ast.walk(node):
+    for sub in ast.walk(function_node(module, function)):
         if isinstance(sub, ast.Name):
             found.add(sub.id)
         elif isinstance(sub, ast.alias):
@@ -178,3 +182,23 @@ def test_normal_form_relabels_the_walk():
     # the rewrite moves one walk per word length onto each Wick word through
     # _row_terms, so the row's sign and power rule is stated nowhere else
     assert {"_walk", "_row_terms", "IDENTITIES"} <= names_in_function("wick", "normal_form")
+
+
+def names_and_attributes(module: str, function: str) -> set[str]:
+    """names_in_function plus every attribute name the function reads, such
+    as evaluate in poly.evaluate(q)."""
+    node = function_node(module, function)
+    attributes = {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+    return names_in_function(module, function) | attributes
+
+
+def test_the_cutoff_rule_stays_in_the_step():
+    # graded_expansion evaluates no coefficient at any q: the word's summed
+    # coefficient reaches _step, which alone decides whether a word at the
+    # cutoff is nonzero at one of the q values
+    assert not names_and_attributes("fock", "graded_expansion") & {"evaluate", "_poly_value"}
+
+
+def test_reader_sees_each_evaluation():
+    assert "_poly_value" in names_and_attributes("fock", "_step")
+    assert "at" in names_and_attributes("fock", "evaluate_expansion")
