@@ -353,9 +353,12 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+# parse_args leaves the parser as it was, so every call of main shares it
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         code = args.func(args)
         # flushed here, so that a closed pipe is reported below and not

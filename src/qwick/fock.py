@@ -231,6 +231,7 @@ def _step(sign: int, coords, u: dict, params: FockParams, qs) -> dict:
     nonzero at one of qs, the q values the result is for, else drops it.
     The support cap is checked after each input entry's fan-out."""
     out: dict = {}
+    cap = FOCK_SUPPORT_CAP
     if sign >= 0:
         letters = [(letter, coord) for letter, coord in enumerate(coords, start=1) if coord]
         over: dict[tuple[int, ...], list] = {}
@@ -240,7 +241,8 @@ def _step(sign: int, coords, u: dict, params: FockParams, qs) -> dict:
                 continue
             for letter, coord in letters:
                 out[((letter,) + word, k)] = coord * c
-            _within_support_cap(out)
+            if len(out) > cap:
+                raise SizeLimitError(f"{len(out)} vector entries exceed the support cap {cap}")
         for word, terms in over.items():
             if any(_poly_value(terms, q) for q in qs):
                 raise TruncationOverflowError(
@@ -253,14 +255,10 @@ def _step(sign: int, coords, u: dict, params: FockParams, qs) -> dict:
                 if coord:
                     key = (word[:i] + word[i + 1 :], k + i)
                     out[key] = out.get(key, 0) + coord * c
-            _within_support_cap(out)
+            if len(out) > cap:
+                raise SizeLimitError(f"{len(out)} vector entries exceed the support cap {cap}")
         out = {key: c for key, c in out.items() if c}
     return out
-
-
-def _within_support_cap(out: dict) -> None:
-    if len(out) > FOCK_SUPPORT_CAP:
-        raise SizeLimitError(f"{len(out)} vector entries exceed the support cap {FOCK_SUPPORT_CAP}")
 
 
 class _Coordinates(dict):
@@ -330,11 +328,16 @@ def graded_expansion(e: Expansion, assignment, params: FockParams, qs) -> Graded
     by their covariances and summed, so it acts only at the q where that sum
     is nonzero, and only those count for the cutoff."""
     coords = _Coordinates(assignment, params.dim)
+    covariances: dict = {}
     starts: dict = {}
     for (factors, indices, kind), poly in e.terms.items():
         scale = 1
-        for i, j in factors:
-            scale *= sum(a * b for a, b in zip(coords[i], coords[j]))
+        for pair in factors:
+            cov = covariances.get(pair)
+            if cov is None:
+                i, j = pair
+                cov = covariances[pair] = sum(a * b for a, b in zip(coords[i], coords[j]))
+            scale *= cov
         if scale:
             start = starts.setdefault((indices, kind), {})
             for p, a in poly.coeffs.items():

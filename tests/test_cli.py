@@ -622,6 +622,45 @@ def test_module_entry_point():
     assert proc.stdout.strip() == "c(1,2)"
 
 
+# usage errors, help, and flags followed by the same command without them
+SHARED_PARSER_ARGVS = (
+    ("verify", "bogus"),
+    ("verify", "gram", "--q", "pi"),
+    ("--help",),
+    ("wick", "to-normal", "--n", "3", "--free"),
+    ("wick", "to-normal", "--n", "3"),
+    ("verify", "c2.2", "--n", "3", "--q=1/3"),
+    ("verify", "c2.2", "--n", "3"),
+    ("product", "--blocks", "2,2", "--expectation"),
+    ("product", "--blocks", "2,2"),
+)
+
+
+def test_calls_in_one_process_match_fresh_interpreters(capsys, monkeypatch):
+    """Every main call parses against the one parser built at import, so no
+    flag, default or error may carry over into the next call."""
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at this width
+    for argv in SHARED_PARSER_ARGVS:
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        got = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "qwick", *argv], capture_output=True, text=True
+        )
+        assert (got.out, got.err, code) == (fresh.stdout, fresh.stderr, fresh.returncode), argv
+
+
+def test_main_does_not_build_a_parser(capsys, monkeypatch):
+    def build_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    assert cli.main(["moments", "--n", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 2
+
+
 # sha256 of stdout, recorded before the incremental diagram walker and the
 # hand-written JSON emitter replaced crossing_stats and json.dumps on these
 # paths, (the verify entries) before the sampled verify suites shared one
