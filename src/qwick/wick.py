@@ -5,17 +5,16 @@ products of Wick products over block-partitioned index sets.  The
 diagram-sum identities are the rows of one table, IDENTITIES; terms streams
 a row's terms from the diagram walker, expand sums them into an Expansion,
 and free=True gives the q = 0 form as a class filter.  normal_form rewrites
-the Wick words of an expansion through the wick-to-normal row.
-wick_recursive is an independent second route to the Wick product.  Every
-function returns exact canonical data with q kept as a formal variable;
-specializing q is left to the oracle module, fock, which defines the Wick
-product on its own and is not imported here.
+the Wick words of an expansion by the peeling recursion, without the walker;
+wick_recursive, its rewrite of the word 1..n, is an independent second route
+to the Wick product.  Every function returns exact canonical data with q
+kept as a formal variable; specializing q is left to the oracle module,
+fock, which defines the Wick product on its own and is not imported here.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -209,7 +208,8 @@ def wick_to_normal(n: int, cap: int | None = None, free: bool = False) -> Expans
 
 
 def wick_recursive(n: int, cap: int | None = None) -> Expansion:
-    """Wick product of 1..n via the peel-the-first-variable recursion.
+    """Wick product of 1..n via the peel-the-first-variable recursion: the
+    normal_form of the single Wick word 1..n.
 
     Must agree term for term with wick_to_normal; kept as an independent
     construction so the two routes check each other.
@@ -217,31 +217,7 @@ def wick_recursive(n: int, cap: int | None = None) -> Expansion:
     if n < 0:
         raise DomainError(f"variable count must be nonnegative, got {n}")
     ensure_within_cap(n, cap)
-    memo = {(): {((), ()): {0: 1}}}
-    return _normal_expansion(_wick_recursive(tuple(range(1, n + 1)), memo))
-
-
-def _wick_recursive(indices: tuple[int, ...], memo: dict) -> dict:
-    """The Wick product of increasing indices as {(factors, word): {exp:
-    coeff}} sums; memo holds those of the empty tuple and of every sub-tuple
-    expanded already in this call, and is read, never changed in place."""
-    if indices not in memo:
-        head, rest = indices[0], indices[1:]
-        # multiplying by the field of the head variable on the left prepends
-        # it to every plain word
-        acc = {
-            (factors, (head,) + word): dict(coeffs)
-            for (factors, word), coeffs in _wick_recursive(rest, memo).items()
-        }
-        for pos, other in enumerate(rest):
-            trimmed = rest[:pos] + rest[pos + 1 :]
-            # head is below every index of trimmed, so (head, other) sorts first
-            for (factors, word), coeffs in _wick_recursive(trimmed, memo).items():
-                sums = acc.setdefault((((head, other),) + factors, word), {})
-                for exp, coeff in coeffs.items():
-                    sums[exp + pos] = sums.get(exp + pos, 0) - coeff
-        memo[indices] = acc
-    return memo[indices]
+    return normal_form(Expansion({((), range(1, n + 1), WICK): 1}), cap)
 
 
 def normal_to_wick(n: int, cap: int | None = None, free: bool = False) -> Expansion:
@@ -253,33 +229,52 @@ def normal_to_wick(n: int, cap: int | None = None, free: bool = False) -> Expans
 
 def normal_form(e: Expansion, cap: int | None = None) -> Expansion:
     """e with every Wick-tagged word rewritten into plain products by the
-    wick-to-normal row; normal terms pass through unchanged.
+    peeling recursion; normal terms pass through unchanged.
 
     Every Wick word is checked as wick_to_normal_word checks it, in sorted
-    order, before the first is rewritten.  Words of one length differ only
-    by a relabelling, so the walker runs once per length and _row_terms
-    moves that walk onto each word in turn; covariance factors merge as
-    multisets and q-polynomials multiply.
+    order, before the first is rewritten.  A term is held as factors *
+    prefix * :rest:, with a plain prefix, and terms are peeled by global
+    position: in round t, every term whose rest is (t,) + r becomes
+
+        prefix t :r:  -  sum over pos of q^pos c(t, r[pos]) prefix :r without r[pos]:
+
+    Each image joins the terms of a later round, or the result once its
+    rest has at most one variable, so terms merge, and cancel, as they go.
     """
-    row = IDENTITIES["wick-to-normal"]
-    outer: dict = {}  # Wick word -> the (factors, coeffs) of its terms in e
-    sums: dict = {}  # (factors, indices) -> {exp: coeff}, as every output word is normal
+    done: dict = {}  # (factors, word) -> {exp: coeff}, as every output word is normal
+    waiting: dict = {}  # t -> rest -> (factors, prefix) -> {exp: coeff}, for rests (t, ...)
     for (factors, indices, kind), poly in e.terms.items():
-        if kind == WICK:
-            outer.setdefault(indices, []).append((factors, poly.coeffs))
+        if kind == WICK and len(indices) > 1:
+            group = waiting.setdefault(indices[0], {}).setdefault(indices, {})
+            group[factors, ()] = dict(poly.coeffs)
         else:
-            sums[factors, indices] = dict(poly.coeffs)
-    for indices in sorted(outer):
+            acc = done.setdefault((factors, indices), {})
+            for k, c in poly.coeffs.items():
+                acc[k] = acc.get(k, 0) + c
+    for indices in sorted(key[1] for key in e.terms if key[2] == WICK):
         ensure_within_cap(len(_increasing(indices)), cap)
-    for n, words in itertools.groupby(sorted(outer, key=len), len):
-        walk = tuple(_walk(n, row.complete))
-        for indices in words:
-            for pairs, singles, _, exp, sign in _row_terms(row, walk, indices):
-                for factors, coeffs in outer[indices]:
-                    acc = sums.setdefault((tuple(sorted(factors + pairs)), singles), {})
-                    for k, c in coeffs.items():
-                        acc[k + exp] = acc.get(k + exp, 0) + sign * c
-    return _normal_expansion(sums)
+    while waiting:
+        t = min(waiting)
+        for rest, group in waiting.pop(t).items():
+            r = rest[1:]
+            live = [(key, [i for i in coeffs.items() if i[1]]) for key, coeffs in group.items()]
+            live = [(key, items) for key, items in live if items]  # cancelled terms stop here
+            # (pair, tail, trimmed, shift, sign): an image gains the factor pair,
+            # appends tail to its prefix, has Wick rest trimmed and weight sign * q^shift
+            images = [(None, (t,), r, 0, 1)]
+            images += [((t, u), (), r[:pos] + r[pos + 1 :], pos, -1) for pos, u in enumerate(r)]
+            for pair, tail, trimmed, shift, sign in images:
+                if len(trimmed) > 1:
+                    bucket = waiting.setdefault(trimmed[0], {}).setdefault(trimmed, {})
+                else:
+                    bucket, tail = done, tail + trimmed
+                for (factors, prefix), items in live:
+                    if pair:
+                        factors = tuple(sorted(factors + (pair,)))
+                    acc = bucket.setdefault((factors, prefix + tail), {})
+                    for k, c in items:
+                        acc[k + shift] = acc.get(k + shift, 0) + sign * c
+    return _normal_expansion(done)
 
 
 def product_expectation(

@@ -166,7 +166,7 @@ def names_in_function(module: str, function: str) -> set[str]:
     return found
 
 
-@pytest.mark.parametrize("function", ["wick_recursive", "_wick_recursive"])
+@pytest.mark.parametrize("function", ["wick_recursive", "normal_form"])
 def test_recursion_stays_a_second_route(function):
     # the recursion checks the diagram walker, so it must not go through it
     assert not names_in_function("wick", function) & WALKER_ROUTE
@@ -176,12 +176,6 @@ def test_reader_sees_each_walker_use():
     # the reader itself must not miss a use and pass by accident
     assert {"_walk", "_row_terms", "IDENTITIES"} <= names_in_function("wick", "terms")
     assert "_diagram_sum" in names_in_function("wick", "expand")
-
-
-def test_normal_form_relabels_the_walk():
-    # the rewrite moves one walk per word length onto each Wick word through
-    # _row_terms, so the row's sign and power rule is stated nowhere else
-    assert {"_walk", "_row_terms", "IDENTITIES"} <= names_in_function("wick", "normal_form")
 
 
 def names_and_attributes(module: str, function: str) -> set[str]:

@@ -1,5 +1,6 @@
 """Expansion-valued identities: moments, conversions, operator forms, products."""
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -659,26 +660,33 @@ class TestNormalFormAgainstRuleMaps:
         )
         assert normal_form(e) == expected
 
-    def test_one_walk_per_word_length(self, monkeypatch):
-        import qwick.wick
 
-        walked = []
-        walk = qwick.wick._walk
-        monkeypatch.setattr(
-            qwick.wick, "_walk", lambda n, *args: walked.append(n) or walk(n, *args)
-        )
-        # terms in mixed length order, and a normal term, which is not walked
-        e = normal_to_wick(6) + Expansion({((), (2, 4, 6), WICK): 1, ((), (1, 5), NORMAL): 3})
-        assert rewrite_outcome(normal_form, e, None) == rewrite_outcome(
-            reference_normal_form, e, None
-        )
-        walked.clear()
-        normal_form(e)
-        assert walked == [2, 3, 4, 6]
-        walked.clear()
-        plain = Expansion({((), (1, 2), NORMAL): 1, (((1, 2),), (), NORMAL): Fraction(-1, 2)})
-        assert normal_form(plain, cap=0) == plain
-        assert walked == []
+# Each mutated row must fail the one suite that checks it against the peel:
+# wick-to-normal meets it in wick2-vs-recursion, normal-to-wick in roundtrip.
+ROW_MUTANTS = [
+    ("wick-to-normal", {"power": lambda c, d, g: g}, "wick2-vs-recursion"),
+    ("wick-to-normal", {"signed": False}, "wick2-vs-recursion"),
+    ("normal-to-wick", {"power": lambda c, d, g: c}, "roundtrip"),
+    ("normal-to-wick", {"power": lambda c, d, g: c + d + (g > 0)}, "roundtrip"),
+]
+
+
+@pytest.mark.parametrize("name, change, check", ROW_MUTANTS)
+def test_a_mutated_row_fails_its_suite(monkeypatch, name, change, check):
+    assert all(r.passed for r in run_check(check, n=6))
+    monkeypatch.setitem(IDENTITIES, name, dataclasses.replace(IDENTITIES[name], **change))
+    assert not all(r.passed for r in run_check(check, n=6))
+
+
+def test_normal_form_changes_neither_its_input_nor_shared_caches():
+    # the rewrite must not merge into the QPolynomial coefficient dicts it
+    # reads, which the q-power cache shares between expansions
+    e = normal_to_wick(6)
+    before = json.dumps(e.to_json())
+    normal_form(e)
+    assert json.dumps(e.to_json()) == before
+    assert json.dumps(normal_to_wick(6).to_json()) == before
+    assert wick_to_normal(6) == wick_recursive(6)
 
 
 @pytest.mark.parametrize("n", range(10))
