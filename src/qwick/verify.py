@@ -4,7 +4,9 @@ Each checker returns a list of VerifyReport records, one per instance, in a
 deterministic order.  A failing report always carries a complete
 reproduction witness: the instance data, the sampled vectors and q, and
 both computed values.  The check ids here are the ones the command line
-accepts.
+accepts.  Every row of wick.IDENTITIES has an oracle suite, built by
+_check_row from the row alone: its left words on the vacuum against its
+diagram sum.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .algebra import NORMAL, WICK, Expansion, VariableWord, specialize_free
+from .algebra import NORMAL, Expansion, specialize_free
 from .diagrams import catalan_sequences, ensure_within_cap
 from .errors import DomainError
 from .fock import (
@@ -36,7 +38,6 @@ from .wick import (
     IDENTITIES,
     expand,
     m_epsilon_expansion,
-    moment_expansion,
     normal_form,
     normal_to_wick,
     wick_recursive,
@@ -219,27 +220,6 @@ def check_sign_moments(cfg: VerifyConfig) -> list[VerifyReport]:
     return _sampled("t2.1", cfg, cases)
 
 
-def _moment_ok(n: int, lhs, rhs) -> bool:
-    # an odd moment must be exactly zero, not just equal to the formula
-    return lhs == rhs and (n % 2 == 0 or not lhs)
-
-
-def check_moments(cfg: VerifyConfig) -> list[VerifyReport]:
-    """id c2.2: oracle moments of field products against the complete-diagram
-    sum; odd orders must give exactly zero."""
-    cases = (
-        _bounded(
-            {"n": n},
-            n,
-            partial(graded_apply, (VariableWord(range(1, n + 1)),), scalar=True),
-            moment_expansion(n, cap=cfg.cap),
-            partial(_moment_ok, n),
-        )
-        for n in _capped(_sizes(cfg.n), cfg.cap)
-    )
-    return _sampled("c2.2", cfg, cases)
-
-
 def check_recursion_agreement(cfg: VerifyConfig) -> list[VerifyReport]:
     """id wick2-vs-recursion: the diagram formula and the peeling recursion
     must produce identical canonical expansions."""
@@ -264,41 +244,42 @@ def _tensor(n: int, assignment, params, qs) -> Graded:
     return Graded(entries)
 
 
-def _wick_products(blocks: Sequence[int]) -> tuple[VariableWord, ...]:
-    """One Wick product per block, over consecutive variables."""
-    ends = list(itertools.accumulate(blocks))
-    return tuple(VariableWord(range(end - w + 1, end + 1), WICK) for w, end in zip(blocks, ends))
-
-
 def check_wick_vector(cfg: VerifyConfig) -> list[VerifyReport]:
     """id wick-vector: the operator form of a Wick product must send the
     vacuum to the plain elementary tensor of its vectors."""
     sizes = _sizes(cfg.n)
     for n in sizes:  # past WICK_FORM_CAP fails here; the forms are cached for reuse
         wick_operator_form(n)
-    cases = (
-        _Case({"n": n}, n, partial(graded_apply, _wick_products((n,))), partial(_tensor, n))
-        for n in sizes
-    )
+    wick = IDENTITIES["wick-to-normal"].left_words  # the Wick product of 1..n
+    cases = (_Case({"n": n}, n, partial(graded_apply, wick(n)), partial(_tensor, n)) for n in sizes)
     return _sampled("wick-vector", cfg, cases)
 
 
-def _check_blocks(check_id: str, name: str, cfg: VerifyConfig) -> list[VerifyReport]:
-    """ids t3.3 and t3.4: the product of per-block Wick products applied to
-    the vacuum against the named identity row; a complete-diagram row is
-    scalar, so only the vacuum coefficient is compared."""
-    block_list = (cfg.blocks,) if cfg.blocks else DEFAULT_BLOCKS
-    _capped([sum(blocks) for blocks in block_list], cfg.cap)
-    cases = (
-        _Case(
-            {"blocks": list(blocks)},
-            sum(blocks),
-            partial(graded_apply, _wick_products(blocks), scalar=IDENTITIES[name].complete),
-            partial(graded_expansion, expand(name, blocks, cap=cfg.cap)),
-        )
-        for blocks in block_list
-    )
-    return _sampled(check_id, cfg, cases)
+def _check_row(check_id: str, name: str, cfg: VerifyConfig) -> list[VerifyReport]:
+    """ids c2.2, t3.3, t3.4, wick-to-normal and normal-to-wick: the left
+    words of the named identity row applied to the vacuum against the row's
+    diagram sum, on sizes 1..n, or on the block list for a row with blocks.
+    A complete row is scalar, so only the vacuum coefficient is compared,
+    and on an odd ground size it must be exactly zero."""
+    row = IDENTITIES[name]
+    if row.blocks:
+        args = (cfg.blocks,) if cfg.blocks else DEFAULT_BLOCKS
+        sizes = [sum(blocks) for blocks in args]
+    else:
+        args = sizes = _sizes(cfg.n)
+    _capped(sizes, cfg.cap)
+
+    def case(arg, size: int) -> _Case:
+        oracle = partial(graded_apply, row.left_words(arg), scalar=row.complete)
+        expansion = expand(name, arg, cap=cfg.cap)
+        # an odd complete row must vanish, not just equal the formula
+        ok = (lambda lhs, rhs: lhs == rhs and not lhs) if row.complete and size % 2 else operator.eq
+        if row.blocks:
+            formula = partial(graded_expansion, expansion)
+            return _Case({"blocks": list(arg)}, size, oracle, formula, ok)
+        return _bounded({"n": arg}, size, oracle, expansion, ok)
+
+    return _sampled(check_id, cfg, map(case, args, sizes))
 
 
 def check_roundtrip(cfg: VerifyConfig) -> list[VerifyReport]:
@@ -359,18 +340,16 @@ def check_gram(cfg: VerifyConfig) -> list[VerifyReport]:
 # Each suite with the options it reads and their defaults; run_check rejects
 # any other option that is given.
 _SAMPLED = {"q": None, "dim": 2, "level": None, "seed": 0}
+_ON_SIZES = {"n": 8, **_SAMPLED, "cap": None}
+_ON_BLOCKS = {"blocks": None, **_SAMPLED, "cap": None}
 CHECKS = {
-    "t2.1": (check_sign_moments, {"n": 8, **_SAMPLED, "cap": None}),
-    "c2.2": (check_moments, {"n": 8, **_SAMPLED, "cap": None}),
+    "t2.1": (check_sign_moments, _ON_SIZES),
+    "c2.2": (partial(_check_row, "c2.2", "moment"), _ON_SIZES),
+    "wick-to-normal": (partial(_check_row, "wick-to-normal", "wick-to-normal"), _ON_SIZES),
+    "normal-to-wick": (partial(_check_row, "normal-to-wick", "normal-to-wick"), _ON_SIZES),
     "wick-vector": (check_wick_vector, {"n": 6, **_SAMPLED}),
-    "t3.3": (
-        partial(_check_blocks, "t3.3", "product-expectation"),
-        {"blocks": None, **_SAMPLED, "cap": None},
-    ),
-    "t3.4": (
-        partial(_check_blocks, "t3.4", "product-expansion"),
-        {"blocks": None, **_SAMPLED, "cap": None},
-    ),
+    "t3.3": (partial(_check_row, "t3.3", "product-expectation"), _ON_BLOCKS),
+    "t3.4": (partial(_check_row, "t3.4", "product-expansion"), _ON_BLOCKS),
     "roundtrip": (check_roundtrip, {"n": 6, "cap": None}),
     "wick2-vs-recursion": (check_recursion_agreement, {"n": 7, "cap": None}),
     "free": (check_free, {"n": 6, "blocks": None, "cap": None}),

@@ -2,9 +2,10 @@
 
 Moments, conversions between plain products and Wick products, and
 products of Wick products over block-partitioned index sets.  The
-diagram-sum identities are the rows of one table, IDENTITIES; terms streams
-a row's terms from the diagram walker, expand sums them into an Expansion,
-and free=True gives the q = 0 form as a class filter.  normal_form rewrites
+diagram-sum identities are the rows of one table, IDENTITIES, and each row
+also states its left side, the words it expands; terms streams a row's
+terms from the diagram walker, expand sums them into an Expansion, and
+free=True gives the q = 0 form as a class filter.  normal_form rewrites
 the Wick words of an expansion by the peeling recursion, without the walker;
 wick_recursive, its rewrite of the word 1..n, is an independent second route
 to the Wick product.  Every function returns exact canonical data with q
@@ -15,6 +16,7 @@ fock, which defines the Wick product on its own and is not imported here.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,6 +25,7 @@ from .algebra import (
     WICK,
     Expansion,
     QPolynomial,
+    VariableWord,
     _exact,
     _integer,
     _term_key,
@@ -86,15 +89,20 @@ def _normal_expansion(sums: dict) -> Expansion:
 class Identity:
     """One diagram-sum identity, stated as data.
 
-    The sum runs over all diagrams on the ground set (complete ones only
-    when complete is set; with blocks, only those pairing no two positions of
-    one block).  Each diagram contributes its covariance factors and a
-    singleton word of the given kind, times q to power(c, d, g), negated for
-    an odd pair count when signed.  zero names the statistic ("c", "g" or
-    "tc") whose vanishing class gives the q = 0 form; power is 0 on that
-    class, so the free sum is the same sum restricted by diagram class.
+    The row's left side is one word of kind left per block, over
+    consecutive variables (a row without blocks has the one block 1..n);
+    left_words builds it, and the oracle applies it to the vacuum, keeping
+    only the vacuum coefficient when complete is set.  The sum runs over
+    all diagrams on the ground set (complete ones only when complete is
+    set; with blocks, only those pairing no two positions of one block).
+    Each diagram contributes its covariance factors and a singleton word of
+    the given kind, times q to power(c, d, g), negated for an odd pair count
+    when signed.  zero names the statistic ("c", "g" or "tc") whose
+    vanishing class gives the q = 0 form; power is 0 on that class, so the
+    free sum is the same sum restricted by diagram class.
     """
 
+    left: str
     kind: str
     complete: bool
     power: Callable[[int, int, int], int]
@@ -102,13 +110,21 @@ class Identity:
     signed: bool = False
     blocks: bool = False
 
+    def left_words(self, arg) -> tuple[VariableWord, ...]:
+        """The left side on arg, a ground size or block sizes as for terms."""
+        blocks = arg if self.blocks else (arg,)
+        ends = itertools.accumulate(blocks)
+        return tuple(
+            VariableWord(range(end - w + 1, end + 1), self.left) for w, end in zip(blocks, ends)
+        )
+
 
 IDENTITIES = {
-    "moment": Identity(NORMAL, True, lambda c, d, g: c, "c"),
-    "wick-to-normal": Identity(NORMAL, False, lambda c, d, g: g - c, "g", signed=True),
-    "normal-to-wick": Identity(WICK, False, lambda c, d, g: c + d, "tc"),
-    "product-expectation": Identity(NORMAL, True, lambda c, d, g: c, "c", blocks=True),
-    "product-expansion": Identity(WICK, False, lambda c, d, g: c + d, "tc", blocks=True),
+    "moment": Identity(NORMAL, NORMAL, True, lambda c, d, g: c, "c"),
+    "wick-to-normal": Identity(WICK, NORMAL, False, lambda c, d, g: g - c, "g", signed=True),
+    "normal-to-wick": Identity(NORMAL, WICK, False, lambda c, d, g: c + d, "tc"),
+    "product-expectation": Identity(WICK, NORMAL, True, lambda c, d, g: c, "c", blocks=True),
+    "product-expansion": Identity(WICK, WICK, False, lambda c, d, g: c + d, "tc", blocks=True),
 }
 
 

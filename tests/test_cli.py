@@ -293,7 +293,7 @@ class TestVerifyCommand:
         [
             (
                 "verify c2.2 --n 9 --cap 8",
-                ("moment_expansion",),
+                ("expand",),
                 "ground size 9 exceeds enumeration cap 8",
             ),
             (
@@ -394,6 +394,33 @@ class TestVerifyCommand:
     def test_each_suite_reads_its_flags(self):
         assert {check: set(defaults) for check, (_, defaults) in verify.CHECKS.items()} == READS
 
+    # Both sides shifted by the same constant still agree, but a row of
+    # complete diagrams on an odd ground size must give exactly zero; a row
+    # with singletons is not bound by that.
+    @pytest.mark.parametrize(
+        "check, options, failing",
+        [
+            ("c2.2", {"n": 2}, [{"n": 1}]),
+            ("t3.3", {"blocks": (2, 1)}, [{"blocks": [2, 1]}]),
+            ("t3.3", {"blocks": (1, 1)}, []),
+            ("wick-to-normal", {"n": 2}, []),
+        ],
+    )
+    def test_an_odd_complete_row_must_vanish(self, monkeypatch, check, options, failing):
+        def shifted(g):
+            entries = dict(g.entries)
+            entries[(), 0] = entries.get(((), 0), 0) + 1
+            return Graded({key: c for key, c in entries.items() if c}, g.scalar)
+
+        one = Expansion({((), (), NORMAL): 1})
+        apply, build = verify.graded_apply, verify.expand
+        monkeypatch.setattr(verify, "graded_apply", lambda *a, **k: shifted(apply(*a, **k)))
+        monkeypatch.setattr(verify, "expand", lambda *a, **k: build(*a, **k) + one)
+        reports = verify.run_check(check, **options)
+        for r in reports:
+            head = {key: v for key, v in r.instance.items() if key not in ("q", "sample")}
+            assert r.passed == (head not in failing)
+
     # A formula side with a wrong term added must fail with exactly the
     # witness these suites reported before they shared one runner.  The
     # q^5 - q^4/2 term vanishes at q = 1/2, so only the degree bound fails.
@@ -401,13 +428,13 @@ class TestVerifyCommand:
         "target, extra, argv, witness",
         [
             (
-                "moment_expansion",
+                "expand",
                 {0: 1},
                 "verify c2.2 --n 2 --q 1/2",
                 {"lhs": "0", "rhs": "1", "degree_bound_ok": True, "vectors": {"1": ["3", "0"]}},
             ),
             (
-                "moment_expansion",
+                "expand",
                 {5: 1, 4: Fraction(-1, 2)},
                 "verify c2.2 --n 2 --q 1/2",
                 {"lhs": "0", "rhs": "0", "degree_bound_ok": False, "vectors": {"1": ["3", "0"]}},
@@ -447,13 +474,13 @@ class TestVerifyCommand:
         "target, argv, fmt, sha",
         [
             (
-                "moment_expansion",
+                "expand",
                 "verify c2.2 --n 2",
                 "json",
                 "8ac6a9e14189d93f6e19df587396ff81dd8ce2d723556a3a1fda785838ff2789",
             ),
             (
-                "moment_expansion",
+                "expand",
                 "verify c2.2 --n 2",
                 "csv",
                 "f8703d1d33e82527978247722cac2f43378517144ce33beec072b7f930adbe1c",
@@ -1014,6 +1041,8 @@ SAMPLED_FLAGS = {"q", "dim", "level", "seed"}
 READS = {
     "t2.1": {"n", "cap"} | SAMPLED_FLAGS,
     "c2.2": {"n", "cap"} | SAMPLED_FLAGS,
+    "wick-to-normal": {"n", "cap"} | SAMPLED_FLAGS,
+    "normal-to-wick": {"n", "cap"} | SAMPLED_FLAGS,
     "wick-vector": {"n"} | SAMPLED_FLAGS,
     "t3.3": {"blocks", "cap"} | SAMPLED_FLAGS,
     "t3.4": {"blocks", "cap"} | SAMPLED_FLAGS,

@@ -43,7 +43,7 @@ from qwick import (
     wick_to_normal_word,
 )
 from qwick.algebra import accumulate_term
-from qwick.verify import run_check
+from qwick.verify import CHECKS, _check_row, run_check
 from qwick.wick import _diagram_sum, terms
 
 
@@ -661,13 +661,18 @@ class TestNormalFormAgainstRuleMaps:
         assert normal_form(e) == expected
 
 
-# Each mutated row must fail the one suite that checks it against the peel:
-# wick-to-normal meets it in wick2-vs-recursion, normal-to-wick in roundtrip.
+# Each mutated row must fail the suites that check it: its own oracle suite,
+# and the one that checks it against the peel (wick-to-normal meets the peel
+# in wick2-vs-recursion, normal-to-wick in roundtrip).
 ROW_MUTANTS = [
     ("wick-to-normal", {"power": lambda c, d, g: g}, "wick2-vs-recursion"),
     ("wick-to-normal", {"signed": False}, "wick2-vs-recursion"),
     ("normal-to-wick", {"power": lambda c, d, g: c}, "roundtrip"),
     ("normal-to-wick", {"power": lambda c, d, g: c + d + (g > 0)}, "roundtrip"),
+    ("wick-to-normal", {"power": lambda c, d, g: g}, "wick-to-normal"),
+    ("wick-to-normal", {"signed": False}, "wick-to-normal"),
+    ("normal-to-wick", {"power": lambda c, d, g: c}, "normal-to-wick"),
+    ("normal-to-wick", {"power": lambda c, d, g: c + d + (g > 0)}, "normal-to-wick"),
 ]
 
 
@@ -676,6 +681,15 @@ def test_a_mutated_row_fails_its_suite(monkeypatch, name, change, check):
     assert all(r.passed for r in run_check(check, n=6))
     monkeypatch.setitem(IDENTITIES, name, dataclasses.replace(IDENTITIES[name], **change))
     assert not all(r.passed for r in run_check(check, n=6))
+
+
+def test_every_row_meets_the_oracle():
+    rows = [
+        suite.args[1]
+        for suite, _ in CHECKS.values()
+        if isinstance(suite, functools.partial) and suite.func is _check_row
+    ]
+    assert set(rows) == set(IDENTITIES)
 
 
 def test_normal_form_changes_neither_its_input_nor_shared_caches():
