@@ -122,8 +122,10 @@ def _json_text(value, indent: str = "\n") -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
+        get = _JSON_SCALARS.get
         items = [
-            encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in value.items()
+            f"{encode_basestring_ascii(k)}: {s(v) if (s := get(type(v))) else _json_text(v, inner)}"
+            for k, v in value.items()
         ]
         return "{" + inner + sep.join(items) + indent + "}"
     if isinstance(value, (list, tuple)):
@@ -139,8 +141,8 @@ def _write_csv(header, rows) -> None:
     writer.writerows(rows)
 
 
-# The streaming writers below render each term or diagram as its walk yields
-# it, with the text _json_text would give at that depth: a term or record
+# The streaming writers below render each term, diagram or report as it is
+# yielded, with the text _json_text would give at that depth: a term or record
 # sits at indent 4 and its fields at indent 6.
 
 
@@ -157,9 +159,9 @@ def _json_ints(values) -> str:
     return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]"
 
 
-def _write_json_list(meta: dict, key: str, items) -> None:
-    """Write the JSON object of meta with key's list added last, one
-    rendered item of the list at a time."""
+def _write_json_list(meta: dict, key: str, items, after: dict | None = None) -> None:
+    """Write the JSON object of meta, then key's list, one rendered item at a
+    time, then the fields of after."""
     write = sys.stdout.write
     indent = "\n  "
     write("{")
@@ -170,7 +172,10 @@ def _write_json_list(meta: dict, key: str, items) -> None:
     for item in items:
         write(sep + item)
         sep = ",\n    "
-    write("]\n}\n" if sep == "\n    " else "\n  ]\n}\n")
+    write("]" if sep == "\n    " else "\n  ]")
+    for k, v in (after or {}).items():
+        write(f",{indent}{encode_basestring_ascii(k)}: {_json_text(v, indent)}")
+    write("\n}\n")
 
 
 def _csv_pairs(pairs) -> str:
@@ -339,8 +344,14 @@ def cmd_verify(args) -> int:
     )
     failures = sum(1 for r in reports if not r.passed)
     if args.format == "json":
-        records = [r.to_json() for r in reports]
-        print(_json_text({"check": args.check, "reports": records, "failures": failures}))
+        at = "\n      "
+        items = (  # the fields of VerifyReport.to_json, in its order
+            f'{{{at}"check": {encode_basestring_ascii(r.check)},{at}"instance": '
+            f'{_json_text(r.instance, at)},{at}"status": {encode_basestring_ascii(r.status)},'
+            f'{at}"witness": {_json_text(r.witness, at)}\n    }}'
+            for r in reports
+        )
+        _write_json_list({"check": args.check}, "reports", items, {"failures": failures})
     elif args.format == "csv":
         _write_csv(
             ("check", "instance", "status"),

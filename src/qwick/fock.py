@@ -60,12 +60,13 @@ class FockParams:
 
 @dataclass(frozen=True)
 class OneParticleVector:
-    """Element of the rational one-particle space, as coordinates over the basis."""
+    """Element of the one-particle space: Rational coordinates, integral ones as ints."""
 
-    coords: tuple[Fraction, ...]
+    coords: tuple[Rational, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+        coords = tuple(c if type(c) is int else _exact(Fraction(c)) for c in self.coords)
+        object.__setattr__(self, "coords", coords)
 
     def dot(self, other: OneParticleVector) -> Fraction:
         if len(self.coords) != len(other.coords):
@@ -262,7 +263,7 @@ def _step(sign: int, coords, u: dict, params: FockParams, qs) -> dict:
 
 
 class _Coordinates(dict):
-    """Each variable's coordinates, exact ints where they are integers, read
+    """Each variable's coordinates, as its OneParticleVector keeps them, read
     from the assignment on first use; an unused variable is never read."""
 
     def __init__(self, assignment: Mapping[int, VectorLike], dim: int):
@@ -271,8 +272,7 @@ class _Coordinates(dict):
     def __missing__(self, idx: int) -> tuple:
         if idx not in self.assignment:
             raise KeyError(f"no vector assigned to variable {idx}")
-        vector = as_vector(self.assignment[idx], self.dim)
-        coords = self[idx] = tuple(_exact(c) for c in vector.coords)
+        coords = self[idx] = as_vector(self.assignment[idx], self.dim).coords
         return coords
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .algebra import NORMAL, Expansion, specialize_free
+from .algebra import NORMAL, Expansion, _integer, specialize_free
 from .diagrams import catalan_sequences, ensure_within_cap
 from .errors import DomainError
 from .fock import (
@@ -174,9 +174,9 @@ def _sampled(check: str, cfg: VerifyConfig, cases: Iterable[_Case]) -> list[Veri
         params = FockParams(cfg.dim, cfg.cutoff(case.nvars), qs[0])
         values = [(case.oracle(a, params, qs), case.formula(a, params, qs)) for a in assignments]
         decided = [case.ok(lhs, rhs) for lhs, rhs in values]
-        for q0 in qs:
+        for q0, q_text in zip(qs, map(str, qs)):
             for s_idx, (assignment, (lhs, rhs)) in enumerate(zip(assignments, values)):
-                instance = {**case.head, "q": str(q0), "sample": s_idx}
+                instance = {**case.head, "q": q_text, "sample": s_idx}
                 if decided[s_idx]:
                     reports.append(VerifyReport(check, instance, "pass"))
                     continue
@@ -233,7 +233,7 @@ def check_recursion_agreement(cfg: VerifyConfig) -> list[VerifyReport]:
 
 def _tensor(n: int, assignment, params, qs) -> Graded:
     """f_1 (x) ... (x) f_n for the vectors of variables 1..n, at every q."""
-    entries = {((), 0): Fraction(1)}
+    entries = {((), 0): 1}
     for f in (assignment[i] for i in range(1, n + 1)):
         entries = {
             (word + (letter,), 0): coord * val
@@ -357,12 +357,18 @@ CHECKS = {
 }
 
 
+def _whole(value, what: str) -> int:
+    if isinstance(value, bool):  # it would run as 0 or 1
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return _integer(value, what)
+
+
 def run_check(check_id: str, **options) -> list[VerifyReport]:
     """Run one named check suite and return its reports in emission order.
 
-    options are VerifyConfig fields, and None counts as not given.  Giving
-    one the suite does not read is a DomainError, so a flag that would
-    change nothing cannot go unnoticed.
+    options are VerifyConfig fields, and None counts as not given.  One the
+    suite does not read, which would change nothing, is a DomainError, and
+    so is a size, seed or cap that is a bool or not an integer.
     """
     if check_id not in CHECKS:
         raise DomainError(
@@ -373,8 +379,11 @@ def run_check(check_id: str, **options) -> list[VerifyReport]:
     for key in given:
         if key not in defaults:
             raise DomainError(f"check {check_id} does not read --{key}")
+    for key in ("n", "dim", "level", "seed", "cap"):
+        if key in given:
+            given[key] = _whole(given[key], key)
     if "blocks" in given:
-        given["blocks"] = tuple(given["blocks"])
+        given["blocks"] = tuple(_whole(b, "block size") for b in given["blocks"])
         if not given["blocks"]:
             raise DomainError("blocks = () gives no instances; it must hold at least one block")
     return suite(VerifyConfig(**{**defaults, **given}))

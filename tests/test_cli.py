@@ -13,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwick import (
@@ -390,6 +390,23 @@ class TestVerifyCommand:
         with pytest.raises(DomainError) as exc:
             verify.run_check(check, blocks=())
         assert str(exc.value) == "blocks = () gives no instances; it must hold at least one block"
+
+    @pytest.mark.parametrize(
+        "check, options, message",
+        [
+            ("t3.3", {"blocks": (2, "a")}, "block size must be an integer, got 'a'"),
+            ("c2.2", {"n": 2.5}, "n must be an integer, got 2.5"),
+            ("c2.2", {"n": "3"}, "n must be an integer, got '3'"),
+            ("c2.2", {"n": True}, "n must be an integer, got True"),
+            ("c2.2", {"n": 2, "seed": "x"}, "seed must be an integer, got 'x'"),
+            ("c2.2", {"n": 2, "cap": 2.5}, "cap must be an integer, got 2.5"),
+        ],
+    )
+    def test_a_non_integer_size_is_a_domain_error(self, check, options, message):
+        # the command line's argument types never pass these
+        with pytest.raises(DomainError) as exc:
+            verify.run_check(check, **options)
+        assert str(exc.value) == message
 
     def test_each_suite_reads_its_flags(self):
         assert {check: set(defaults) for check, (_, defaults) in verify.CHECKS.items()} == READS
@@ -1035,6 +1052,34 @@ class TestJsonEmitter:
     def test_unsupported_types_raise(self, value):
         with pytest.raises(TypeError):
             cli._json_text(value)
+
+
+json_objects = st.dictionaries(st.text(), json_values, max_size=4)
+verify_reports = st.builds(
+    VerifyReport,
+    check=st.text(),
+    instance=json_objects,
+    status=st.sampled_from(["pass", "fail"]) | st.text(),
+    witness=st.none() | json_objects,
+)
+
+
+@example([])
+@given(st.lists(verify_reports, max_size=5))
+def test_streamed_verify_json_is_json_dumps(reports):
+    """verify --format json writes each report as it comes, byte for byte
+    as json.dumps of the whole document, and exits 1 exactly on a failure."""
+    failures = sum(1 for r in reports if r.status != "pass")
+    expected = json.dumps(
+        {"check": "gram", "reports": [r.to_json() for r in reports], "failures": failures},
+        indent=2,
+    )
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(cli, "run_check", lambda *a, **k: reports)
+        code = cli.main(["verify", "gram"])
+    assert out.getvalue() == expected + "\n"
+    assert code == (1 if failures else 0)
 
 
 SAMPLED_FLAGS = {"q", "dim", "level", "seed"}

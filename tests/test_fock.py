@@ -45,7 +45,7 @@ from qwick.fock import (
     dot,
     graded_apply,
 )
-from qwick.verify import GRAM_Q_GRID, Q_GRID
+from qwick.verify import GRAM_Q_GRID, Q_GRID, _vec_json, sample_assignments
 
 E1 = OneParticleVector((1, 0))
 E2 = OneParticleVector((0, 1))
@@ -854,6 +854,44 @@ class TestIntegerInput:
     def test_signs_are_still_checked(self):
         with pytest.raises(DomainError, match="operator signs must be"):
             OperatorWord(((2, 1),))
+
+
+class TestIntegralCoordinates:
+    """A one-particle vector keeps an integral coordinate as an int and any
+    other as a Fraction, so the oracle builds no Fraction for integer vectors;
+    the values, their text and the dot product are as before."""
+
+    def test_sampled_vectors_are_pinned(self):
+        samples = sample_assignments(4, 3, 0)
+        assert [[a[i].coords for i in sorted(a)] for a in samples] == [
+            [(3, 0, 3), (0, -3, -1), (1, 0, 0), (3, 3, -1)],
+            [(0, -1, 1), (-2, 1, -2), (-1, -2, 3), (-3, 1, 3)],
+            [(-1, 1, 2), (3, 1, -2), (-1, -3, 2), (-3, 3, 2)],
+            [(-1, 0, 1), (-3, -1, 0), (-1, 1, 2), (-2, 1, 0)],
+            [(0, 3, 1), (-1, -3, 3), (1, -3, -3), (2, 3, 0)],
+        ]
+        assert all(type(c) is int for a in samples for v in a.values() for c in v.coords)
+        assert _vec_json(samples[0]) == {
+            "1": ["3", "0", "3"],
+            "2": ["0", "-3", "-1"],
+            "3": ["1", "0", "0"],
+            "4": ["3", "3", "-1"],
+        }
+
+    def test_integral_coordinates_are_ints(self):
+        coords = OneParticleVector((2, Fraction(4, 2), 2.0, True)).coords
+        assert coords == (2, 2, 2, 1)
+        assert all(type(c) is int for c in coords)
+
+    def test_other_coordinates_stay_fractions(self):
+        (c,) = OneParticleVector((Fraction(1, 2),)).coords
+        assert type(c) is Fraction and c == Fraction(1, 2)
+        assert OneParticleVector(("3/4",)).coords == (Fraction(3, 4),)
+
+    def test_dot_is_a_fraction(self):
+        value = OneParticleVector((1, 2)).dot(OneParticleVector((3, -1)))
+        assert type(value) is Fraction and value == 1
+        assert type(dot((1, 2), (Fraction(1, 2), 0))) is Fraction
 
 
 class TestCoordinatesOncePerCall:
