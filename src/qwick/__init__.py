@@ -31,7 +31,6 @@ from .diagrams import (
     enumerate_complete,
     enumerate_diagrams,
     enumerate_nonlinking,
-    enumeration_cap,
     epsilon_of,
 )
 from .errors import DomainError, QwickError, SizeLimitError, TruncationOverflowError

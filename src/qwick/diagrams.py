@@ -22,37 +22,18 @@ statistics, off the hot path, against which the tests check the walker.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
 from .algebra import _integer
 from .errors import DomainError, SizeLimitError
 
+# enumeration bound when no cap is given: 10395 pairings, 140152 diagrams at 12
 DEFAULT_CAP = 12
-CAP_ENV_VAR = "QWICK_CAP"
-
-
-def enumeration_cap() -> int:
-    """Active ground-size bound for exhaustive enumeration.
-
-    The default keeps full sweeps fast (10395 pairings and 140152
-    pair/singleton diagrams at size 12); set the QWICK_CAP environment
-    variable to override.
-    """
-    raw = os.environ.get(CAP_ENV_VAR)
-    if not raw:
-        return DEFAULT_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise DomainError(f"{CAP_ENV_VAR} must be a nonnegative integer, got {raw!r}")
-    return cap
 
 
 def ensure_within_cap(size: int, cap: int | None = None) -> None:
-    limit = enumeration_cap() if cap is None else cap
+    """SizeLimitError past cap (DEFAULT_CAP if None); DomainError for a bad cap."""
+    limit = DEFAULT_CAP if cap is None else _integer(cap, "cap")
     if limit < 0:
         raise DomainError(f"cap must be a nonnegative integer, got {cap}")
     if size > limit:
@@ -267,6 +248,7 @@ def catalan_check(eps: SignSequence) -> tuple[bool, tuple[int, ...]]:
 def catalan_sequences(length: int, cap: int | None = None):
     """All Catalan sign patterns of the given even length, in lexicographic
     order with -1 before +1."""
+    length = _integer(length, "sign sequence length")
     if length % 2:
         raise DomainError(f"sign sequence length must be even, got {length}")
     ensure_within_cap(length, cap)

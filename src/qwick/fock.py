@@ -184,6 +184,7 @@ def wick_operator_form(n: int) -> tuple[tuple[OperatorWord, int], ...]:
     than WICK_FORM_CAP variables raise SizeLimitError.  They come with n,
     n - 1, ..., 0 creators, and _wick relies on that order.
     """
+    n = _integer(n, "variable count")
     if n < 0:
         raise DomainError(f"variable count must be nonnegative, got {n}")
     if n > WICK_FORM_CAP:
@@ -470,6 +471,7 @@ def ensure_gram_shape(degree: int, params: FockParams) -> None:
     degree, SizeLimitError past GRAM_DEGREE_CAP or GRAM_WORD_CAP."""
     if not -1 < params.q < 1:
         raise DomainError(f"positivity requires -1 < q < 1, got q = {params.q}")
+    degree = _integer(degree, "degree")
     if degree < 0:
         raise DomainError(f"degree must be nonnegative, got {degree}")
     if degree > GRAM_DEGREE_CAP:

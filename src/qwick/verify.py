@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .algebra import NORMAL, Expansion, _integer, specialize_free
+from .algebra import NORMAL, Expansion, specialize_free
 from .diagrams import catalan_sequences, ensure_within_cap
 from .errors import DomainError
 from .fock import (
@@ -94,7 +94,7 @@ class VerifyConfig:
     cap: int | None = None
 
     def q_values(self, default=Q_GRID) -> tuple[Fraction, ...]:
-        return (Fraction(self.q),) if self.q is not None else default
+        return (self.q,) if self.q is not None else default
 
     def cutoff(self, degree: int) -> int:
         """The given level (0 too, which FockParams rejects), else degree + 1."""
@@ -357,10 +357,13 @@ CHECKS = {
 }
 
 
-def _whole(value, what: str) -> int:
-    if isinstance(value, bool):  # it would run as 0 or 1
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-    return _integer(value, what)
+def _option(value, what: str, convert=operator.index, kind: str = "an integer"):
+    if not isinstance(value, bool):  # it would run as 0 or 1
+        try:
+            return convert(value)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise DomainError(f"{what} must be {kind}, got {value!r}")
 
 
 def run_check(check_id: str, **options) -> list[VerifyReport]:
@@ -368,7 +371,8 @@ def run_check(check_id: str, **options) -> list[VerifyReport]:
 
     options are VerifyConfig fields, and None counts as not given.  One the
     suite does not read, which would change nothing, is a DomainError, and
-    so is a size, seed or cap that is a bool or not an integer.
+    so is a bool or a value of the wrong type, such as a size that is not an
+    integer, a q that is not a rational number or blocks that are no sequence.
     """
     if check_id not in CHECKS:
         raise DomainError(
@@ -381,9 +385,12 @@ def run_check(check_id: str, **options) -> list[VerifyReport]:
             raise DomainError(f"check {check_id} does not read --{key}")
     for key in ("n", "dim", "level", "seed", "cap"):
         if key in given:
-            given[key] = _whole(given[key], key)
+            given[key] = _option(given[key], key)
+    if "q" in given:
+        given["q"] = _option(given["q"], "q", Fraction, "a rational number")
     if "blocks" in given:
-        given["blocks"] = tuple(_whole(b, "block size") for b in given["blocks"])
+        blocks = _option(given["blocks"], "blocks", tuple, "a sequence of block sizes")
+        given["blocks"] = tuple(_option(b, "block size") for b in blocks)
         if not given["blocks"]:
             raise DomainError("blocks = () gives no instances; it must hold at least one block")
     return suite(VerifyConfig(**{**defaults, **given}))

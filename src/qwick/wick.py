@@ -230,6 +230,7 @@ def wick_recursive(n: int, cap: int | None = None) -> Expansion:
     Must agree term for term with wick_to_normal; kept as an independent
     construction so the two routes check each other.
     """
+    n = _integer(n, "variable count")
     if n < 0:
         raise DomainError(f"variable count must be nonnegative, got {n}")
     ensure_within_cap(n, cap)

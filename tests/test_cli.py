@@ -23,6 +23,7 @@ from qwick import (
     SizeLimitError,
     cli,
     crossing_stats,
+    diagrams,
     enumerate_diagrams,
     enumerate_nonlinking,
     expand,
@@ -333,7 +334,9 @@ class TestVerifyCommand:
         assert str(exc.value) == "2^7 basis words exceed the Gram matrix cap 100"
 
     def test_enumeration_cap_does_not_bound_the_oracle(self, capsys, monkeypatch):
-        monkeypatch.setenv("QWICK_CAP", "3")
+        # a default cap of 3 stops every diagram sum on 4 positions, not the oracle
+        monkeypatch.setattr(diagrams, "DEFAULT_CAP", 3)
+        assert run_cli(capsys, "moments", "--n", "4")[0] == 2
         code, out = run_cli(capsys, "verify", "wick-vector", "--n", "4")
         assert code == 0
         assert json.loads(out)["failures"] == 0
@@ -404,6 +407,21 @@ class TestVerifyCommand:
     )
     def test_a_non_integer_size_is_a_domain_error(self, check, options, message):
         # the command line's argument types never pass these
+        with pytest.raises(DomainError) as exc:
+            verify.run_check(check, **options)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "check, options, message",
+        [
+            ("c2.2", {"n": 2, "q": "x"}, "q must be a rational number, got 'x'"),
+            ("gram", {"n": 1, "q": "x"}, "q must be a rational number, got 'x'"),
+            ("c2.2", {"n": 2, "q": True}, "q must be a rational number, got True"),
+            ("t3.3", {"blocks": 3}, "blocks must be a sequence of block sizes, got 3"),
+        ],
+    )
+    def test_a_malformed_q_or_blocks_is_a_domain_error(self, check, options, message):
+        # the command line's _rational and _block_list types never pass these
         with pytest.raises(DomainError) as exc:
             verify.run_check(check, **options)
         assert str(exc.value) == message
@@ -1201,14 +1219,17 @@ def test_command_argv_fuzz(case):
 
 
 class TestCapEnvironment:
-    @pytest.mark.parametrize("raw", ["abc", "-2"])
-    def test_bad_cap_is_a_usage_error(self, capsys, monkeypatch, raw):
+    """Only --cap overrides the enumeration cap: a QWICK_CAP in the
+    environment, well-formed or not, changes no output."""
+
+    @pytest.mark.parametrize("raw", ["3", "abc", "-2"])
+    def test_cap_environment_variable_is_not_read(self, capsys, monkeypatch, raw):
+        monkeypatch.delenv("QWICK_CAP", raising=False)
+        assert cli.main(["moments", "--n", "4"]) == 0
+        unset = capsys.readouterr()
         monkeypatch.setenv("QWICK_CAP", raw)
-        code = cli.main(["moments", "--n", "4"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error: QWICK_CAP")
-        assert len(err.splitlines()) == 1
+        assert cli.main(["moments", "--n", "4"]) == 0
+        assert capsys.readouterr() == unset
 
     def test_negative_cap_flag_is_a_usage_error(self, capsys):
         code = cli.main(["moments", "--n", "4", "--cap", "-1"])
@@ -1217,16 +1238,16 @@ class TestCapEnvironment:
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: cap must be a nonnegative integer, got -1"]
 
-    def test_bad_cap_prints_no_traceback(self):
-        env = dict(os.environ, QWICK_CAP="abc")
-        proc = subprocess.run(
-            [sys.executable, "-m", "qwick", "moments", "--n", "4"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.splitlines() == [
-            "error: QWICK_CAP must be a nonnegative integer, got 'abc'"
+    def test_module_entry_does_not_read_the_cap_environment_variable(self):
+        unset = {k: v for k, v in os.environ.items() if k != "QWICK_CAP"}
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "qwick", "moments", "--n", "4"],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            for env in (unset, dict(unset, QWICK_CAP="abc"))
         ]
+        assert [(proc.returncode, proc.stderr) for proc in runs] == [(0, ""), (0, "")]
+        assert runs[1].stdout == runs[0].stdout != ""

@@ -22,7 +22,7 @@ from qwick import (
     enumerate_nonlinking,
     epsilon_of,
 )
-from qwick.diagrams import _block_forbid, _sign_forbid, _walk, enumeration_cap
+from qwick.diagrams import _block_forbid, _sign_forbid, _walk
 
 
 # Reference counts, independent of the enumerators under test.
@@ -110,12 +110,11 @@ class TestEnumeration:
         with pytest.raises(SizeLimitError, match="4"):
             next(enumerate_diagrams(GroundSet(6), cap=4))
 
-    def test_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("QWICK_CAP", "4")
-        with pytest.raises(SizeLimitError, match="4"):
-            next(enumerate_diagrams(GroundSet(6)))
-        monkeypatch.setenv("QWICK_CAP", "14")
-        assert sum(1 for _ in enumerate_diagrams(GroundSet(5))) == 26
+    @pytest.mark.parametrize("raw", ["3", "abc", "-2"])
+    def test_cap_environment_variable_is_not_read(self, monkeypatch, raw):
+        # only the cap argument overrides the default
+        monkeypatch.setenv("QWICK_CAP", raw)
+        assert sum(1 for _ in enumerate_diagrams(GroundSet(6))) == involution_count(6)
 
 
 class TestCompatible:
@@ -464,19 +463,3 @@ class TestIntegerInput:
         assert GroundSet(3, (True, 2)).blocks == (1, 2)
         assert FeynmanDiagram(GroundSet(3), ((True, 3),)).pairs == ((1, 3),)
         assert SignSequence((True, -1)).entries == (1, -1)
-
-
-class TestCapSetting:
-    @pytest.mark.parametrize("raw", ["abc", "-1", "1.5"])
-    def test_bad_value_is_a_domain_error(self, monkeypatch, raw):
-        monkeypatch.setenv("QWICK_CAP", raw)
-        with pytest.raises(DomainError, match="QWICK_CAP"):
-            enumeration_cap()
-
-    def test_unset_or_empty_gives_default(self, monkeypatch):
-        monkeypatch.delenv("QWICK_CAP", raising=False)
-        assert enumeration_cap() == 12
-        monkeypatch.setenv("QWICK_CAP", "")
-        assert enumeration_cap() == 12
-        monkeypatch.setenv("QWICK_CAP", "0")
-        assert enumeration_cap() == 0

@@ -64,6 +64,15 @@ def test_every_module_is_read():
         package_imports(module)
 
 
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_reads_the_environment(module):
+    # every option arrives as an argument, so no process state changes a result
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not names & {"environ", "environb", "getenv", "getenvb"}
+
+
 def test_reader_sees_each_import_form():
     # the reader itself must not miss an import and pass by accident
     assert package_imports("verify") >= {"algebra", "diagrams", "errors", "fock", "wick"}

@@ -16,6 +16,7 @@ from qwick import (
     CovarianceMonomial,
     DomainError,
     Expansion,
+    FockParams,
     GroundSet,
     QPolynomial,
     SignSequence,
@@ -30,6 +31,7 @@ from qwick import (
     enumerate_diagrams,
     enumerate_nonlinking,
     expand,
+    gram_check,
     m_epsilon_expansion,
     moment_expansion,
     normal_form,
@@ -488,6 +490,53 @@ class TestIntegerInput:
         with pytest.raises(DomainError) as exc:
             terms(name, (2, 0.5))
         assert str(exc.value) == "block size must be an integer, got 0.5"
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: moment_expansion(4, cap=2.5), "cap must be an integer, got 2.5"),
+            (
+                lambda: next(enumerate_diagrams(GroundSet(4), cap="5")),
+                "cap must be an integer, got '5'",
+            ),
+            (lambda: wick_recursive(3, cap="9"), "cap must be an integer, got '9'"),
+            (lambda: wick_recursive(2.5), "variable count must be an integer, got 2.5"),
+            (lambda: wick_recursive("3"), "variable count must be an integer, got '3'"),
+            (lambda: wick_operator_form(2.5), "variable count must be an integer, got 2.5"),
+            (
+                lambda: next(catalan_sequences("4")),
+                "sign sequence length must be an integer, got '4'",
+            ),
+            (
+                lambda: gram_check("2", FockParams(2, 3, Fraction(1, 3))),
+                "degree must be an integer, got '2'",
+            ),
+        ],
+        ids=[
+            "moment_expansion-cap",
+            "enumerate_diagrams-cap",
+            "wick_recursive-cap",
+            "wick_recursive-float",
+            "wick_recursive-str",
+            "wick_operator_form",
+            "catalan_sequences",
+            "gram_check",
+        ],
+    )
+    def test_a_non_integer_size_or_cap_is_a_domain_error(self, call, message):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == message
+
+    def test_bool_sizes_and_caps_are_accepted(self):
+        params = FockParams(2, 3, Fraction(1, 3))
+        assert wick_recursive(True, cap=True) == wick_recursive(1)
+        assert list(enumerate_diagrams(GroundSet(1), cap=True)) == list(
+            enumerate_diagrams(GroundSet(1))
+        )
+        assert wick_operator_form(True) == wick_operator_form(1)
+        assert list(catalan_sequences(False)) == list(catalan_sequences(0))
+        assert gram_check(True, params) == gram_check(1, params)
 
 
 def reference_substitution_rules(e, cap=None):
