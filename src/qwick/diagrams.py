@@ -10,13 +10,19 @@ All enumeration runs through one recursive walker, _walk.  It places one
 pair at a time, always opening at the smallest free position, and carries
 the crossing number c, the degenerate crossings d and the total gap g
 along, so each diagram arrives with its statistics at O(1) extra cost per
-pair.  It prunes instead of filtering: a block (or sign) mask stops a pair
-from being placed at all, and a zero mode cuts a branch as soon as c, tc
-or g turns positive.  The diagram sums in the wick module and the CLI
-listing read the walker's tuples directly.  The enumerate_* generators
-wrap it in validated FeynmanDiagram objects for library callers, and
-crossing_stats stays the from-scratch reference definition of the
-statistics, off the hot path, against which the tests check the walker.
+pair.  A pair's crossings are a difference of two popcounts over the
+placed right endpoints, and the degenerate crossings that the free
+positions would add as singletons (d's free-tail term) are carried down
+the recursion, updated by the same popcounts.  A diagram that leaves no
+pair to place is yielded by its parent call without a call of its own.
+The walker prunes instead of filtering: a block (or sign) mask stops a
+pair from being placed at all, and a zero mode cuts a branch as soon as
+c, tc or g turns positive.  The diagram sums in the wick module and the
+CLI listing read the walker's tuples directly.  The enumerate_*
+generators wrap it in validated FeynmanDiagram objects for library
+callers, and crossing_stats stays the from-scratch reference definition
+of the statistics, off the hot path, against which the tests check the
+walker.
 """
 
 from __future__ import annotations
@@ -249,6 +255,8 @@ def catalan_sequences(length: int, cap: int | None = None):
     """All Catalan sign patterns of the given even length, in lexicographic
     order with -1 before +1."""
     length = _integer(length, "sign sequence length")
+    if length < 0:
+        raise DomainError(f"sign sequence length must be nonnegative, got {length}")
     if length % 2:
         raise DomainError(f"sign sequence length must be even, got {length}")
     ensure_within_cap(length, cap)
@@ -343,7 +351,10 @@ def _walk(
     enumerate_diagrams (or enumerate_complete with complete_only).  Pairs are
     sorted by left endpoint and singletons ascend, so both are canonical
     as they come.  c, d and g are carried along the recursion and equal
-    crossing_stats of the diagram.
+    crossing_stats of the diagram: a pair's crossings and d's free-tail
+    term come from popcount differences, never from a scan, and a diagram
+    with fewer than two free positions left is yielded by the call that
+    placed its last pair.
 
     forbid, when given, is indexed by position: a pair (i, j) is never placed
     when bit j of forbid[i] is set.  zero ("c", "tc" or "g") keeps only the
@@ -351,49 +362,69 @@ def _walk(
     pairs and singletons are placed, a branch is cut as soon as it turns
     positive, which is exactly the class filter.
     """
-    return _place(tuple(range(1, size + 1)), complete_only, forbid, zero, (), (), 0, 0, 0, 0)
+    return _place(tuple(range(1, size + 1)), complete_only, forbid, zero, (), (), 0, 0, 0, 0, 0)
 
 
-def _place(free, complete_only, forbid, zero, pairs, singles, rights, c, d, g):
+def _place(free, complete_only, forbid, zero, pairs, singles, rights, c, d, g, extra):
     # free ascends.  The next pair takes i = free[a] as its left endpoint,
     # so free[:a] can never be paired later and fall out as singletons;
     # that is what keeps the output duplicate-free.  rights has bit r set
     # for every placed right endpoint r.  Every placed pair opens left of
     # any free position, so a placed pair contains position s exactly when
-    # its right endpoint exceeds s.
+    # its right endpoint exceeds s, and above(s) = (rights >> s).bit_count()
+    # counts those pairs.  extra, the sum of above(s) over free, is the
+    # degenerate crossings that free would add as singletons.
     if not complete_only or not free:
-        extra = sum((rights >> s).bit_count() for s in free) if rights else 0
         if not (extra and zero == "tc"):
             yield pairs, singles + free, c, d + extra, g
-    stop = len(free) - 1
+    size = len(free)
+    stop = size - 1
     if complete_only:
         stop = min(stop, 1)  # the smallest free position must be paired
     skipped = 0  # degenerate crossings of the singletons free[:a]
     for a in range(stop):
+        if skipped and zero == "tc":
+            break
         i = free[a]
-        if a:
-            skipped += (rights >> free[a - 1]).bit_count()
-            if skipped and zero == "tc":
-                break
+        above_i = (rights >> i).bit_count()
+        lone = singles + free[:a]
         barred = forbid[i] if forbid else 0
-        for b in range(a + 1, len(free)):
+        # the child's extra is extra - skipped - above(i) - above(j), plus
+        # b - a - 1 for the free positions that the new pair contains
+        base = extra - skipped - above_i - a - 1
+        childless = size - a < 4  # fewer than 2 free positions left: no pair
+        for b in range(a + 1, size):
             j = free[b]
             if barred >> j & 1:
                 continue
-            # placed right endpoints strictly between i and j
-            cross = (rights >> i & ((1 << (j - i)) - 1)).bit_count()
+            above_j = (rights >> j).bit_count()
+            cross = above_i - above_j  # placed right endpoints inside (i, j)
             gap = j - i - 1
             if zero and (gap if zero == "g" else cross):
                 break  # gap and cross only grow with j
+            rest = free[a + 1 : b] + free[b + 1 :]
+            rest_extra = base - above_j + b
+            if childless:  # the child would yield only itself: yield it here
+                if (not complete_only or not rest) and not (rest_extra and zero == "tc"):
+                    yield (
+                        pairs + ((i, j),),
+                        lone + rest,
+                        c + cross,
+                        d + skipped + rest_extra,
+                        g + gap,
+                    )
+                continue
             yield from _place(
-                free[a + 1 : b] + free[b + 1 :],
+                rest,
                 complete_only,
                 forbid,
                 zero,
                 pairs + ((i, j),),
-                singles + free[:a],
+                lone,
                 rights | 1 << j,
                 c + cross,
                 d + skipped,
                 g + gap,
+                rest_extra,
             )
+        skipped += above_i

@@ -173,7 +173,6 @@ class OperatorWord:
             raise DomainError("operator signs must be +1 (create) or -1 (annihilate)")
 
 
-@functools.cache
 def wick_operator_form(n: int) -> tuple[tuple[OperatorWord, int], ...]:
     """Creator-then-annihilator operator sum of the Wick product of variables
     1..n, as (word, power of q) summands.
@@ -189,6 +188,11 @@ def wick_operator_form(n: int) -> tuple[tuple[OperatorWord, int], ...]:
         raise DomainError(f"variable count must be nonnegative, got {n}")
     if n > WICK_FORM_CAP:
         raise SizeLimitError(f"{n} variables exceed the Wick operator form cap {WICK_FORM_CAP}")
+    return _wick_operator_form(n)
+
+
+@functools.cache  # keyed by the validated int, so an unhashable n never reaches it
+def _wick_operator_form(n: int) -> tuple[tuple[OperatorWord, int], ...]:
     universe = tuple(range(1, n + 1))
     summands = []
     for k in range(n, -1, -1):

@@ -295,6 +295,11 @@ class TestSignSequences:
         with pytest.raises(DomainError):
             SignSequence((0, 1))
 
+    def test_negative_length_is_a_domain_error(self):
+        with pytest.raises(DomainError) as exc:
+            list(catalan_sequences(-2))
+        assert str(exc.value) == "sign sequence length must be nonnegative, got -2"
+
     def test_catalan_sequence_counts(self):
         for n in range(1, 5):
             got = sum(1 for _ in catalan_sequences(2 * n))
@@ -434,6 +439,27 @@ class TestWalker:
                         if stat(crossing_stats(FeynmanDiagram(ground, w[0]))) == 0
                     ]
                     assert list(_walk(n, complete_only, zero=zero)) == expected
+
+    def test_masked_zero_modes_are_class_filters(self):
+        classes = {"c": lambda s: s.c, "tc": lambda s: s.tc, "g": lambda s: s.g}
+        masked = []
+        for blocks in ((1, 1, 1, 1), (2, 2, 2), (3, 3, 2), (4, 3)):
+            ground = GroundSet(sum(blocks), blocks)
+            masked.append((ground, _block_forbid(ground)))
+        for length in range(0, 9, 2):
+            masked += [(GroundSet(length), _sign_forbid(eps)) for eps in catalan_sequences(length)]
+        for ground, forbid in masked:
+            for complete_only in (False, True):
+                stream = list(_walk(ground.size, complete_only, forbid))
+                for zero, stat in classes.items():
+                    expected = [
+                        w
+                        for w in stream
+                        if stat(crossing_stats(FeynmanDiagram(ground, w[0]))) == 0
+                    ]
+                    got = list(_walk(ground.size, complete_only, forbid, zero))
+                    assert got == expected
+                    assert_carried_stats(ground, got)
 
 
 class TestIntegerInput:

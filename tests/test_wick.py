@@ -503,6 +503,7 @@ class TestIntegerInput:
             (lambda: wick_recursive(2.5), "variable count must be an integer, got 2.5"),
             (lambda: wick_recursive("3"), "variable count must be an integer, got '3'"),
             (lambda: wick_operator_form(2.5), "variable count must be an integer, got 2.5"),
+            (lambda: wick_operator_form([3]), "variable count must be an integer, got [3]"),
             (
                 lambda: next(catalan_sequences("4")),
                 "sign sequence length must be an integer, got '4'",
@@ -519,6 +520,7 @@ class TestIntegerInput:
             "wick_recursive-float",
             "wick_recursive-str",
             "wick_operator_form",
+            "wick_operator_form-unhashable",
             "catalan_sequences",
             "gram_check",
         ],
