@@ -17,21 +17,15 @@ from .algebra import (
     specialize_free,
 )
 from .diagrams import (
-    CrossingStats,
-    DiagramClasses,
     FeynmanDiagram,
     GroundSet,
-    PairStats,
     SignSequence,
     catalan_check,
     catalan_sequences,
-    classify,
-    crossing_stats,
     enumerate_compatible,
     enumerate_complete,
     enumerate_diagrams,
     enumerate_nonlinking,
-    epsilon_of,
 )
 from .errors import DomainError, QwickError, SizeLimitError, TruncationOverflowError
 from .fock import (
@@ -54,7 +48,6 @@ from .fock import (
 from .verify import VerifyReport, run_check
 from .wick import (
     IDENTITIES,
-    diagram_term,
     expand,
     m_epsilon_expansion,
     moment_expansion,
@@ -64,7 +57,6 @@ from .wick import (
     product_expectation,
     wick_recursive,
     wick_to_normal,
-    wick_to_normal_word,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -18,11 +18,10 @@ pair to place is yielded by its parent call without a call of its own.
 The walker prunes instead of filtering: a block (or sign) mask stops a
 pair from being placed at all, and a zero mode cuts a branch as soon as
 c, tc or g turns positive.  The diagram sums in the wick module and the
-CLI listing read the walker's tuples directly.  The enumerate_*
+CLI listing read the walker's tuples directly, and the enumerate_*
 generators wrap it in validated FeynmanDiagram objects for library
-callers, and crossing_stats stays the from-scratch reference definition
-of the statistics, off the hot path, against which the tests check the
-walker.
+callers.  The from-scratch definitions of the statistics, which the tests
+check the walker against, live with the tests in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -46,6 +45,14 @@ def ensure_within_cap(size: int, cap: int | None = None) -> None:
         raise SizeLimitError(f"ground size {size} exceeds enumeration cap {limit}")
 
 
+def _sequence(value, what: str) -> tuple:
+    """value as a tuple; a non-sequence such as 4 is a DomainError."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise DomainError(f"{what} must be a sequence, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class GroundSet:
     """Positions 1..size, optionally partitioned into consecutive blocks.
@@ -64,7 +71,7 @@ class GroundSet:
         if self.size < 0:
             raise DomainError(f"ground size must be nonnegative, got {self.size}")
         if self.blocks is not None:
-            blocks = tuple(_integer(b, "block size") for b in self.blocks)
+            blocks = tuple(_integer(b, "block size") for b in _sequence(self.blocks, "blocks"))
             object.__setattr__(self, "blocks", blocks)
             if not blocks:
                 raise DomainError("at least one block is required")
@@ -77,17 +84,6 @@ class GroundSet:
 
     def positions(self) -> range:
         return range(1, self.size + 1)
-
-    def block_of(self, pos: int) -> int:
-        """1-based index of the block containing a position."""
-        if self.blocks is None:
-            raise DomainError("ground set has no block structure")
-        upper = 0
-        for b, width in enumerate(self.blocks, start=1):
-            upper += width
-            if pos <= upper:
-                return b
-        raise DomainError(f"position {pos} out of range for size {self.size}")
 
     def lex_labels(self) -> tuple[tuple[int, int], ...]:
         """(block, offset) label for each position, in position order."""
@@ -107,8 +103,11 @@ class FeynmanDiagram:
     pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        pairs = ((_integer(i, "position"), _integer(j, "position")) for i, j in self.pairs)
-        pairs = tuple(sorted(pairs))
+        pairs = [_sequence(pair, "pair") for pair in _sequence(self.pairs, "pairs")]
+        for pair in pairs:
+            if len(pair) != 2:
+                raise DomainError(f"a pair must hold two positions, got {pair}")
+        pairs = tuple(sorted((_integer(i, "position"), _integer(j, "position")) for i, j in pairs))
         object.__setattr__(self, "pairs", pairs)
         seen: set[int] = set()
         for i, j in pairs:
@@ -138,85 +137,13 @@ class FeynmanDiagram:
 
 
 @dataclass(frozen=True)
-class PairStats:
-    """Per-pair crossing data for one pair (i, j).
-
-    left_crossings counts pairs (k, l) with k < i < l < j, right_crossings
-    those with i < k < j < l, gap every position strictly between i and j,
-    and a = gap - left_crossings.
-    """
-
-    pair: tuple[int, int]
-    left_crossings: int
-    right_crossings: int
-    gap: int
-    a: int
-
-
-@dataclass(frozen=True)
-class CrossingStats:
-    """Crossing counts of a whole diagram.
-
-    c    crossing number: interleaved pair configurations k < i < l < j
-    d    degenerate crossings: triples i < k < j with k a singleton
-    tc   total crossings, c + d
-    g    total gap: positions strictly inside a pair, summed over pairs
-    a    g - c
-    """
-
-    c: int
-    d: int
-    tc: int
-    g: int
-    a: int
-    per_pair: tuple[PairStats, ...]
-
-
-def crossing_stats(diagram: FeynmanDiagram) -> CrossingStats:
-    """All crossing statistics of a diagram.
-
-    The gap of a pair counts every intermediate position, paired or not;
-    degenerate crossings count (pair, inner singleton) triples.
-    """
-    pairs = diagram.pairs
-    singles = diagram.singletons
-    per = []
-    for i, j in pairs:
-        left = sum(1 for k, l in pairs if k < i < l < j)
-        right = sum(1 for k, l in pairs if i < k < j < l)
-        gap = j - i - 1
-        per.append(PairStats((i, j), left, right, gap, gap - left))
-    c = sum(p.left_crossings for p in per)
-    d = sum(1 for i, j in pairs for k in singles if i < k < j)
-    g = sum(p.gap for p in per)
-    return CrossingStats(c=c, d=d, tc=c + d, g=g, a=g - c, per_pair=tuple(per))
-
-
-@dataclass(frozen=True)
-class DiagramClasses:
-    noncrossing: bool
-    strongly_noncrossing: bool
-    gap_free: bool
-
-
-def classify(diagram: FeynmanDiagram) -> DiagramClasses:
-    """Class flags: noncrossing (c=0), strongly noncrossing (tc=0), gap free (g=0)."""
-    stats = crossing_stats(diagram)
-    return DiagramClasses(
-        noncrossing=stats.c == 0,
-        strongly_noncrossing=stats.tc == 0,
-        gap_free=stats.g == 0,
-    )
-
-
-@dataclass(frozen=True)
 class SignSequence:
     """A +/-1 pattern marking creation (+1) and annihilation (-1) slots."""
 
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        entries = tuple(_integer(e, "sign entry") for e in self.entries)
+        entries = tuple(_integer(e, "sign entry") for e in _sequence(self.entries, "sign entries"))
         object.__setattr__(self, "entries", entries)
         if any(e not in (1, -1) for e in entries):
             raise DomainError(f"sign entries must be +1 or -1, got {entries}")
@@ -265,16 +192,6 @@ def catalan_sequences(length: int, cap: int | None = None):
         ok, _ = catalan_check(seq)
         if ok:
             yield seq
-
-
-def epsilon_of(diagram: FeynmanDiagram) -> SignSequence:
-    """Sign pattern of a complete diagram: -1 on left endpoints, +1 on right."""
-    if not diagram.is_complete:
-        raise DomainError("sign pattern is defined for complete diagrams only")
-    entries = [1] * diagram.ground.size
-    for i, _ in diagram.pairs:
-        entries[i - 1] = -1
-    return SignSequence(tuple(entries))
 
 
 def enumerate_diagrams(ground: GroundSet, cap: int | None = None):
@@ -351,10 +268,10 @@ def _walk(
     enumerate_diagrams (or enumerate_complete with complete_only).  Pairs are
     sorted by left endpoint and singletons ascend, so both are canonical
     as they come.  c, d and g are carried along the recursion and equal
-    crossing_stats of the diagram: a pair's crossings and d's free-tail
-    term come from popcount differences, never from a scan, and a diagram
-    with fewer than two free positions left is yielded by the call that
-    placed its last pair.
+    the from-scratch crossing_stats of tests/reference.py: a pair's
+    crossings and d's free-tail term come from popcount differences, never
+    from a scan, and a diagram with fewer than two free positions left is
+    yielded by the call that placed its last pair.
 
     forbid, when given, is indexed by position: a pair (i, j) is never placed
     when bit j of forbid[i] is set.  zero ("c", "tc" or "g") keeps only the

@@ -28,10 +28,8 @@ from .algebra import (
     VariableWord,
     _exact,
     _integer,
-    _term_key,
 )
 from .diagrams import (
-    FeynmanDiagram,
     GroundSet,
     SignSequence,
     _block_forbid,
@@ -46,24 +44,6 @@ from .errors import DomainError
 # (exp, coeff) -> coeff * q^exp, shared between terms and expansions:
 # a QPolynomial is never mutated
 _q_power = functools.cache(QPolynomial.q_power)
-
-
-def diagram_term(diagram: FeynmanDiagram, kind: str = NORMAL, labels=None) -> tuple:
-    """The (factors, indices, kind) key of the term a diagram contributes:
-    one covariance factor per pair and the increasing word of its
-    singletons, with coefficient 1 left to the caller.
-
-    labels, when given, must be strictly increasing and maps position p to
-    labels[p - 1]; it transfers a diagram on 1..n onto other variable indices.
-    The validating reference for the keys _row_terms yields unchecked.
-    """
-    if labels is None:
-        factors = diagram.pairs
-        word = diagram.singletons
-    else:
-        factors = tuple((labels[i - 1], labels[j - 1]) for i, j in diagram.pairs)
-        word = tuple(labels[h - 1] for h in diagram.singletons)
-    return _term_key(factors, word, kind)
 
 
 def _diagram_sum(stream) -> Expansion:
@@ -149,27 +129,21 @@ def terms(name: str, arg, free: bool = False, cap: int | None = None):
     return _row_terms(row, walk)
 
 
-def _row_terms(row: Identity, walk, labels=None):
+def _row_terms(row: Identity, walk):
     """Apply a row's term rule to the walker's (pairs, singletons, c, d, g)
     stream, yielding (pairs, singletons, kind, exp, coeff): the diagram's
     term is coeff * q^exp times its covariance factors and singleton word.
     coeff is -1 for an odd pair count when the row is signed and 1
-    otherwise; the empty word is always normal.  labels, when given, must be
-    strictly increasing and maps position p to labels[p - 1], moving the
-    terms onto other variable indices.
+    otherwise; the empty word is always normal.
 
     (pairs, singletons, kind) is the Expansion key of the term as it stands:
-    the pairs come sorted with i < j, the singletons increasing, and a
-    strictly increasing relabelling keeps both.  Each diagram gives its own
-    key, since the singletons follow from the pairs, and the walker's
-    lexicographic order of pair tuples is the order of
+    the pairs come sorted with i < j and the singletons increasing.  Each
+    diagram gives its own key, since the singletons follow from the pairs,
+    and the walker's lexicographic order of pair tuples is the order of
     Expansion.sorted_terms, so the stream is the expansion term by term.
     """
     kind, power, signed = row.kind, row.power, row.signed
     for pairs, singles, c, d, g in walk:
-        if labels is not None:
-            pairs = tuple((labels[i - 1], labels[j - 1]) for i, j in pairs)
-            singles = tuple(labels[h - 1] for h in singles)
         coeff = -1 if signed and len(pairs) % 2 else 1
         yield pairs, singles, kind if singles else NORMAL, power(c, d, g), coeff
 
@@ -198,16 +172,6 @@ def moment_expansion(n: int, cap: int | None = None, free: bool = False) -> Expa
     """Joint moment of n variables: complete diagrams weighted by q^crossings
     (zero for odd n); with free, the complete noncrossing diagrams only."""
     return expand("moment", n, free, cap)
-
-
-def wick_to_normal_word(indices: Sequence[int], cap: int | None = None) -> Expansion:
-    """Wick product of the given (strictly increasing) variable indices as a
-    signed sum of plain products: every diagram contributes its covariance
-    factors and singleton word, with sign (-1)^pairs and power g - c."""
-    indices = _increasing(indices)
-    ensure_within_cap(len(indices), cap)
-    row = IDENTITIES["wick-to-normal"]
-    return _diagram_sum(_row_terms(row, _walk(len(indices), row.complete), indices))
 
 
 def _increasing(indices: Sequence[int]) -> tuple[int, ...]:
@@ -248,10 +212,11 @@ def normal_form(e: Expansion, cap: int | None = None) -> Expansion:
     """e with every Wick-tagged word rewritten into plain products by the
     peeling recursion; normal terms pass through unchanged.
 
-    Every Wick word is checked as wick_to_normal_word checks it, in sorted
-    order, before the first is rewritten.  A term is held as factors *
-    prefix * :rest:, with a plain prefix, and terms are peeled by global
-    position: in round t, every term whose rest is (t,) + r becomes
+    Every Wick word is checked, in sorted order, before the first is
+    rewritten: its indices must increase strictly and their count stay
+    within cap.  A term is held as factors * prefix * :rest:, with a plain
+    prefix, and terms are peeled by global position: in round t, every term
+    whose rest is (t,) + r becomes
 
         prefix t :r:  -  sum over pos of q^pos c(t, r[pos]) prefix :r without r[pos]:
 

@@ -18,14 +18,13 @@ from qwick import (
     GroundSet,
     QPolynomial,
     VariableWord,
-    crossing_stats,
-    diagram_term,
     enumerate_complete,
     expand,
     normal_form,
     specialize_free,
     wick_recursive,
 )
+from reference import crossing_stats, diagram_term
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 qpolys = st.dictionaries(

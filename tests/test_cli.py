@@ -22,7 +22,6 @@ from qwick import (
     GroundSet,
     SizeLimitError,
     cli,
-    crossing_stats,
     diagrams,
     enumerate_diagrams,
     enumerate_nonlinking,
@@ -34,6 +33,7 @@ from qwick.algebra import NORMAL, CovarianceMonomial, Expansion, QPolynomial, Va
 from qwick.errors import QwickError
 from qwick.fock import FockParams, Graded
 from qwick.verify import VerifyReport
+from reference import crossing_stats
 
 
 def run_cli(capsys, *argv):
@@ -553,6 +553,38 @@ class TestVerifyCommand:
                 verdicts.setdefault(json.dumps(instance), {})[q] = r["status"]
             assert {"pass", "fail"} in [set(v.values()) for v in verdicts.values()]
             assert all(v["1/3"] == v["-1/3"] == "fail" for v in verdicts.values())
+
+    # A wrong n = 4 moment term whose coefficient q(3q-1)(3q+1)(2q-1)
+    # vanishes at every point of Q_GRID.  The default run still takes one
+    # verdict per grid q, so it misses the term; a run at q = 1/4 catches
+    # it.  The strict xfail turns into a failure once the default verdict
+    # compares whole polynomials.
+    @pytest.mark.parametrize(
+        "q",
+        [
+            pytest.param(
+                None,
+                marks=pytest.mark.xfail(
+                    strict=True, raises=AssertionError, reason="verdicts are taken per grid q"
+                ),
+            ),
+            Fraction(1, 4),
+        ],
+    )
+    def test_a_term_vanishing_on_the_grid_fails(self, monkeypatch, q):
+        wrong = Expansion.single(
+            CovarianceMonomial(((1, 2), (3, 4))),
+            VariableWord((), NORMAL),
+            QPolynomial({4: 18, 3: -9, 2: -2, 1: 1}),
+        )
+        formula = verify.expand
+
+        def expand(name, n, **kwargs):
+            return formula(name, n, **kwargs) + (wrong if n == 4 else Expansion.zero())
+
+        monkeypatch.setattr(verify, "expand", expand)
+        reports = verify.run_check("c2.2", n=4, q=q)
+        assert any(not r.passed for r in reports)
 
     # Whole-expansion witnesses: the failing side's terms reach the output
     # through Expansion.to_json, so these pin how int and Fraction

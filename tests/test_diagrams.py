@@ -14,15 +14,13 @@ from qwick import (
     SizeLimitError,
     catalan_check,
     catalan_sequences,
-    classify,
-    crossing_stats,
     enumerate_compatible,
     enumerate_complete,
     enumerate_diagrams,
     enumerate_nonlinking,
-    epsilon_of,
 )
 from qwick.diagrams import _block_forbid, _sign_forbid, _walk
+from reference import block_of, classify, crossing_stats, epsilon_of
 
 
 # Reference counts, independent of the enumerators under test.
@@ -376,7 +374,7 @@ def reference_pair_tuples(n):
 
 
 def links_within_block(ground, pairs):
-    return any(ground.block_of(i) == ground.block_of(j) for i, j in pairs)
+    return any(block_of(ground, i) == block_of(ground, j) for i, j in pairs)
 
 
 def assert_carried_stats(ground, walk):

@@ -24,8 +24,6 @@ from qwick import (
     VariableWord,
     catalan_check,
     catalan_sequences,
-    crossing_stats,
-    diagram_term,
     enumerate_compatible,
     enumerate_complete,
     enumerate_diagrams,
@@ -42,11 +40,11 @@ from qwick import (
     wick_operator_form,
     wick_recursive,
     wick_to_normal,
-    wick_to_normal_word,
 )
 from qwick.algebra import accumulate_term
 from qwick.verify import CHECKS, _check_row, run_check
 from qwick.wick import _diagram_sum, terms
+from reference import block_of, crossing_stats, diagram_term, wick_to_normal_word
 
 
 def reference_sum(diagrams, kind, power, signed=False, keep=None, labels=None):
@@ -339,7 +337,7 @@ class TestFreeFormulas:
     def test_ground_set_block_labels(self):
         ground = GroundSet(5, (2, 3))
         assert ground.lex_labels() == ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3))
-        assert [ground.block_of(p) for p in ground.positions()] == [1, 1, 2, 2, 2]
+        assert [block_of(ground, p) for p in ground.positions()] == [1, 1, 2, 2, 2]
 
 
 class TestAgainstCrossingStats:
