@@ -55,7 +55,6 @@ from .wick import (
     normal_to_wick,
     product_expansion,
     product_expectation,
-    wick_recursive,
     wick_to_normal,
 )
 

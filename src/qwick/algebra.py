@@ -38,6 +38,24 @@ def _integer(value, what: str) -> int:
         raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _sequence(value, what: str) -> tuple:
+    """value as a tuple; a non-sequence such as 4 is a DomainError."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise DomainError(f"{what} must be a sequence, got {value!r}") from None
+
+
+def _pairs(value, what: str, item: str) -> tuple[tuple, ...]:
+    """value as a tuple of pairs; a non-sequence, or an item that is not a
+    sequence of two entries, is a DomainError."""
+    pairs = tuple(_sequence(pair, item) for pair in _sequence(value, what))
+    for pair in pairs:
+        if len(pair) != 2:
+            raise DomainError(f"each {item} must hold two entries, got {pair}")
+    return pairs
+
+
 def _poly_value(terms, q: Fraction) -> Fraction:
     """The sum of c * q^k over the (k, c) terms, with a single Fraction built."""
     top = max((k for k, _ in terms), default=0)
@@ -187,7 +205,7 @@ class CovarianceMonomial:
 
     def __post_init__(self):
         norm = []
-        for factor in self.factors:
+        for factor in _pairs(self.factors, "covariance factors", "covariance factor"):
             i, j = (_integer(x, "covariance index") for x in factor)
             if i == j:
                 raise DomainError(f"covariance factor needs two distinct indices, got ({i},{j})")
@@ -215,7 +233,8 @@ class VariableWord:
     kind: str = NORMAL
 
     def __post_init__(self):
-        indices = tuple(_integer(i, "variable index") for i in self.indices)
+        indices = _sequence(self.indices, "variable indices")
+        indices = tuple(_integer(i, "variable index") for i in indices)
         object.__setattr__(self, "indices", indices)
         if self.kind not in (NORMAL, WICK):
             raise DomainError(f"word kind must be {NORMAL!r} or {WICK!r}, got {self.kind!r}")

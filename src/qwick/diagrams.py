@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import _integer
+from .algebra import _integer, _pairs, _sequence
 from .errors import DomainError, SizeLimitError
 
 # enumeration bound when no cap is given: 10395 pairings, 140152 diagrams at 12
@@ -43,14 +43,6 @@ def ensure_within_cap(size: int, cap: int | None = None) -> None:
         raise DomainError(f"cap must be a nonnegative integer, got {cap}")
     if size > limit:
         raise SizeLimitError(f"ground size {size} exceeds enumeration cap {limit}")
-
-
-def _sequence(value, what: str) -> tuple:
-    """value as a tuple; a non-sequence such as 4 is a DomainError."""
-    try:
-        return tuple(value)
-    except TypeError:
-        raise DomainError(f"{what} must be a sequence, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -103,10 +95,9 @@ class FeynmanDiagram:
     pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        pairs = [_sequence(pair, "pair") for pair in _sequence(self.pairs, "pairs")]
-        for pair in pairs:
-            if len(pair) != 2:
-                raise DomainError(f"a pair must hold two positions, got {pair}")
+        if not isinstance(self.ground, GroundSet):
+            raise DomainError(f"ground must be a GroundSet, got {self.ground!r}")
+        pairs = _pairs(self.pairs, "pairs", "pair")
         pairs = tuple(sorted((_integer(i, "position"), _integer(j, "position")) for i, j in pairs))
         object.__setattr__(self, "pairs", pairs)
         seen: set[int] = set()

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .algebra import NORMAL, Expansion, Rational, _exact, _integer, _poly_value
+from .algebra import NORMAL, Expansion, Rational, _exact, _integer, _pairs, _poly_value, _sequence
 from .errors import DomainError, SizeLimitError, TruncationOverflowError
 
 # most basis words of one Gram matrix: listing them alone costs dim^degree
@@ -65,7 +65,8 @@ class OneParticleVector:
     coords: tuple[Rational, ...]
 
     def __post_init__(self):
-        coords = tuple(c if type(c) is int else _exact(Fraction(c)) for c in self.coords)
+        coords = _sequence(self.coords, "coordinates")
+        coords = tuple(c if type(c) is int else _exact(Fraction(c)) for c in coords)
         object.__setattr__(self, "coords", coords)
 
     def dot(self, other: OneParticleVector) -> Fraction:
@@ -167,7 +168,8 @@ class OperatorWord:
 
     def __post_init__(self):
         sign, index = "operator sign", "variable index"
-        letters = tuple((_integer(s, sign), _integer(i, index)) for s, i in self.letters)
+        letters = _pairs(self.letters, "operator letters", "operator letter")
+        letters = tuple((_integer(s, sign), _integer(i, index)) for s, i in letters)
         object.__setattr__(self, "letters", letters)
         if any(s not in (1, -1) for s, _ in letters):
             raise DomainError("operator signs must be +1 (create) or -1 (annihilate)")

@@ -6,7 +6,9 @@ reproduction witness: the instance data, the sampled vectors and q, and
 both computed values.  The check ids here are the ones the command line
 accepts.  Every row of wick.IDENTITIES has an oracle suite, built by
 _check_row from the row alone: its left words on the vacuum against its
-diagram sum.
+diagram sum.  Each row that is neither complete nor blocked also has a
+peel suite, built by _peel_row: its diagram sum and its left word, each
+rewritten into plain products by wick.normal_form, must agree.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .algebra import NORMAL, Expansion, specialize_free
+from .algebra import Expansion, specialize_free
 from .diagrams import catalan_sequences, ensure_within_cap
 from .errors import DomainError
 from .fock import (
@@ -34,15 +36,7 @@ from .fock import (
     gram_check,
     wick_operator_form,
 )
-from .wick import (
-    IDENTITIES,
-    expand,
-    m_epsilon_expansion,
-    normal_form,
-    normal_to_wick,
-    wick_recursive,
-    wick_to_normal,
-)
+from .wick import IDENTITIES, expand, m_epsilon_expansion, normal_form
 
 Q_GRID = (Fraction(0), Fraction(1, 3), Fraction(-1, 3), Fraction(1, 2))
 GRAM_Q_GRID = (
@@ -220,17 +214,6 @@ def check_sign_moments(cfg: VerifyConfig) -> list[VerifyReport]:
     return _sampled("t2.1", cfg, cases)
 
 
-def check_recursion_agreement(cfg: VerifyConfig) -> list[VerifyReport]:
-    """id wick2-vs-recursion: the diagram formula and the peeling recursion
-    must produce identical canonical expansions."""
-    reports = []
-    for n in _capped(_sizes(cfg.n), cfg.cap):
-        lhs = wick_to_normal(n, cap=cfg.cap)
-        rhs = wick_recursive(n, cap=cfg.cap)
-        reports.append(_report("wick2-vs-recursion", {"n": n}, lhs == rhs, lhs=lhs, rhs=rhs))
-    return reports
-
-
 def _tensor(n: int, assignment, params, qs) -> Graded:
     """f_1 (x) ... (x) f_n for the vectors of variables 1..n, at every q."""
     entries = {((), 0): 1}
@@ -282,16 +265,19 @@ def _check_row(check_id: str, name: str, cfg: VerifyConfig) -> list[VerifyReport
     return _sampled(check_id, cfg, map(case, args, sizes))
 
 
-def check_roundtrip(cfg: VerifyConfig) -> list[VerifyReport]:
-    """id roundtrip: rewriting each Wick term of the product-to-Wick expansion
-    back into plain products must collapse to the single bare word."""
+def _peel_row(check_id: str, name: str, cfg: VerifyConfig) -> list[VerifyReport]:
+    """ids roundtrip and wick2-vs-recursion: the named identity row's diagram
+    sum (lhs) and its left word (rhs), each rewritten into plain products by
+    the peeling recursion, must be the same canonical expansion, on sizes
+    1..n.  The row must be neither complete nor blocked, so that its left
+    side is one word."""
+    row = IDENTITIES[name]
     reports = []
     for n in _capped(_sizes(cfg.n), cfg.cap):
-        result = normal_form(normal_to_wick(n, cap=cfg.cap), cap=cfg.cap)
-        expected = Expansion({((), tuple(range(1, n + 1)), NORMAL): 1})
-        reports.append(
-            _report("roundtrip", {"n": n}, result == expected, lhs=result, rhs=expected)
-        )
+        lhs = normal_form(expand(name, n, cap=cfg.cap), cap=cfg.cap)
+        (word,) = row.left_words(n)
+        rhs = normal_form(Expansion({((), word.indices, word.kind): 1}), cap=cfg.cap)
+        reports.append(_report(check_id, {"n": n}, lhs == rhs, lhs=lhs, rhs=rhs))
     return reports
 
 
@@ -350,8 +336,11 @@ CHECKS = {
     "wick-vector": (check_wick_vector, {"n": 6, **_SAMPLED}),
     "t3.3": (partial(_check_row, "t3.3", "product-expectation"), _ON_BLOCKS),
     "t3.4": (partial(_check_row, "t3.4", "product-expansion"), _ON_BLOCKS),
-    "roundtrip": (check_roundtrip, {"n": 6, "cap": None}),
-    "wick2-vs-recursion": (check_recursion_agreement, {"n": 7, "cap": None}),
+    "roundtrip": (partial(_peel_row, "roundtrip", "normal-to-wick"), {"n": 6, "cap": None}),
+    "wick2-vs-recursion": (
+        partial(_peel_row, "wick2-vs-recursion", "wick-to-normal"),
+        {"n": 7, "cap": None},
+    ),
     "free": (check_free, {"n": 6, "blocks": None, "cap": None}),
     "gram": (check_gram, {"n": 3, "q": None, "dim": None}),
 }

@@ -6,11 +6,13 @@ diagram-sum identities are the rows of one table, IDENTITIES, and each row
 also states its left side, the words it expands; terms streams a row's
 terms from the diagram walker, expand sums them into an Expansion, and
 free=True gives the q = 0 form as a class filter.  normal_form rewrites
-the Wick words of an expansion by the peeling recursion, without the walker;
-wick_recursive, its rewrite of the word 1..n, is an independent second route
-to the Wick product.  Every function returns exact canonical data with q
-kept as a formal variable; specializing q is left to the oracle module,
-fock, which defines the Wick product on its own and is not imported here.
+the Wick words of an expansion by the peeling recursion, without the
+walker, so it is an independent second route to each row that is neither
+complete nor blocked: the rewrite of the row's diagram sum must equal the
+rewrite of its left word.  Every function returns exact canonical data
+with q kept as a formal variable; specializing q is left to the oracle
+module, fock, which defines the Wick product on its own and is not
+imported here.
 """
 
 from __future__ import annotations
@@ -187,20 +189,6 @@ def wick_to_normal(n: int, cap: int | None = None, free: bool = False) -> Expans
     return expand("wick-to-normal", n, free, cap)
 
 
-def wick_recursive(n: int, cap: int | None = None) -> Expansion:
-    """Wick product of 1..n via the peel-the-first-variable recursion: the
-    normal_form of the single Wick word 1..n.
-
-    Must agree term for term with wick_to_normal; kept as an independent
-    construction so the two routes check each other.
-    """
-    n = _integer(n, "variable count")
-    if n < 0:
-        raise DomainError(f"variable count must be nonnegative, got {n}")
-    ensure_within_cap(n, cap)
-    return normal_form(Expansion({((), range(1, n + 1), WICK): 1}), cap)
-
-
 def normal_to_wick(n: int, cap: int | None = None, free: bool = False) -> Expansion:
     """Plain product of variables 1..n as a sum of Wick-tagged terms, with
     power the total crossing number and no sign factor; with free, the
@@ -210,7 +198,9 @@ def normal_to_wick(n: int, cap: int | None = None, free: bool = False) -> Expans
 
 def normal_form(e: Expansion, cap: int | None = None) -> Expansion:
     """e with every Wick-tagged word rewritten into plain products by the
-    peeling recursion; normal terms pass through unchanged.
+    peeling recursion; normal terms pass through unchanged, and an e with
+    no Wick-tagged term is returned as it is, since a canonical expansion
+    of normal words is its own normal form.
 
     Every Wick word is checked, in sorted order, before the first is
     rewritten: its indices must increase strictly and their count stay
@@ -223,6 +213,8 @@ def normal_form(e: Expansion, cap: int | None = None) -> Expansion:
     Each image joins the terms of a later round, or the result once its
     rest has at most one variable, so terms merge, and cancel, as they go.
     """
+    if all(kind != WICK for _, _, kind in e.terms):
+        return e
     done: dict = {}  # (factors, word) -> {exp: coeff}, as every output word is normal
     waiting: dict = {}  # t -> rest -> (factors, prefix) -> {exp: coeff}, for rests (t, ...)
     for (factors, indices, kind), poly in e.terms.items():

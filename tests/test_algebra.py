@@ -22,7 +22,6 @@ from qwick import (
     expand,
     normal_form,
     specialize_free,
-    wick_recursive,
 )
 from reference import crossing_stats, diagram_term
 
@@ -465,7 +464,7 @@ class TestKeysArePlainTuples:
     @settings(max_examples=50)
     def test_expand_and_recursion(self, name, n, blocks, free):
         assert_plain_keys(expand(name, blocks if IDENTITIES[name].blocks else n, free))
-        assert_plain_keys(wick_recursive(n))
+        assert_plain_keys(normal_form(Expansion({((), tuple(range(1, n + 1)), WICK): 1})))
 
     def test_bools_become_ints(self):
         e = Expansion({(((3, True),), (False, 2), WICK): 1})

@@ -288,41 +288,55 @@ class TestVerifyCommand:
         assert captured.err.splitlines() == [f"error: {message}"]
 
     # each suite checks its instance sizes against the cap before it builds
-    # the formula of the first one
+    # the formula of the first one; the in-cap run of the same suite shows
+    # that the patched builders are the ones it calls
     @pytest.mark.parametrize(
-        "argv, builders, message",
+        "argv, in_cap, builders, message",
         [
             (
                 "verify c2.2 --n 9 --cap 8",
+                "verify c2.2 --n 2",
                 ("expand",),
                 "ground size 9 exceeds enumeration cap 8",
             ),
             (
                 "verify wick2-vs-recursion --n 11 --cap 10",
-                ("wick_to_normal", "wick_recursive"),
+                "verify wick2-vs-recursion --n 2",
+                ("expand", "normal_form"),
+                "ground size 11 exceeds enumeration cap 10",
+            ),
+            (
+                "verify roundtrip --n 11 --cap 10",
+                "verify roundtrip --n 2",
+                ("expand", "normal_form"),
                 "ground size 11 exceeds enumeration cap 10",
             ),
             (
                 "verify free --n 3 --blocks 4,4 --cap 6",
+                "verify free --n 1 --blocks 1,1",
                 ("expand",),
                 "ground size 8 exceeds enumeration cap 6",
             ),
         ],
     )
     def test_oversized_run_fails_before_its_first_instance(
-        self, capsys, monkeypatch, argv, builders, message
+        self, capsys, monkeypatch, argv, in_cap, builders, message
     ):
         calls = []
         for name in builders:
             original = getattr(verify, name)
             monkeypatch.setattr(
-                verify, name, lambda *a, _f=original, **k: calls.append(a) or _f(*a, **k)
+                verify,
+                name,
+                lambda *a, _f=original, _name=name, **k: calls.append(_name) or _f(*a, **k),
             )
         code = cli.main(argv.split())
         captured = capsys.readouterr()
         assert calls == []
         assert code == 2
         assert captured.err.splitlines() == [f"error: {message}"]
+        assert cli.main(in_cap.split()) == 0
+        assert set(calls) == set(builders)
 
     def test_oversized_gram_run_builds_no_matrix(self, monkeypatch):
         calls = []
@@ -590,12 +604,13 @@ class TestVerifyCommand:
     # through Expansion.to_json, so these pin how int and Fraction
     # coefficients render after a merge, a new term and a cancelled term.
     # The sha256 values were recorded before the expansion core kept
-    # integer coefficients as ints.
+    # integer coefficients as ints; those of wick2-vs-recursion, whose
+    # corrupted side was the peel until both sides went through it, were
+    # recorded again with the diagram side corrupted instead.
     @pytest.mark.parametrize(
-        "target, check, word, coeffs, first, sha",
+        "check, word, coeffs, first, sha",
         [
             (
-                "normal_form",
                 "roundtrip",
                 (),
                 {0: 3, 2: Fraction(-1, 2)},
@@ -608,7 +623,6 @@ class TestVerifyCommand:
                 "d600ae1246d65c0c3aa560e1ca8ee0d8bf466c3e4a52feb865d178cdd1af7b75",
             ),
             (
-                "normal_form",
                 "roundtrip",
                 (1,),
                 {0: -2, 1: 5},
@@ -617,7 +631,6 @@ class TestVerifyCommand:
                 "3f2e5b18ff00e9364dbd036584641e44748e99eb0cd21f4eb0897049e558a651",
             ),
             (
-                "normal_form",
                 "roundtrip",
                 (1,),
                 {0: -1},
@@ -625,7 +638,6 @@ class TestVerifyCommand:
                 "25afc120b109b40cef376f2c74af1e69cf1f83f56d06b9f1333bde086293ef4e",
             ),
             (
-                "wick_recursive",
                 "wick2-vs-recursion",
                 (),
                 {0: 3, 2: Fraction(-1, 2)},
@@ -635,41 +647,38 @@ class TestVerifyCommand:
                     {"cov": [], "word": [1], "kind": "normal", "poly": [
                         {"exp": 0, "num": 1, "den": 1}]},
                 ],
-                "6c22dd9981ba95b97214479ef9f718c453f773e58c2640ac1c455bea793986ce",
+                "dcbbfecf87689bc783e67f6975c23675093a471889bf246f3f821df546f452dc",
             ),
             (
-                "wick_recursive",
                 "wick2-vs-recursion",
                 (1,),
                 {0: -2, 1: 5},
                 [{"cov": [], "word": [1], "kind": "normal", "poly": [
                     {"exp": 0, "num": -1, "den": 1}, {"exp": 1, "num": 5, "den": 1}]}],
-                "afd1de0c06f775777a7763f83a753d0b614796d406587e5a0d236672534f01fd",
+                "39076927d5a3f75a84f4ac6165f1026c7971574886d71d6a0a43c009f3058bbe",
             ),
             (
-                "wick_recursive",
                 "wick2-vs-recursion",
                 (1,),
                 {0: -1},
                 [],
-                "dfc83101b32312c983ed974f31dfe926af4587aa38e00647368559bebc65a603",
+                "55c7652d4bb55c04dae92f4e1c1de035cb36c118c4a18d1b3ceb5967e2b97c78",
             ),
         ],
     )
     def test_expansion_witness_is_pinned(
-        self, capsys, monkeypatch, target, check, word, coeffs, first, sha
+        self, capsys, monkeypatch, check, word, coeffs, first, sha
     ):
         wrong = Expansion.single(
             CovarianceMonomial.identity(), VariableWord(word, NORMAL), QPolynomial(coeffs)
         )
-        formula = getattr(verify, target)
-        monkeypatch.setattr(verify, target, lambda *a, **k: formula(*a, **k) + wrong)
+        formula = verify.expand
+        monkeypatch.setattr(verify, "expand", lambda *a, **k: formula(*a, **k) + wrong)
         code, out = run_cli(capsys, "verify", check, "--n", "4")
         reports = json.loads(out)["reports"]
         assert code == 1
         assert all(r["status"] == "fail" for r in reports)
-        side = "lhs" if target == "normal_form" else "rhs"
-        assert reports[0]["witness"][side] == first
+        assert reports[0]["witness"]["lhs"] == first
         assert hashlib.sha256(out.encode()).hexdigest() == sha
 
     @pytest.mark.parametrize("seed", [0, 3])

