@@ -50,12 +50,7 @@ from .wick import (
     IDENTITIES,
     expand,
     m_epsilon_expansion,
-    moment_expansion,
     normal_form,
-    normal_to_wick,
-    product_expansion,
-    product_expectation,
-    wick_to_normal,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -6,8 +6,9 @@ form used everywhere downstream: a finite map from (factors, indices, kind)
 tuples, the form in which the diagram walker yields its terms, to a
 q-polynomial, with zero values never stored, so two expansions are equal
 exactly when their maps are equal.  The public constructors validate, the
-keys through CovarianceMonomial and VariableWord; arithmetic on canonical
-values builds its results through the unchecked _trusted constructors.
+keys through CovarianceMonomial and VariableWord and the coefficients
+through _rational; arithmetic on canonical values builds its results
+through the unchecked _trusted constructors.
 """
 
 from __future__ import annotations
@@ -38,22 +39,48 @@ def _integer(value, what: str) -> int:
         raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
-def _sequence(value, what: str) -> tuple:
-    """value as a tuple; a non-sequence such as 4 is a DomainError."""
+def _sequence(value, what: str, size: int | None = None) -> tuple:
+    """value as a tuple; a non-sequence such as 4, or one whose length is
+    not size when size is given, is a DomainError."""
     try:
-        return tuple(value)
+        items = tuple(value)
     except TypeError:
         raise DomainError(f"{what} must be a sequence, got {value!r}") from None
+    if size is not None and len(items) != size:
+        raise DomainError(f"each {what} must hold {size} entries, got {items!r}")
+    return items
+
+
+def _rational(value, what: str) -> Fraction:
+    """value as a Fraction, which takes ints, Fractions, floats and strings
+    such as "1/3"; a value it rejects, such as "a" or None, is a DomainError."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise DomainError(f"{what} must be a rational number, got {value!r}") from None
+
+
+def _items(value, what: str):
+    """value's (key, value) items; a non-mapping such as 5 is a DomainError."""
+    try:
+        return value.items()
+    except AttributeError:
+        raise DomainError(f"{what} must be a mapping, got {value!r}") from None
+
+
+def _fields(record, names: tuple[str, ...], what: str) -> tuple:
+    """The named fields of a JSON record; a record that is not a mapping
+    holding them all is a DomainError."""
+    try:
+        return tuple(record[name] for name in names)
+    except (TypeError, KeyError):
+        raise DomainError(f"each {what} must hold {', '.join(names)}, got {record!r}") from None
 
 
 def _pairs(value, what: str, item: str) -> tuple[tuple, ...]:
     """value as a tuple of pairs; a non-sequence, or an item that is not a
     sequence of two entries, is a DomainError."""
-    pairs = tuple(_sequence(pair, item) for pair in _sequence(value, what))
-    for pair in pairs:
-        if len(pair) != 2:
-            raise DomainError(f"each {item} must hold two entries, got {pair}")
-    return pairs
+    return tuple(_sequence(pair, item, 2) for pair in _sequence(value, what))
 
 
 def _poly_value(terms, q: Fraction) -> Fraction:
@@ -75,11 +102,11 @@ class QPolynomial:
 
     def __init__(self, coeffs: Mapping[int, Rational] | None = None):
         clean: dict[int, Rational] = {}
-        for exp, val in (coeffs or {}).items():
+        for exp, val in _items(coeffs or {}, "coefficients"):
             exp = _integer(exp, "exponent")
             if exp < 0:
                 raise DomainError(f"negative exponent {exp} not supported")
-            val = _exact(Fraction(val))
+            val = _exact(_rational(val, "coefficient"))
             if val:
                 clean[exp] = val
         self.coeffs = clean
@@ -160,7 +187,7 @@ class QPolynomial:
 
     def evaluate(self, q0: Rational) -> Fraction:
         """Exact value at a rational point."""
-        return _poly_value(self.coeffs.items(), Fraction(q0))
+        return _poly_value(self.coeffs.items(), _rational(q0, "q"))
 
     def to_json(self) -> list[dict]:
         return [
@@ -171,10 +198,12 @@ class QPolynomial:
     @classmethod
     def from_json(cls, records) -> QPolynomial:
         coeffs = {}
-        for r in records:
-            if not r["den"]:
+        for r in _sequence(records, "q-polynomial records"):
+            exp, num, den = _fields(r, ("exp", "num", "den"), "q-polynomial record")
+            num, den = _integer(num, "numerator"), _integer(den, "denominator")
+            if not den:
                 raise DomainError(f"coefficient denominator must be nonzero, got {r!r}")
-            coeffs[r["exp"]] = Fraction(r["num"], r["den"])
+            coeffs[exp] = Fraction(num, den)
         return cls(coeffs)
 
     def pretty(self) -> str:
@@ -270,10 +299,10 @@ class Expansion:
 
     def __init__(self, terms: Mapping[tuple, QPolynomial] | None = None):
         clean: dict = {}
-        for key, poly in (terms or {}).items():
+        for key, poly in _items(terms or {}, "terms"):
             if not isinstance(poly, QPolynomial):
                 poly = QPolynomial.constant(poly)
-            accumulate_term(clean, _term_key(*key), poly)
+            accumulate_term(clean, _term_key(*_sequence(key, "term key", 3)), poly)
         self.terms = clean
 
     @classmethod
@@ -357,9 +386,9 @@ class Expansion:
     @classmethod
     def from_json(cls, records) -> Expansion:
         terms: dict = {}
-        for r in records:
-            key = _term_key(tuple((f[0], f[1]) for f in r["cov"]), tuple(r["word"]), r["kind"])
-            accumulate_term(terms, key, QPolynomial.from_json(r["poly"]))
+        for r in _sequence(records, "expansion records"):
+            cov, word, kind, poly = _fields(r, ("cov", "word", "kind", "poly"), "expansion record")
+            accumulate_term(terms, _term_key(cov, word, kind), QPolynomial.from_json(poly))
         return cls._trusted(terms)
 
     def pretty(self) -> str:

@@ -23,7 +23,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .algebra import NORMAL, Expansion, Rational, _exact, _integer, _pairs, _poly_value, _sequence
+from .algebra import (
+    NORMAL,
+    Expansion,
+    Rational,
+    _exact,
+    _integer,
+    _items,
+    _pairs,
+    _poly_value,
+    _rational,
+    _sequence,
+)
 from .errors import DomainError, SizeLimitError, TruncationOverflowError
 
 # most basis words of one Gram matrix: listing them alone costs dim^degree
@@ -51,7 +62,7 @@ class FockParams:
     def __post_init__(self):
         object.__setattr__(self, "dim", _integer(self.dim, "one-particle dimension"))
         object.__setattr__(self, "level", _integer(self.level, "tensor degree cutoff"))
-        object.__setattr__(self, "q", Fraction(self.q))
+        object.__setattr__(self, "q", _rational(self.q, "q"))
         if self.dim < 1:
             raise DomainError(f"one-particle dimension must be positive, got {self.dim}")
         if self.level < 1:
@@ -66,7 +77,7 @@ class OneParticleVector:
 
     def __post_init__(self):
         coords = _sequence(self.coords, "coordinates")
-        coords = tuple(c if type(c) is int else _exact(Fraction(c)) for c in coords)
+        coords = tuple(c if type(c) is int else _exact(_rational(c, "coordinate")) for c in coords)
         object.__setattr__(self, "coords", coords)
 
     def dot(self, other: OneParticleVector) -> Fraction:
@@ -105,10 +116,10 @@ class FockVector:
     def __init__(self, entries: Mapping[tuple[int, ...], Rational] | None = None):
         clean: dict[tuple[int, ...], Fraction] = {}
         if entries:
-            for word, val in entries.items():
-                val = Fraction(val)
+            for word, val in _items(entries, "entries"):
+                val = _rational(val, "coefficient")
                 if val:
-                    clean[tuple(word)] = val
+                    clean[_sequence(word, "basis word")] = val
         self.entries = clean
 
     @classmethod
@@ -135,7 +146,7 @@ class FockVector:
         return self + other.scaled(-1)
 
     def scaled(self, factor: Rational) -> FockVector:
-        factor = Fraction(factor)
+        factor = _rational(factor, "factor")
         return FockVector({w: factor * v for w, v in self.entries.items()})
 
     def __eq__(self, other) -> bool:

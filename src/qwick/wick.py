@@ -3,9 +3,11 @@
 Moments, conversions between plain products and Wick products, and
 products of Wick products over block-partitioned index sets.  The
 diagram-sum identities are the rows of one table, IDENTITIES, and each row
-also states its left side, the words it expands; terms streams a row's
-terms from the diagram walker, expand sums them into an Expansion, and
-free=True gives the q = 0 form as a class filter.  normal_form rewrites
+also states its left side, the words it expands.  A row is reached by its
+name and nothing else: terms(name, arg) streams its terms from the diagram
+walker, expand(name, arg) sums them into an Expansion, and free=True gives
+the q = 0 form as a class filter.  m_epsilon_expansion is the moment row
+under a sign mask, which no row name states.  normal_form rewrites
 the Wick words of an expansion by the peeling recursion, without the
 walker, so it is an independent second route to each row that is neither
 complete nor blocked: the rewrite of the row's diagram sum must equal the
@@ -72,16 +74,19 @@ class Identity:
     """One diagram-sum identity, stated as data.
 
     The row's left side is one word of kind left per block, over
-    consecutive variables (a row without blocks has the one block 1..n);
+    consecutive variables (a row without blocks has the one block 1..n):
+    the block elements in lexicographic order, relabelled 1..total.
     left_words builds it, and the oracle applies it to the vacuum, keeping
     only the vacuum coefficient when complete is set.  The sum runs over
     all diagrams on the ground set (complete ones only when complete is
-    set; with blocks, only those pairing no two positions of one block).
-    Each diagram contributes its covariance factors and a singleton word of
-    the given kind, times q to power(c, d, g), negated for an odd pair count
-    when signed.  zero names the statistic ("c", "g" or "tc") whose
-    vanishing class gives the q = 0 form; power is 0 on that class, so the
-    free sum is the same sum restricted by diagram class.
+    set, so an odd ground size gives zero; with blocks, only the
+    non-linking ones, which pair no two positions of one block).  Each
+    diagram contributes its covariance factors and a singleton word of the
+    given kind, times q to power(c, d, g) of its crossings c, degenerate
+    crossings d and total gap g, negated for an odd pair count when signed.
+    zero names the statistic ("c", "g" or "tc" = c + d) whose vanishing
+    class gives the q = 0 form; power is 0 on that class, so the free sum
+    is the same sum restricted by diagram class.
     """
 
     left: str
@@ -170,30 +175,11 @@ def m_epsilon_expansion(eps: SignSequence, cap: int | None = None) -> Expansion:
     return _diagram_sum(_row_terms(row, _walk(len(eps), row.complete, _sign_forbid(eps))))
 
 
-def moment_expansion(n: int, cap: int | None = None, free: bool = False) -> Expansion:
-    """Joint moment of n variables: complete diagrams weighted by q^crossings
-    (zero for odd n); with free, the complete noncrossing diagrams only."""
-    return expand("moment", n, free, cap)
-
-
 def _increasing(indices: Sequence[int]) -> tuple[int, ...]:
     indices = tuple(_integer(i, "variable index") for i in indices)
     if any(a >= b for a, b in zip(indices, indices[1:])):
         raise DomainError(f"variable indices must be strictly increasing, got {indices}")
     return indices
-
-
-def wick_to_normal(n: int, cap: int | None = None, free: bool = False) -> Expansion:
-    """Wick product of variables 1..n expanded into plain products; with
-    free, the gap-free diagrams only, signs retained."""
-    return expand("wick-to-normal", n, free, cap)
-
-
-def normal_to_wick(n: int, cap: int | None = None, free: bool = False) -> Expansion:
-    """Plain product of variables 1..n as a sum of Wick-tagged terms, with
-    power the total crossing number and no sign factor; with free, the
-    strongly noncrossing diagrams only."""
-    return expand("normal-to-wick", n, free, cap)
 
 
 def normal_form(e: Expansion, cap: int | None = None) -> Expansion:
@@ -249,28 +235,3 @@ def normal_form(e: Expansion, cap: int | None = None) -> Expansion:
                     for k, c in items:
                         acc[k + shift] = acc.get(k + shift, 0) + sign * c
     return _normal_expansion(done)
-
-
-def product_expectation(
-    blocks: Sequence[int], cap: int | None = None, free: bool = False
-) -> Expansion:
-    """Expectation of a product of Wick products, one per block.
-
-    Positions are the block elements in lexicographic order, relabelled
-    1..total; the sum runs over complete diagrams that never pair two
-    positions of the same block, weighted by q^crossings.  With free, the
-    noncrossing ones only.
-    """
-    return expand("product-expectation", blocks, free, cap)
-
-
-def product_expansion(
-    blocks: Sequence[int], cap: int | None = None, free: bool = False
-) -> Expansion:
-    """Product of Wick products, one per block, expanded into Wick terms.
-
-    Runs over all non-linking diagrams (singletons allowed), each carrying a
-    Wick-tagged singleton word and the power tc = crossings + degenerate.
-    With free, the strongly noncrossing ones only.
-    """
-    return expand("product-expansion", blocks, free, cap)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from qwick import NORMAL, Expansion, FeynmanDiagram, GroundSet, SignSequence, wick_to_normal
+from qwick import NORMAL, Expansion, FeynmanDiagram, GroundSet, SignSequence, expand
 from qwick.algebra import _term_key
 from qwick.diagrams import ensure_within_cap
 from qwick.errors import DomainError
@@ -137,8 +137,9 @@ def diagram_term(diagram: FeynmanDiagram, kind: str = NORMAL, labels=None) -> tu
 
 def wick_to_normal_word(indices: Sequence[int], cap: int | None = None) -> Expansion:
     """Wick product of the given (strictly increasing) variable indices as a
-    signed sum of plain products: wick_to_normal(len(indices)) with position
-    p relabelled to indices[p - 1], checked as normal_form checks a word."""
+    signed sum of plain products: expand("wick-to-normal", len(indices))
+    with position p relabelled to indices[p - 1], checked as normal_form
+    checks a word."""
     indices = _increasing(indices)
     ensure_within_cap(len(indices), cap)
     return Expansion(
@@ -148,6 +149,8 @@ def wick_to_normal_word(indices: Sequence[int], cap: int | None = None) -> Expan
                 tuple(indices[h - 1] for h in word),
                 kind,
             ): poly
-            for (factors, word, kind), poly in wick_to_normal(len(indices), cap).terms.items()
+            for (factors, word, kind), poly in expand(
+                "wick-to-normal", len(indices), cap=cap
+            ).terms.items()
         }
     )

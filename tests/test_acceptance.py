@@ -14,8 +14,7 @@ from qwick import (
     QPolynomial,
     enumerate_complete,
     evaluate_expansion,
-    moment_expansion,
-    wick_to_normal,
+    expand,
 )
 from qwick.algebra import NORMAL, Expansion
 from qwick.verify import run_check
@@ -55,7 +54,7 @@ def test_criterion_03_moments_match_oracle():
     assign = {i: e1 for i in range(1, 5)}
     for q0 in (Fraction(0), Fraction(1, 3), Fraction(-1, 3), Fraction(1, 2)):
         params = FockParams(3, 4, q0)
-        ok = ok and evaluate_expansion(moment_expansion(4), assign, params) == 2 + q0
+        ok = ok and evaluate_expansion(expand("moment", 4), assign, params) == 2 + q0
     report("3 q-moment formula", ok, detail)
 
 
@@ -96,7 +95,7 @@ def test_criterion_08_free_case():
             (((2, 3),), (1,), NORMAL): QPolynomial.constant(-1),
         }
     )
-    display = wick_to_normal(3, free=True)
+    display = expand("wick-to-normal", 3, free=True)
     ok = ok and display == expected
     ok = ok and display.pretty() == "x1 x2 x3 - c(1,2) x3 - c(2,3) x1"
     report("8 free case", ok, detail)

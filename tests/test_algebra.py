@@ -178,9 +178,8 @@ class TestExpansion:
         total = Expansion.zero()
         for t in terms:
             total = total + t.scaled(QPolynomial.one())
-        from qwick import moment_expansion
 
-        assert total == moment_expansion(4)
+        assert total == expand("moment", 4)
 
     def test_scalar_detection(self):
         assert Expansion.scalar(Fraction(3, 2)).is_scalar()
@@ -233,9 +232,8 @@ class TestNormalForm:
         assert normal_form(e) == e
 
     def test_three_variable_round_trip(self):
-        from qwick import normal_to_wick
 
-        e = normal_to_wick(3)
+        e = expand("normal-to-wick", 3)
         assert normal_form(e) == make([((), (1, 2, 3), NORMAL, {0: 1})])
 
 

@@ -1015,7 +1015,7 @@ def test_streamed_output_does_not_grow_memory():
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 def test_roundtrip_holds_one_word_image_at_a_time():
-    # holding the rewrite of all 1,024 Wick words of normal_to_wick(11) at
+    # holding the rewrite of all 1,024 Wick words of expand("normal-to-wick", 11) at
     # once, 269,039 terms, peaked at 168 MB
     proc = subprocess.run(
         [sys.executable, "-c", PEAK_RSS_CHILD, "verify", "roundtrip", "--n", "11"],

@@ -23,14 +23,12 @@ from qwick import (
     apply_wick_product,
     create,
     evaluate_expansion,
+    expand,
     field_apply,
     gram_check,
-    moment_expansion,
-    product_expansion,
     q_inner,
     vacuum_expectation,
     wick_operator_form,
-    wick_to_normal,
 )
 from qwick.algebra import NORMAL, WICK, CovarianceMonomial, Expansion, QPolynomial, VariableWord
 from qwick import fock
@@ -178,7 +176,7 @@ class TestOperatorWords:
         p = params(2)
         assign = {i: E1 for i in range(1, 5)}
         assert vacuum_expectation((1, 2, 3, 4), assign, p) == 4
-        assert evaluate_expansion(moment_expansion(4), assign, p) == 4
+        assert evaluate_expansion(expand("moment", 4), assign, p) == 4
 
     def test_wick_product_missing_assignment_raises_lookup_error(self):
         with pytest.raises(KeyError, match="no vector assigned to variable 7"):
@@ -475,12 +473,12 @@ class TestEvaluateExpansion:
     def test_moment_of_four_at_a_third(self):
         p = params("1/3")
         assign = {i: E1 for i in range(1, 5)}
-        assert evaluate_expansion(moment_expansion(4), assign, p) == Fraction(7, 3)
+        assert evaluate_expansion(expand("moment", 4), assign, p) == Fraction(7, 3)
 
     def test_wick_product_sends_vacuum_to_the_tensor(self):
         p = params("1/3")
         assign = {1: E1, 2: E2, 3: E1}
-        got = evaluate_expansion(wick_to_normal(3), assign, p)
+        got = evaluate_expansion(expand("wick-to-normal", 3), assign, p)
         assert got == FockVector({(1, 2, 1): 1})
         direct = apply_wick_product((1, 2, 3), assign, FockVector.vacuum(), p)
         assert direct == got
@@ -492,15 +490,14 @@ class TestEvaluateExpansion:
     def test_missing_assignment_raises(self):
         p = params("1/3")
         with pytest.raises(KeyError):
-            evaluate_expansion(moment_expansion(2), {1: E1}, p)
+            evaluate_expansion(expand("moment", 2), {1: E1}, p)
 
     def test_normal_words_apply_field_operators(self):
         p = params("1/2")
-        from qwick import normal_to_wick
 
         assign = {1: OneParticleVector((1, 1)), 2: OneParticleVector((2, -1))}
         lhs = apply_field_word((1, 2), assign, FockVector.vacuum(), p)
-        rhs = evaluate_expansion(normal_to_wick(2), assign, p)
+        rhs = evaluate_expansion(expand("normal-to-wick", 2), assign, p)
         assert lhs == rhs
 
 
@@ -575,7 +572,7 @@ class TestOneRunPerWord:
             return original(indices, kind, *args)
 
         monkeypatch.setattr(fock, "_variables", counted)
-        e = product_expansion((2, 2, 1))
+        e = expand("product-expansion", (2, 2, 1))
         assignment = {i: (1, i) for i in range(1, 6)}  # every covariance is nonzero
         fock.graded_expansion(e, assignment, params("1/2", level=6), Q_GRID)
         words = {(indices, kind) for _, indices, kind in e.terms}
@@ -917,7 +914,7 @@ class TestCoordinatesOncePerCall:
         assert sorted(calls) == [(0, 3), (1, 2)]
 
         calls.clear()
-        e = wick_to_normal(2) + moment_expansion(2)
+        e = expand("wick-to-normal", 2) + expand("moment", 2)
         fock.graded_expansion(e, {1: (1, 2), 2: (0, 3)}, params("1/2"), Q_GRID)
         assert sorted(calls) == [(0, 3), (1, 2)]
 

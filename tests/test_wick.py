@@ -31,14 +31,9 @@ from qwick import (
     expand,
     gram_check,
     m_epsilon_expansion,
-    moment_expansion,
     normal_form,
-    normal_to_wick,
-    product_expansion,
-    product_expectation,
     specialize_free,
     wick_operator_form,
-    wick_to_normal,
 )
 from qwick.algebra import accumulate_term
 from qwick.verify import CHECKS, _check_row, _peel_row, run_check
@@ -115,10 +110,10 @@ class TestSignedMoments:
 
 class TestMoments:
     def test_order_two(self):
-        assert moment_expansion(2) == make([(((1, 2),), (), NORMAL, {0: 1})])
+        assert expand("moment", 2) == make([(((1, 2),), (), NORMAL, {0: 1})])
 
     def test_order_four(self):
-        assert moment_expansion(4) == make(
+        assert expand("moment", 4) == make(
             [
                 (((1, 2), (3, 4)), (), NORMAL, {0: 1}),
                 (((1, 3), (2, 4)), (), NORMAL, {1: 1}),
@@ -127,24 +122,24 @@ class TestMoments:
         )
 
     def test_odd_orders_vanish(self):
-        assert moment_expansion(3).is_zero()
-        assert moment_expansion(7).is_zero()
+        assert expand("moment", 3).is_zero()
+        assert expand("moment", 7).is_zero()
 
     def test_moments_are_scalar(self):
         for n in range(1, 7):
-            assert moment_expansion(n).is_scalar()
+            assert expand("moment", n).is_scalar()
 
     def test_cap(self):
         with pytest.raises(SizeLimitError):
-            moment_expansion(14)
+            expand("moment", 14)
 
 
 class TestWickToNormal:
     def test_single_variable(self):
-        assert wick_to_normal(1) == make([((), (1,), NORMAL, {0: 1})])
+        assert expand("wick-to-normal", 1) == make([((), (1,), NORMAL, {0: 1})])
 
     def test_two_variables(self):
-        assert wick_to_normal(2) == make(
+        assert expand("wick-to-normal", 2) == make(
             [
                 ((), (1, 2), NORMAL, {0: 1}),
                 (((1, 2),), (), NORMAL, {0: -1}),
@@ -152,7 +147,7 @@ class TestWickToNormal:
         )
 
     def test_three_variables(self):
-        assert wick_to_normal(3) == make(
+        assert expand("wick-to-normal", 3) == make(
             [
                 ((), (1, 2, 3), NORMAL, {0: 1}),
                 (((1, 2),), (3,), NORMAL, {0: -1}),
@@ -163,7 +158,7 @@ class TestWickToNormal:
 
     def test_recursion_agrees_with_diagram_formula(self):
         for n in range(1, 8):
-            assert peel_wick_word(n) == wick_to_normal(n)
+            assert peel_wick_word(n) == expand("wick-to-normal", n)
 
     def test_word_variant_relabels(self):
         got = wick_to_normal_word((2, 5, 9))
@@ -213,10 +208,10 @@ class TestOperatorForm:
 
 class TestNormalToWick:
     def test_single_variable(self):
-        assert normal_to_wick(1) == make([((), (1,), WICK, {0: 1})])
+        assert expand("normal-to-wick", 1) == make([((), (1,), WICK, {0: 1})])
 
     def test_two_variables(self):
-        assert normal_to_wick(2) == make(
+        assert expand("normal-to-wick", 2) == make(
             [
                 ((), (1, 2), WICK, {0: 1}),
                 (((1, 2),), (), NORMAL, {0: 1}),
@@ -224,7 +219,7 @@ class TestNormalToWick:
         )
 
     def test_three_variables(self):
-        assert normal_to_wick(3) == make(
+        assert expand("normal-to-wick", 3) == make(
             [
                 ((), (1, 2, 3), WICK, {0: 1}),
                 (((1, 2),), (3,), WICK, {0: 1}),
@@ -235,7 +230,7 @@ class TestNormalToWick:
 
     def test_round_trip_to_bare_word(self):
         for n in range(1, 7):
-            e = normal_to_wick(n)
+            e = expand("normal-to-wick", n)
             result = normal_form(e)
             expected = make([((), tuple(range(1, n + 1)), NORMAL, {0: 1})])
             assert result == expected
@@ -243,10 +238,10 @@ class TestNormalToWick:
 
 class TestProducts:
     def test_two_singleton_blocks_reduce_to_covariance(self):
-        assert product_expectation((1, 1)) == make([(((1, 2),), (), NORMAL, {0: 1})])
+        assert expand("product-expectation", (1, 1)) == make([(((1, 2),), (), NORMAL, {0: 1})])
 
     def test_two_by_two_expectation(self):
-        assert product_expectation((2, 2)) == make(
+        assert expand("product-expectation", (2, 2)) == make(
             [
                 (((1, 3), (2, 4)), (), NORMAL, {1: 1}),
                 (((1, 4), (2, 3)), (), NORMAL, {0: 1}),
@@ -255,16 +250,16 @@ class TestProducts:
 
     def test_singleton_blocks_recover_moments(self):
         for n in range(1, 7):
-            assert product_expectation((1,) * n) == moment_expansion(n)
+            assert expand("product-expectation", (1,) * n) == expand("moment", n)
 
     def test_odd_total_expectation_vanishes(self):
-        assert product_expectation((2, 3)).is_zero()
+        assert expand("product-expectation", (2, 3)).is_zero()
 
     def test_single_block_expansion_is_one_wick_term(self):
-        assert product_expansion((4,)) == make([((), (1, 2, 3, 4), WICK, {0: 1})])
+        assert expand("product-expansion", (4,)) == make([((), (1, 2, 3, 4), WICK, {0: 1})])
 
     def test_two_one_block_expansion(self):
-        assert product_expansion((2, 1)) == make(
+        assert expand("product-expansion", (2, 1)) == make(
             [
                 ((), (1, 2, 3), WICK, {0: 1}),
                 (((2, 3),), (1,), WICK, {0: 1}),
@@ -274,19 +269,19 @@ class TestProducts:
 
     def test_singleton_blocks_recover_wick_expansion(self):
         for n in range(1, 6):
-            assert product_expansion((1,) * n) == normal_to_wick(n)
+            assert expand("product-expansion", (1,) * n) == expand("normal-to-wick", n)
 
     def test_blocks_must_be_positive(self):
         with pytest.raises(DomainError):
-            product_expansion((2, 0))
+            expand("product-expansion", (2, 0))
         with pytest.raises(DomainError):
-            product_expectation(())
+            expand("product-expectation", ())
 
     def test_expansion_rewrites_to_the_distributed_product(self):
         # independent route: rewrite every Wick term back into plain products
         # and compare against distributing the blocks' own normal forms,
         # e.g. (x1 x2 - c12)(x3 x4 - c34) for blocks (2, 2)
-        e = product_expansion((2, 2))
+        e = expand("product-expansion", (2, 2))
         got = normal_form(e)
         assert got == make(
             [
@@ -296,7 +291,7 @@ class TestProducts:
                 (((1, 2), (3, 4)), (), NORMAL, {0: 1}),
             ]
         )
-        e = product_expansion((1, 2, 2))
+        e = expand("product-expansion", (1, 2, 2))
         got = normal_form(e)
         assert got == make(
             [
@@ -310,7 +305,7 @@ class TestProducts:
 
 class TestFreeFormulas:
     def test_free_wick_product_of_three(self):
-        assert wick_to_normal(3, free=True) == make(
+        assert expand("wick-to-normal", 3, free=True) == make(
             [
                 ((), (1, 2, 3), NORMAL, {0: 1}),
                 (((1, 2),), (3,), NORMAL, {0: -1}),
@@ -319,7 +314,7 @@ class TestFreeFormulas:
         )
 
     def test_free_moment_of_four(self):
-        assert moment_expansion(4, free=True) == make(
+        assert expand("moment", 4, free=True) == make(
             [
                 (((1, 2), (3, 4)), (), NORMAL, {0: 1}),
                 (((1, 4), (2, 3)), (), NORMAL, {0: 1}),
@@ -327,7 +322,7 @@ class TestFreeFormulas:
         )
 
     def test_free_normal_to_wick_of_two(self):
-        assert normal_to_wick(2, free=True) == make(
+        assert expand("normal-to-wick", 2, free=True) == make(
             [
                 ((), (1, 2), WICK, {0: 1}),
                 (((1, 2),), (), NORMAL, {0: 1}),
@@ -351,13 +346,13 @@ class TestAgainstCrossingStats:
     def test_general_builders(self):
         for n in range(0, 9):
             ground = GroundSet(n)
-            assert moment_expansion(n) == reference_sum(
+            assert expand("moment", n) == reference_sum(
                 enumerate_complete(ground), NORMAL, lambda s: s.c
             )
-            assert wick_to_normal(n) == reference_sum(
+            assert expand("wick-to-normal", n) == reference_sum(
                 enumerate_diagrams(ground), NORMAL, lambda s: s.a, signed=True
             )
-            assert normal_to_wick(n) == reference_sum(
+            assert expand("normal-to-wick", n) == reference_sum(
                 enumerate_diagrams(ground), WICK, lambda s: s.tc
             )
 
@@ -377,10 +372,10 @@ class TestAgainstCrossingStats:
     def test_product_builders(self):
         for blocks in CROSS_CHECK_BLOCKS:
             ground = GroundSet(sum(blocks), blocks)
-            assert product_expectation(blocks) == reference_sum(
+            assert expand("product-expectation", blocks) == reference_sum(
                 enumerate_nonlinking(ground, complete_only=True), NORMAL, lambda s: s.c
             )
-            assert product_expansion(blocks) == reference_sum(
+            assert expand("product-expansion", blocks) == reference_sum(
                 enumerate_nonlinking(ground), WICK, lambda s: s.tc
             )
 
@@ -480,13 +475,13 @@ class TestIntegerInput:
         with pytest.raises(DomainError) as exc:
             wick_to_normal_word((1.5, 2.7))
         assert str(exc.value) == "variable index must be an integer, got 1.5"
-        assert wick_to_normal_word((True, 2)) == wick_to_normal(2)
+        assert wick_to_normal_word((True, 2)) == expand("wick-to-normal", 2)
 
     def test_product_blocks(self):
         with pytest.raises(DomainError) as exc:
-            product_expansion((1.5, 1.2))
+            expand("product-expansion", (1.5, 1.2))
         assert str(exc.value) == "block size must be an integer, got 1.5"
-        assert product_expansion((True, 1)) == product_expansion((1, 1))
+        assert expand("product-expansion", (True, 1)) == expand("product-expansion", (1, 1))
 
     @pytest.mark.parametrize("name", ["product-expectation", "product-expansion"])
     def test_terms_checks_blocks_at_once(self, name):
@@ -497,7 +492,7 @@ class TestIntegerInput:
     @pytest.mark.parametrize(
         "call, message",
         [
-            (lambda: moment_expansion(4, cap=2.5), "cap must be an integer, got 2.5"),
+            (lambda: expand("moment", 4, cap=2.5), "cap must be an integer, got 2.5"),
             (
                 lambda: next(enumerate_diagrams(GroundSet(4), cap="5")),
                 "cap must be an integer, got '5'",
@@ -514,7 +509,7 @@ class TestIntegerInput:
             ),
         ],
         ids=[
-            "moment_expansion-cap",
+            "expand-cap",
             "enumerate_diagrams-cap",
             "wick_operator_form",
             "wick_operator_form-unhashable",
@@ -529,7 +524,7 @@ class TestIntegerInput:
 
     def test_bool_sizes_and_caps_are_accepted(self):
         params = FockParams(2, 3, Fraction(1, 3))
-        assert wick_to_normal(True, cap=True) == wick_to_normal(1)
+        assert expand("wick-to-normal", True, cap=True) == expand("wick-to-normal", 1)
         assert list(enumerate_diagrams(GroundSet(1), cap=True)) == list(
             enumerate_diagrams(GroundSet(1))
         )
@@ -701,7 +696,7 @@ class TestNormalFormAgainstRuleMaps:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_roundtrip(self, n):
-        e = normal_to_wick(n)
+        e = expand("normal-to-wick", n)
         expected = Expansion({((), tuple(range(1, n + 1)), NORMAL): 1})
         assert rewrite_outcome(normal_form, e, None) == rewrite_outcome(
             reference_normal_form, e, None
@@ -756,18 +751,18 @@ def test_every_row_with_one_left_word_meets_the_peel():
 def test_normal_form_changes_neither_its_input_nor_shared_caches():
     # the rewrite must not merge into the QPolynomial coefficient dicts it
     # reads, which the q-power cache shares between expansions
-    e = normal_to_wick(6)
+    e = expand("normal-to-wick", 6)
     before = json.dumps(e.to_json())
     normal_form(e)
     assert json.dumps(e.to_json()) == before
-    assert json.dumps(normal_to_wick(6).to_json()) == before
-    assert wick_to_normal(6) == peel_wick_word(6)
+    assert json.dumps(expand("normal-to-wick", 6).to_json()) == before
+    assert expand("wick-to-normal", 6) == peel_wick_word(6)
 
 
 def test_an_expansion_of_normal_words_is_its_own_normal_form():
     # wick2-vs-recursion sends the whole wick-to-normal sum through
     # normal_form, so that sum must not be accumulated again
-    e = wick_to_normal(6)
+    e = expand("wick-to-normal", 6)
     assert normal_form(e) is e
 
 
@@ -775,7 +770,7 @@ def test_an_expansion_of_normal_words_is_its_own_normal_form():
 def test_recursion_matches_the_key_object_merge(n):
     result = peel_wick_word(n)
     reference = reference_peel_wick_word(n)
-    assert result == reference == wick_to_normal(n)
+    assert result == reference == expand("wick-to-normal", n)
     assert json.dumps(result.to_json()) == json.dumps(reference.to_json())
     assert int_coefficients(result)
     assert peel_wick_word(n) == result
