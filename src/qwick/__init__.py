@@ -7,6 +7,8 @@ truncated Fock-space oracle evaluates the same quantities operator by
 operator so the two routes can be checked against each other.
 """
 
+from types import ModuleType as _Module
+
 from .algebra import (
     NORMAL,
     WICK,
@@ -53,5 +55,5 @@ from .wick import (
     normal_form,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if name[0] != "_" and not isinstance(globals()[name], _Module)]
 __version__ = "0.1.0"

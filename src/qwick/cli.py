@@ -376,9 +376,8 @@ def main(argv=None) -> int:
         # at interpreter exit
         sys.stdout.flush()
         return code
-    except (QwickError, KeyError) as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
+    except QwickError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader closed stdout early; what is still buffered goes to

@@ -97,13 +97,6 @@ def as_vector(f: VectorLike, dim: int) -> OneParticleVector:
     return f
 
 
-def dot(f: VectorLike, g: VectorLike) -> Fraction:
-    """Exact dot product; the one-particle space is real, so this is symmetric."""
-    fv = f if isinstance(f, OneParticleVector) else OneParticleVector(tuple(f))
-    gv = g if isinstance(g, OneParticleVector) else OneParticleVector(tuple(g))
-    return fv.dot(gv)
-
-
 class FockVector:
     """Finitely supported rational combination of basis words.
 
@@ -119,7 +112,10 @@ class FockVector:
             for word, val in _items(entries, "entries"):
                 val = _rational(val, "coefficient")
                 if val:
-                    clean[_sequence(word, "basis word")] = val
+                    word = tuple(_integer(a, "basis letter") for a in _sequence(word, "basis word"))
+                    if min(word, default=1) < 1:  # past dim is caught where dim is known
+                        raise DomainError(f"basis letter {min(word)} must be positive")
+                    clean[word] = val
         self.entries = clean
 
     @classmethod

@@ -6,9 +6,11 @@ reproduction witness: the instance data, the sampled vectors and q, and
 both computed values.  The check ids here are the ones the command line
 accepts.  Every row of wick.IDENTITIES has an oracle suite, built by
 _check_row from the row alone: its left words on the vacuum against its
-diagram sum.  Each row that is neither complete nor blocked also has a
-peel suite, built by _peel_row: its diagram sum and its left word, each
-rewritten into plain products by wick.normal_form, must agree.
+diagram sum, each case carrying the degree guard of _bounded, block rows
+included and at a given q too.  Each row that is neither complete nor
+blocked also has a peel suite, built by _peel_row: its diagram sum and its
+left word, each rewritten into plain products by wick.normal_form, must
+agree.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .algebra import Expansion, specialize_free
+from .algebra import WICK, Expansion, VariableWord, specialize_free
 from .diagrams import catalan_sequences, ensure_within_cap
 from .errors import DomainError
 from .fock import (
@@ -233,8 +235,8 @@ def check_wick_vector(cfg: VerifyConfig) -> list[VerifyReport]:
     sizes = _sizes(cfg.n)
     for n in sizes:  # past WICK_FORM_CAP fails here; the forms are cached for reuse
         wick_operator_form(n)
-    wick = IDENTITIES["wick-to-normal"].left_words  # the Wick product of 1..n
-    cases = (_Case({"n": n}, n, partial(graded_apply, wick(n)), partial(_tensor, n)) for n in sizes)
+    wick = {n: (VariableWord(range(1, n + 1), WICK),) for n in sizes}  # the Wick product of 1..n
+    cases = (_Case({"n": n}, n, partial(graded_apply, wick[n]), partial(_tensor, n)) for n in sizes)
     return _sampled("wick-vector", cfg, cases)
 
 
@@ -253,14 +255,11 @@ def _check_row(check_id: str, name: str, cfg: VerifyConfig) -> list[VerifyReport
     _capped(sizes, cfg.cap)
 
     def case(arg, size: int) -> _Case:
+        head = {"blocks": list(arg)} if row.blocks else {"n": arg}
         oracle = partial(graded_apply, row.left_words(arg), scalar=row.complete)
-        expansion = expand(name, arg, cap=cfg.cap)
         # an odd complete row must vanish, not just equal the formula
         ok = (lambda lhs, rhs: lhs == rhs and not lhs) if row.complete and size % 2 else operator.eq
-        if row.blocks:
-            formula = partial(graded_expansion, expansion)
-            return _Case({"blocks": list(arg)}, size, oracle, formula, ok)
-        return _bounded({"n": arg}, size, oracle, expansion, ok)
+        return _bounded(head, size, oracle, expand(name, arg, cap=cfg.cap), ok)
 
     return _sampled(check_id, cfg, map(case, args, sizes))
 

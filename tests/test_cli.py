@@ -256,6 +256,16 @@ class TestVerifyCommand:
         assert code == 1
         assert json.loads(out)["failures"] == 1
 
+    def test_an_internal_fault_is_not_a_usage_error(self, monkeypatch):
+        # only a QwickError is blamed on the input; no command line raises a
+        # KeyError, so one is a fault and keeps its traceback
+        def fault(*args, **kwargs):
+            raise KeyError("no vector assigned to variable 7")
+
+        monkeypatch.setattr(cli, "run_check", fault)
+        with pytest.raises(KeyError, match="variable 7"):
+            cli.main(["verify", "gram"])
+
     def test_pretty_format_lists_instances(self, capsys):
         code, out = run_cli(
             capsys, "verify", "roundtrip", "--n", "3", "--format", "pretty"
@@ -471,8 +481,9 @@ class TestVerifyCommand:
             assert r.passed == (head not in failing)
 
     # A formula side with a wrong term added must fail with exactly the
-    # witness these suites reported before they shared one runner.  The
-    # q^5 - q^4/2 term vanishes at q = 1/2, so only the degree bound fails.
+    # witness these suites reported before they shared one runner, plus
+    # degree_bound_ok for the block rows, which carry the degree guard too.
+    # The q^5 - q^4/2 term vanishes at q = 1/2, so only the degree bound fails.
     @pytest.mark.parametrize(
         "target, extra, argv, witness",
         [
@@ -495,6 +506,7 @@ class TestVerifyCommand:
                 {
                     "lhs": [{"word": [], "num": 9, "den": 1}, {"word": [1, 1], "num": 9, "den": 1}],
                     "rhs": [{"word": [], "num": 10, "den": 1}, {"word": [1, 1], "num": 9, "den": 1}],
+                    "degree_bound_ok": True,
                     "vectors": {"1": ["3", "0"], "2": ["3", "0"]},
                 },
             ),
@@ -518,7 +530,9 @@ class TestVerifyCommand:
     # A formula side off by q^2 - q/2, which is 0 at q = 0 and 1/2 but not
     # at q = +-1/3: one sample passes at some grid points and fails at
     # others, so it must take the per-q path.  The sha256 values were
-    # recorded before the sampled suites decided on whole q-polynomials.
+    # recorded before the sampled suites decided on whole q-polynomials,
+    # except t3.4's json one, recorded again once block rows carried the
+    # degree guard and their witnesses its degree_bound_ok entry.
     @pytest.mark.parametrize(
         "target, argv, fmt, sha",
         [
@@ -538,7 +552,7 @@ class TestVerifyCommand:
                 "expand",
                 "verify t3.4 --blocks 1,1",
                 "json",
-                "cb915f5b41a928cb610a4b739df6ed4a2ba05846587604d175ea3951a8f56b01",
+                "d3775e9c9a85013d1f95c2b4f64c1d3ceb0231fc22c020778b3f1db164556331",
             ),
             (
                 "expand",
@@ -599,6 +613,34 @@ class TestVerifyCommand:
         monkeypatch.setattr(verify, "expand", expand)
         reports = verify.run_check("c2.2", n=4, q=q)
         assert any(not r.passed for r in reports)
+
+    # A wrong scalar term q^5 - q^4/2 vanishes at q = 1/2, so a run there
+    # sees equal values on every row.  Only the degree guard, which every
+    # oracle row suite carries, block rows included, can tell: no true term
+    # of these sizes reaches q^4.
+    @pytest.mark.parametrize(
+        "check, options",
+        [
+            ("c2.2", {"n": 2}),
+            ("wick-to-normal", {"n": 2}),
+            ("normal-to-wick", {"n": 2}),
+            ("t3.3", {"blocks": (1, 1)}),
+            ("t3.4", {"blocks": (1, 1)}),
+        ],
+    )
+    def test_a_term_vanishing_at_the_given_q_fails_every_row_suite(
+        self, monkeypatch, check, options
+    ):
+        wrong = Expansion.single(
+            CovarianceMonomial.identity(),
+            VariableWord((), NORMAL),
+            QPolynomial({5: 1, 4: Fraction(-1, 2)}),
+        )
+        formula = verify.expand
+        monkeypatch.setattr(verify, "expand", lambda *a, **k: formula(*a, **k) + wrong)
+        reports = verify.run_check(check, q=Fraction(1, 2), **options)
+        assert reports and not any(r.passed for r in reports)
+        assert all(r.witness["degree_bound_ok"] is False for r in reports)
 
     # Whole-expansion witnesses: the failing side's terms reach the output
     # through Expansion.to_json, so these pin how int and Fraction

@@ -234,6 +234,10 @@ def test_keys_have_no_instance_dict():
         lambda: QPolynomial.from_json([{"exp": 0, "num": "a", "den": 1}]),
         lambda: QPolynomial.one().evaluate("x"),
         lambda: FockVector.vacuum().scaled("a"),
+        lambda: FockVector({(1.5,): 1}),
+        lambda: FockVector({("a",): 1}),
+        lambda: FockVector({(0,): 1}),
+        lambda: FockVector({(-2,): 1}),
     ],
 )
 def test_public_constructors_still_validate(build):
@@ -272,7 +276,6 @@ PUBLIC_NAMES = [
     "VariableWord",
     "VerifyReport",
     "WICK",
-    "algebra",
     "annihilate",
     "apply_field_word",
     "apply_operator_word",
@@ -280,16 +283,13 @@ PUBLIC_NAMES = [
     "catalan_check",
     "catalan_sequences",
     "create",
-    "diagrams",
     "enumerate_compatible",
     "enumerate_complete",
     "enumerate_diagrams",
     "enumerate_nonlinking",
-    "errors",
     "evaluate_expansion",
     "expand",
     "field_apply",
-    "fock",
     "gram_check",
     "m_epsilon_expansion",
     "normal_form",
@@ -297,15 +297,13 @@ PUBLIC_NAMES = [
     "run_check",
     "specialize_free",
     "vacuum_expectation",
-    "verify",
-    "wick",
     "wick_operator_form",
 ]
 
 
 def test_the_public_names_are_pinned():
     # an API cut or addition edits this list, so it is seen and logged; the
-    # submodules imported by the package are public names too
+    # submodules imported by the package are not public names
     assert sorted(qwick.__all__) == PUBLIC_NAMES
 
 

@@ -706,24 +706,34 @@ class TestNormalFormAgainstRuleMaps:
 
 # Each mutated row must fail the suites that check it: its own oracle suite,
 # and the one that checks it against the peel (wick-to-normal meets the peel
-# in wick2-vs-recursion, normal-to-wick in roundtrip).
+# in wick2-vs-recursion, normal-to-wick in roundtrip).  The block rows meet
+# only their oracle suites, on their default block lists.
 ROW_MUTANTS = [
-    ("wick-to-normal", {"power": lambda c, d, g: g}, "wick2-vs-recursion"),
-    ("wick-to-normal", {"signed": False}, "wick2-vs-recursion"),
-    ("normal-to-wick", {"power": lambda c, d, g: c}, "roundtrip"),
-    ("normal-to-wick", {"power": lambda c, d, g: c + d + (g > 0)}, "roundtrip"),
-    ("wick-to-normal", {"power": lambda c, d, g: g}, "wick-to-normal"),
-    ("wick-to-normal", {"signed": False}, "wick-to-normal"),
-    ("normal-to-wick", {"power": lambda c, d, g: c}, "normal-to-wick"),
-    ("normal-to-wick", {"power": lambda c, d, g: c + d + (g > 0)}, "normal-to-wick"),
+    ("wick-to-normal", {"power": lambda c, d, g: g}, "wick2-vs-recursion", {"n": 6}),
+    ("wick-to-normal", {"signed": False}, "wick2-vs-recursion", {"n": 6}),
+    ("normal-to-wick", {"power": lambda c, d, g: c}, "roundtrip", {"n": 6}),
+    ("normal-to-wick", {"power": lambda c, d, g: c + d + (g > 0)}, "roundtrip", {"n": 6}),
+    ("wick-to-normal", {"power": lambda c, d, g: g}, "wick-to-normal", {"n": 6}),
+    ("wick-to-normal", {"signed": False}, "wick-to-normal", {"n": 6}),
+    ("normal-to-wick", {"power": lambda c, d, g: c}, "normal-to-wick", {"n": 6}),
+    ("normal-to-wick", {"power": lambda c, d, g: c + d + (g > 0)}, "normal-to-wick", {"n": 6}),
+    ("product-expansion", {"power": lambda c, d, g: c}, "t3.4", {}),
+    ("product-expansion", {"power": lambda c, d, g: c + d + (g > 0)}, "t3.4", {}),
+    ("product-expansion", {"signed": True}, "t3.4", {}),
+    ("product-expectation", {"power": lambda c, d, g: g}, "t3.3", {}),
+    ("product-expectation", {"power": lambda c, d, g: c + (c > 1)}, "t3.3", {}),
 ]
 
 
-@pytest.mark.parametrize("name, change, check", ROW_MUTANTS)
-def test_a_mutated_row_fails_its_suite(monkeypatch, name, change, check):
-    assert all(r.passed for r in run_check(check, n=6))
+@pytest.mark.parametrize(
+    "name, change, check, options",
+    ROW_MUTANTS,
+    ids=[f"{name}-change{i}-{check}" for i, (name, _, check, _) in enumerate(ROW_MUTANTS)],
+)
+def test_a_mutated_row_fails_its_suite(monkeypatch, name, change, check, options):
+    assert all(r.passed for r in run_check(check, **options))
     monkeypatch.setitem(IDENTITIES, name, dataclasses.replace(IDENTITIES[name], **change))
-    assert not all(r.passed for r in run_check(check, n=6))
+    assert not all(r.passed for r in run_check(check, **options))
 
 
 def rows_checked_by(checker):
