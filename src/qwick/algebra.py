@@ -200,10 +200,11 @@ class QPolynomial:
         coeffs = {}
         for r in _sequence(records, "q-polynomial records"):
             exp, num, den = _fields(r, ("exp", "num", "den"), "q-polynomial record")
+            exp = _integer(exp, "exponent")
             num, den = _integer(num, "numerator"), _integer(den, "denominator")
             if not den:
                 raise DomainError(f"coefficient denominator must be nonzero, got {r!r}")
-            coeffs[exp] = Fraction(num, den)
+            coeffs[exp] = coeffs.get(exp, 0) + Fraction(num, den)  # summed, as Expansion's are
         return cls(coeffs)
 
     def pretty(self) -> str:

@@ -5,9 +5,11 @@ rational combinations of basis words up to the configured tensor degree.
 Creation prepends, annihilation deletes with weights q^(position-1) times
 the matching coordinate, and as the adjoint of creation it gives the inner
 product: a basis word pairs with a vector through what annihilating its
-letters leaves in the vacuum.  A Wick product acts through its own
-2^n-summand operator form.  Nothing here comes from the diagram layer (wick,
-diagrams), so this is a second route to every identity computed there.
+letters leaves in the vacuum.  A Wick product acts through its 2^n-summand
+operator form, but in an expansion as the creations that form leaves on the
+weighted vacuum, and words that share leftmost letters share those steps, on
+merged sums, which are what the cutoff sees.  Nothing here comes from the
+diagram layer (wick, diagrams): this is a second route to every identity.
 
 Every q-dependence is polynomial, so the operators keep q formal (Graded):
 one run serves every q, results compare as whole polynomials, and only
@@ -81,8 +83,8 @@ class OneParticleVector:
         object.__setattr__(self, "coords", coords)
 
     def dot(self, other: OneParticleVector) -> Fraction:
-        if len(self.coords) != len(other.coords):
-            raise DomainError("dot product needs vectors of equal dimension")
+        if not isinstance(other, OneParticleVector) or len(self.coords) != len(other.coords):
+            raise DomainError(f"dot product needs a vector of dimension {len(self.coords)}")
         return sum((a * b for a, b in zip(self.coords, other.coords)), Fraction(0))
 
 
@@ -91,7 +93,7 @@ VectorLike = Union[OneParticleVector, Sequence[Rational]]
 
 def as_vector(f: VectorLike, dim: int) -> OneParticleVector:
     if not isinstance(f, OneParticleVector):
-        f = OneParticleVector(tuple(f))
+        f = OneParticleVector(f)
     if len(f.coords) != dim:
         raise DomainError(f"vector has {len(f.coords)} coordinates, expected {dim}")
     return f
@@ -318,50 +320,47 @@ def _wick(indices, coords: _Coordinates, u: dict, params: FockParams, qs) -> dic
 def graded_apply(words, assignment, params: FockParams, qs, scalar: bool = False) -> Graded:
     """The words applied to the unit vacuum, rightmost first, for every q of
     qs at once (params.q is not read).  Each is an OperatorWord or a
-    VariableWord: a product of fields or, Wick-tagged, one Wick product."""
+    VariableWord: fields or, Wick-tagged, a Wick product's full operator form."""
     coords = _Coordinates(assignment, params.dim)
     vec = {((), 0): 1}
     for word in reversed(words):
         if isinstance(word, OperatorWord):
             vec = _letters(word.letters, coords, vec, params, qs)
+        elif word.kind == NORMAL:
+            vec = _letters(tuple((0, i) for i in word.indices), coords, vec, params, qs)
         else:
-            vec = _variables(word.indices, word.kind, coords, vec, params, qs)
+            vec = _wick(word.indices, coords, vec, params, qs)
     return Graded(vec, scalar)
 
 
-def _variables(indices, kind: str, coords: _Coordinates, u: dict, params: FockParams, qs) -> dict:
-    """A product of fields, or when kind is WICK one Wick product."""
-    if kind == NORMAL:
-        return _letters(tuple((0, i) for i in indices), coords, u, params, qs)
-    return _wick(indices, coords, u, params, qs)
-
-
 def graded_expansion(e: Expansion, assignment, params: FockParams, qs) -> Graded:
-    """evaluate_expansion for every q of qs at once.  Each word acts once, as
-    its kind says, on the vacuum weighted by its terms' q-polynomials scaled
-    by their covariances and summed, so it acts only at the q where that sum
-    is nonzero, and only those count for the cutoff."""
+    """evaluate_expansion for every q of qs at once, by Horner's scheme on the
+    words' letters: fields (0, i), or a Wick word's creations (1, i), all its
+    operator form leaves on the vacuum.  Each node's last letter acts once on
+    T(p) = s_p + sum_a x_a T(p a), s_p being p's own weighted vacuum, so the
+    cutoff raises only where such a merged sum is nonzero at one of qs."""
     coords = _Coordinates(assignment, params.dim)
     covariances: dict = {}
     starts: dict = {}
     for (factors, indices, kind), poly in e.terms.items():
         scale = 1
         for pair in factors:
-            cov = covariances.get(pair)
-            if cov is None:
+            if pair not in covariances:
                 i, j = pair
-                cov = covariances[pair] = sum(a * b for a, b in zip(coords[i], coords[j]))
-            scale *= cov
+                covariances[pair] = sum(a * b for a, b in zip(coords[i], coords[j]))
+            scale *= covariances[pair]
         if scale:
             start = starts.setdefault((indices, kind), {})
             for p, a in poly.coeffs.items():
                 start[(), p] = start.get(((), p), 0) + a * scale
-    out: dict = {}
-    for (indices, kind), start in starts.items():
-        start = {key: c for key, c in start.items() if c}
-        for key, c in _variables(indices, kind, coords, start, params, qs).items():
-            out[key] = out.get(key, 0) + c
-    return Graded({key: c for key, c in out.items() if c}, e.is_scalar())
+    nodes = {tuple((int(kind != NORMAL), i) for i in ix): u for (ix, kind), u in starts.items()}
+    for depth in range(max(map(len, nodes), default=0), 0, -1):
+        for prefix in [p for p in nodes if len(p) == depth]:
+            (sign, idx), parent = prefix[-1], nodes.setdefault(prefix[:-1], {})
+            u = {key: c for key, c in nodes.pop(prefix).items() if c}
+            for key, c in _step(sign, coords[idx], u, params, qs).items():
+                parent[key] = parent.get(key, 0) + c
+    return Graded({key: c for key, c in nodes.get((), {}).items() if c}, e.is_scalar())
 
 
 def _numeric(kernel, *args, scalar: bool = False):
@@ -530,10 +529,10 @@ def evaluate_expansion(
 ) -> Union[Fraction, FockVector]:
     """Evaluate a symbolic expansion on concrete vectors at the configured q.
 
-    Covariance factors become dot products, and each word acts once on the
-    vacuum weighted by its terms' summed, covariance-scaled coefficients
-    (Wick-tagged words through their creator/annihilator operator form), so
-    it acts only where that sum is nonzero at q.  Returns the vacuum
-    coefficient when every word is empty, otherwise the full vector.
+    Covariance factors become dot products; a Wick word acts as the creations
+    its operator form leaves on the vacuum, and words sharing leftmost letters
+    run them once on the merged, covariance-scaled sum, so the cutoff raises
+    only where that sum is nonzero at q.  Returns the vacuum coefficient when
+    every word is empty, otherwise the full vector.
     """
     return graded_expansion(e, assignment, params, (params.q,)).at(params.q)

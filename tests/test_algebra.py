@@ -92,6 +92,16 @@ class TestQPolynomial:
     def test_canonicalization_is_idempotent(self, p):
         assert QPolynomial(p.coeffs) == p
 
+    def test_json_sums_records_of_one_exponent(self):
+        # as Expansion.from_json sums records of one term
+        records = [{"exp": 1, "num": 1, "den": 1}, {"exp": 1, "num": 2, "den": 1}]
+        assert QPolynomial.from_json(records) == QPolynomial({1: 3})
+        term = {"cov": [], "word": [1], "kind": NORMAL}
+        e = Expansion.from_json([dict(term, poly=[record]) for record in records])
+        assert e.terms[(), (1,), NORMAL] == QPolynomial.from_json(records)
+        records.append({"exp": 1, "num": -3, "den": 1})
+        assert QPolynomial.from_json(records) == QPolynomial.zero()
+
     def test_json_round_trip(self):
         p = QPolynomial({0: Fraction(1, 2), 3: -2})
         assert QPolynomial.from_json(p.to_json()) == p
@@ -251,6 +261,7 @@ class TestBoundaryValidation:
             (lambda: VariableWord(("2",)), "'2'"),
             (lambda: QPolynomial.from_json([{"exp": 0, "num": 1, "den": 0}]), "'den': 0"),
             (lambda: QPolynomial({2.0: 1}), "2.0"),
+            (lambda: QPolynomial.from_json([{"exp": [1], "num": 1, "den": 1}]), "[1]"),
         ],
     )
     def test_non_integer_is_a_domain_error_naming_it(self, build, bad):

@@ -502,8 +502,9 @@ class TestEvaluateExpansion:
 
 def reference_graded_expansion(e, assignment, params, qs):
     """graded_expansion term by term: each term's word acts on the unit
-    vacuum for the q where the term's own coefficient is nonzero, and its
-    output is scaled by the term's covariances and q-polynomial."""
+    vacuum for the q where the term's own coefficient is nonzero, a Wick
+    word through its whole operator form, and its output is scaled by the
+    term's covariances and q-polynomial."""
     coords = fock._Coordinates(assignment, params.dim)
     out = {}
     for (factors, indices, kind), poly in e.terms.items():
@@ -515,7 +516,11 @@ def reference_graded_expansion(e, assignment, params, qs):
             continue
         coeffs = [(p, a * scale) for p, a in poly.coeffs.items()]
         vacuum = {((), 0): 1}
-        for (w, k), c in fock._variables(indices, kind, coords, vacuum, params, live).items():
+        if kind == NORMAL:
+            word = fock._letters(tuple((0, i) for i in indices), coords, vacuum, params, live)
+        else:
+            word = fock._wick(indices, coords, vacuum, params, live)
+        for (w, k), c in word.items():
             for p, a in coeffs:
                 out[w, k + p] = out.get((w, k + p), 0) + a * c
     return Graded({key: c for key, c in out.items() if c}, e.is_scalar())
@@ -548,8 +553,8 @@ def pooled_expansions(draw):
 
 
 class TestOneRunPerWord:
-    """graded_expansion sums the terms on one word into one weighted vacuum
-    and runs the word on it once."""
+    """graded_expansion sums the terms on one word into one weighted vacuum,
+    and runs each letter prefix that words share once, on their merged sum."""
 
     @given(pooled_expansions(), st.integers(1, 2), st.data())
     @settings(max_examples=150)
@@ -562,21 +567,23 @@ class TestOneRunPerWord:
         for q in Q_GRID:
             assert got.at(q) == want.at(q)
 
-    def test_one_kernel_run_per_word(self, monkeypatch):
-        calls = []
-        original = fock._variables
+    def test_one_step_per_letter_prefix(self, monkeypatch):
+        signs = []
+        original = fock._step
 
-        def counted(indices, kind, *args):
-            calls.append((indices, kind))
-            return original(indices, kind, *args)
+        def counted(sign, *args):
+            signs.append(sign)
+            return original(sign, *args)
 
-        monkeypatch.setattr(fock, "_variables", counted)
+        monkeypatch.setattr(fock, "_step", counted)
         e = expand("product-expansion", (2, 2, 1))
         assignment = {i: (1, i) for i in range(1, 6)}  # every covariance is nonzero
         fock.graded_expansion(e, assignment, params("1/2", level=6), Q_GRID)
-        words = {(indices, kind) for _, indices, kind in e.terms}
-        assert len(words) < len(e.terms)
-        assert sorted(calls) == sorted(words)
+        # a normal word is fields (0, i); a Wick word on the vacuum is creations (1, i)
+        words = {tuple((int(kind == WICK), i) for i in indices) for _, indices, kind in e.terms}
+        prefixes = {word[:k] for word in words for k in range(1, len(word) + 1)}
+        assert sorted(signs) == sorted(prefix[-1][0] for prefix in prefixes)
+        assert len(signs) == 20 < sum(map(len, words)) == 34  # one run per word took 34
 
 
 # The oracle before it kept q formal: one direct Fraction pass per q.  The
@@ -785,6 +792,15 @@ class TestAgainstReference:
         assignment = {1: (1, 0), 2: (1, 0), 4: (1, 0), 3: (1, 0), 5: (0, 1)}
         got = evaluate_expansion(e, assignment, FockParams(2, 1, Fraction(1, 3)))
         assert got == FockVector({})
+
+    def test_words_that_cancel_under_one_prefix_give_zero(self):
+        # x1 x2 - x1 x3 with x2 = x3 at cutoff 1: run one word at a time, x1
+        # would overflow on x2's output, but the merged sum under x1 is zero
+        e = Expansion({((), (1, 2), NORMAL): 1, ((), (1, 3), NORMAL): -1})
+        assignment = {1: (1, 0), 2: (0, 1), 3: (0, 1)}
+        got = fock.graded_expansion(e, assignment, FockParams(2, 1, 0), Q_GRID)
+        assert got == Graded({})
+        assert all(got.at(q).is_zero() for q in Q_GRID)
 
     @pytest.mark.parametrize("dim, degree", [(1, 3), (2, 2), (2, 3), (3, 2), (2, 6)])
     def test_gram_polynomials_are_the_permutation_sum(self, dim, degree):

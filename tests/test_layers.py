@@ -28,6 +28,10 @@ from qwick import (
     QPolynomial,
     SignSequence,
     VariableWord,
+    create,
+    evaluate_expansion,
+    expand,
+    vacuum_expectation,
 )
 
 PACKAGE = Path(qwick.__file__).parent
@@ -238,6 +242,11 @@ def test_keys_have_no_instance_dict():
         lambda: FockVector({("a",): 1}),
         lambda: FockVector({(0,): 1}),
         lambda: FockVector({(-2,): 1}),
+        lambda: create(5, FockVector.vacuum(), FockParams(2, 3, 0)),
+        lambda: evaluate_expansion(expand("moment", 2), {1: 5, 2: (1, 0)}, FockParams(2, 3, 0)),
+        lambda: vacuum_expectation((1, 2), {1: None, 2: (1, 0)}, FockParams(2, 3, 0)),
+        lambda: OneParticleVector((1, 2)).dot((3, 4)),
+        lambda: OneParticleVector((1, 2)).dot(OneParticleVector((3,))),
     ],
 )
 def test_public_constructors_still_validate(build):
@@ -407,6 +416,15 @@ def test_the_cutoff_rule_stays_in_the_step():
     # coefficient reaches _step, which alone decides whether a word at the
     # cutoff is nonzero at one of the q values
     assert not names_and_attributes("fock", "graded_expansion") & {"evaluate", "_poly_value"}
+
+
+def test_the_formula_side_skips_the_operator_form():
+    # a Wick word of an expansion meets only the weighted vacuum, where its
+    # creation sequence is all that is left; the oracle side keeps the whole
+    # operator form, so the two routes stay independent
+    operator_form = {"_wick", "wick_operator_form", "_wick_operator_form"}
+    assert not names_and_attributes("fock", "graded_expansion") & operator_form
+    assert "_wick" in names_and_attributes("fock", "graded_apply")
 
 
 def test_reader_sees_each_evaluation():
