@@ -14,6 +14,7 @@ from .algebra import (
     WICK,
     CovarianceMonomial,
     Expansion,
+    OperatorWord,
     QPolynomial,
     VariableWord,
     specialize_free,
@@ -34,7 +35,6 @@ from .fock import (
     FockParams,
     FockVector,
     OneParticleVector,
-    OperatorWord,
     annihilate,
     apply_field_word,
     apply_operator_word,
@@ -48,12 +48,7 @@ from .fock import (
     wick_operator_form,
 )
 from .verify import VerifyReport, run_check
-from .wick import (
-    IDENTITIES,
-    expand,
-    m_epsilon_expansion,
-    normal_form,
-)
+from .wick import IDENTITIES, expand, normal_form
 
 __all__ = [name for name in dir() if name[0] != "_" and not isinstance(globals()[name], _Module)]
 __version__ = "0.1.0"

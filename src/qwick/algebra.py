@@ -8,7 +8,9 @@ q-polynomial, with zero values never stored, so two expansions are equal
 exactly when their maps are equal.  The public constructors validate, the
 keys through CovarianceMonomial and VariableWord and the coefficients
 through _rational; arithmetic on canonical values builds its results
-through the unchecked _trusted constructors.
+through the unchecked _trusted constructors.  OperatorWord, a signed
+creation/annihilation word, is here so that the identity rows and the
+oracle can both name it without importing each other.
 """
 
 from __future__ import annotations
@@ -275,6 +277,25 @@ class VariableWord:
 
     def __len__(self) -> int:
         return len(self.indices)
+
+
+@dataclass(frozen=True)
+class OperatorWord:
+    """Product of creation (+1) and annihilation (-1) operators on indexed vectors.
+
+    letters[0] is the leftmost factor; application to a vector runs right to
+    left.  Operator order is meaningful, so there is no canonical reordering.
+    """
+
+    letters: tuple[tuple[int, int], ...] = ()
+
+    def __post_init__(self):
+        sign, index = "operator sign", "variable index"
+        letters = _pairs(self.letters, "operator letters", "operator letter")
+        letters = tuple((_integer(s, sign), _integer(i, index)) for s, i in letters)
+        object.__setattr__(self, "letters", letters)
+        if any(s not in (1, -1) for s, _ in letters):
+            raise DomainError("operator signs must be +1 (create) or -1 (annihilate)")
 
 
 def _term_key(factors, indices, kind: str) -> tuple:

@@ -142,6 +142,9 @@ class SignSequence:
     def __len__(self) -> int:
         return len(self.entries)
 
+    def __iter__(self):
+        return iter(self.entries)
+
     def right_partial_sums(self) -> tuple[int, ...]:
         """sigma_k = entries[k-1] + ... + entries[-1], listed for k = 1..len."""
         sums = []
@@ -152,14 +155,15 @@ class SignSequence:
         return tuple(reversed(sums))
 
 
-def catalan_check(eps: SignSequence) -> tuple[bool, tuple[int, ...]]:
+def catalan_check(eps) -> tuple[bool, tuple[int, ...]]:
     """Catalan test together with the full profile of right partial sums.
 
-    The sequence passes when the running sum read from the right never dips
-    below zero, starts with a strict rise (last entry +1) and closes at
-    zero.  These are exactly the sign patterns whose operator words have a
-    nonzero vacuum expectation.
+    eps is a SignSequence or any sequence of +/-1.  It passes when the
+    running sum read from the right never dips below zero, starts with a
+    strict rise (last entry +1) and closes at zero.  These are exactly the
+    sign patterns whose operator words have a nonzero vacuum expectation.
     """
+    eps = SignSequence(eps)
     if len(eps) % 2:
         raise DomainError(f"sign sequence length must be even, got {len(eps)}")
     sigma = eps.right_partial_sums()
@@ -179,10 +183,9 @@ def catalan_sequences(length: int, cap: int | None = None):
         raise DomainError(f"sign sequence length must be even, got {length}")
     ensure_within_cap(length, cap)
     for entries in itertools.product((-1, 1), repeat=length):
-        seq = SignSequence(entries)
-        ok, _ = catalan_check(seq)
+        ok, _ = catalan_check(entries)
         if ok:
-            yield seq
+            yield SignSequence(entries)
 
 
 def enumerate_diagrams(ground: GroundSet, cap: int | None = None):
@@ -203,9 +206,11 @@ def enumerate_complete(ground: GroundSet, cap: int | None = None):
         yield FeynmanDiagram(ground, pairs)
 
 
-def enumerate_compatible(eps: SignSequence, cap: int | None = None):
+def enumerate_compatible(eps, cap: int | None = None):
     """Complete diagrams whose left endpoints sit exactly on the -1 entries
-    of a Catalan sign pattern (and right endpoints on the +1 entries)."""
+    of a Catalan sign pattern (and right endpoints on the +1 entries); eps
+    is a SignSequence or any sequence of +/-1."""
+    eps = SignSequence(eps)
     ensure_within_cap(len(eps), cap)
     ok, _ = catalan_check(eps)
     if not ok:

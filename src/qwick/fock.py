@@ -28,11 +28,11 @@ from typing import Mapping, Sequence, Union
 from .algebra import (
     NORMAL,
     Expansion,
+    OperatorWord,
     Rational,
     _exact,
     _integer,
     _items,
-    _pairs,
     _poly_value,
     _rational,
     _sequence,
@@ -163,25 +163,6 @@ class FockVector:
             {"word": list(w), "num": v.numerator, "den": v.denominator}
             for w, v in sorted(self.entries.items(), key=lambda kv: (len(kv[0]), kv[0]))
         ]
-
-
-@dataclass(frozen=True)
-class OperatorWord:
-    """Product of creation (+1) and annihilation (-1) operators on indexed vectors.
-
-    letters[0] is the leftmost factor; application to a vector runs right to
-    left.  Operator order is meaningful, so there is no canonical reordering.
-    """
-
-    letters: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        sign, index = "operator sign", "variable index"
-        letters = _pairs(self.letters, "operator letters", "operator letter")
-        letters = tuple((_integer(s, sign), _integer(i, index)) for s, i in letters)
-        object.__setattr__(self, "letters", letters)
-        if any(s not in (1, -1) for s, _ in letters):
-            raise DomainError("operator signs must be +1 (create) or -1 (annihilate)")
 
 
 def wick_operator_form(n: int) -> tuple[tuple[OperatorWord, int], ...]:

@@ -6,11 +6,11 @@ reproduction witness: the instance data, the sampled vectors and q, and
 both computed values.  The check ids here are the ones the command line
 accepts.  Every row of wick.IDENTITIES has an oracle suite, built by
 _check_row from the row alone: its left words on the vacuum against its
-diagram sum, each case carrying the degree guard of _bounded, block rows
-included and at a given q too.  Each row that is neither complete nor
-blocked also has a peel suite, built by _peel_row: its diagram sum and its
-left word, each rewritten into plain products by wick.normal_form, must
-agree.
+diagram sum, on sizes, block lists or Catalan sign patterns as the row
+takes, each case carrying the degree guard of _bounded, at a given q too.
+Each row that is neither complete nor blocked also has a peel suite, built
+by _peel_row: its diagram sum and its left word, each rewritten into plain
+products by wick.normal_form, must agree.
 """
 
 from __future__ import annotations
@@ -31,14 +31,13 @@ from .fock import (
     FockVector,
     Graded,
     OneParticleVector,
-    OperatorWord,
     ensure_gram_shape,
     graded_apply,
     graded_expansion,
     gram_check,
     wick_operator_form,
 )
-from .wick import IDENTITIES, expand, m_epsilon_expansion, normal_form
+from .wick import IDENTITIES, expand, normal_form
 
 Q_GRID = (Fraction(0), Fraction(1, 3), Fraction(-1, 3), Fraction(1, 2))
 GRAM_Q_GRID = (
@@ -196,26 +195,6 @@ def _bounded(head, nvars, oracle, expansion, ok=operator.eq) -> _Case:
     )
 
 
-def check_sign_moments(cfg: VerifyConfig) -> list[VerifyReport]:
-    """id t2.1: oracle expectation of signed operator words against the
-    compatible-diagram sum, over every Catalan pattern up to the size bound."""
-    cases = (
-        _bounded(
-            {"eps": list(eps.entries)},
-            length,
-            partial(
-                graded_apply,
-                (OperatorWord(tuple((e, k) for k, e in enumerate(eps.entries, start=1))),),
-                scalar=True,
-            ),
-            m_epsilon_expansion(eps, cap=cfg.cap),
-        )
-        for length in _capped(_sizes(cfg.n, step=2), cfg.cap)
-        for eps in catalan_sequences(length, cap=cfg.cap)
-    )
-    return _sampled("t2.1", cfg, cases)
-
-
 def _tensor(n: int, assignment, params, qs) -> Graded:
     """f_1 (x) ... (x) f_n for the vectors of variables 1..n, at every q."""
     entries = {((), 0): 1}
@@ -240,28 +219,39 @@ def check_wick_vector(cfg: VerifyConfig) -> list[VerifyReport]:
     return _sampled("wick-vector", cfg, cases)
 
 
-def _check_row(check_id: str, name: str, cfg: VerifyConfig) -> list[VerifyReport]:
-    """ids c2.2, t3.3, t3.4, wick-to-normal and normal-to-wick: the left
-    words of the named identity row applied to the vacuum against the row's
-    diagram sum, on sizes 1..n, or on the block list for a row with blocks.
-    A complete row is scalar, so only the vacuum coefficient is compared,
-    and on an odd ground size it must be exactly zero."""
-    row = IDENTITIES[name]
-    if row.blocks:
-        args = (cfg.blocks,) if cfg.blocks else DEFAULT_BLOCKS
-        sizes = [sum(blocks) for blocks in args]
-    else:
-        args = sizes = _sizes(cfg.n)
-    _capped(sizes, cfg.cap)
+def _instances(on: str, cfg: VerifyConfig, blocks=DEFAULT_BLOCKS) -> list[tuple]:
+    """(head, argument, ground size) of each instance of a row taking on:
+    sizes 1..n, the given blocks or else the block list blocks, or the
+    Catalan patterns of each even length up to n.  Every size is checked
+    against the cap, in run order, before the first instance is built."""
+    if on == "blocks":
+        block_list = (cfg.blocks,) if cfg.blocks else blocks
+        _capped(map(sum, block_list), cfg.cap)
+        return [({"blocks": list(arg)}, arg, sum(arg)) for arg in block_list]
+    if on == "size":
+        return [({"n": n}, n, n) for n in _capped(_sizes(cfg.n), cfg.cap)]
+    return [
+        ({"eps": list(eps)}, eps, length)
+        for length in _capped(_sizes(cfg.n, step=2), cfg.cap)
+        for eps in catalan_sequences(length, cap=cfg.cap)
+    ]
 
-    def case(arg, size: int) -> _Case:
-        head = {"blocks": list(arg)} if row.blocks else {"n": arg}
+
+def _check_row(check_id: str, name: str, cfg: VerifyConfig) -> list[VerifyReport]:
+    """ids t2.1, c2.2, t3.3, t3.4, wick-to-normal and normal-to-wick: the
+    left words of the named identity row applied to the vacuum against the
+    row's diagram sum, on the instances of _instances for the row's
+    argument kind.  A complete row is scalar, so only the vacuum coefficient
+    is compared, and on an odd ground size it must be exactly zero."""
+    row = IDENTITIES[name]
+
+    def case(head: dict, arg, size: int) -> _Case:
         oracle = partial(graded_apply, row.left_words(arg), scalar=row.complete)
         # an odd complete row must vanish, not just equal the formula
         ok = (lambda lhs, rhs: lhs == rhs and not lhs) if row.complete and size % 2 else operator.eq
         return _bounded(head, size, oracle, expand(name, arg, cap=cfg.cap), ok)
 
-    return _sampled(check_id, cfg, map(case, args, sizes))
+    return _sampled(check_id, cfg, itertools.starmap(case, _instances(row.on, cfg)))
 
 
 def _peel_row(check_id: str, name: str, cfg: VerifyConfig) -> list[VerifyReport]:
@@ -282,26 +272,19 @@ def _peel_row(check_id: str, name: str, cfg: VerifyConfig) -> list[VerifyReport]
 
 def check_free(cfg: VerifyConfig) -> list[VerifyReport]:
     """id free: each class-filtered q=0 formula must equal the constant part
-    of its general counterpart, for every row of the identity table."""
-    block_list = (cfg.blocks,) if cfg.blocks else FREE_BLOCKS
-    cases = [(False, {"n": n}, n) for n in _sizes(cfg.n)]
-    cases += [(True, {"blocks": list(blocks)}, blocks) for blocks in block_list]
-    _capped([sum(arg) if blocked else arg for blocked, _, arg in cases], cfg.cap)
+    of its general counterpart, for every row of the identity table: on the
+    sizes, then the block lists, then the sign patterns (none for n = 1)."""
+    cases = {"size": _instances("size", cfg), "blocks": _instances("blocks", cfg, FREE_BLOCKS)}
+    cases["pattern"] = _instances("pattern", cfg) if cfg.n > 1 else []
     reports = []
-    for blocked, instance, arg in cases:
-        for target, row in IDENTITIES.items():
-            if row.blocks != blocked:
-                continue
+    for on, instances in cases.items():
+        targets = [name for name, row in IDENTITIES.items() if row.on == on]
+        for (head, arg, _), target in itertools.product(instances, targets):
             filtered = expand(target, arg, free=True, cap=cfg.cap)
             general = specialize_free(expand(target, arg, cap=cfg.cap))
+            instance = {"target": target, **head}
             reports.append(
-                _report(
-                    "free",
-                    {"target": target, **instance},
-                    filtered == general,
-                    lhs=filtered,
-                    rhs=general,
-                )
+                _report("free", instance, filtered == general, lhs=filtered, rhs=general)
             )
     return reports
 
@@ -328,7 +311,7 @@ _SAMPLED = {"q": None, "dim": 2, "level": None, "seed": 0}
 _ON_SIZES = {"n": 8, **_SAMPLED, "cap": None}
 _ON_BLOCKS = {"blocks": None, **_SAMPLED, "cap": None}
 CHECKS = {
-    "t2.1": (check_sign_moments, _ON_SIZES),
+    "t2.1": (partial(_check_row, "t2.1", "operator-moment"), _ON_SIZES),
     "c2.2": (partial(_check_row, "c2.2", "moment"), _ON_SIZES),
     "wick-to-normal": (partial(_check_row, "wick-to-normal", "wick-to-normal"), _ON_SIZES),
     "normal-to-wick": (partial(_check_row, "normal-to-wick", "normal-to-wick"), _ON_SIZES),

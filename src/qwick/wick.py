@@ -1,17 +1,18 @@
 """Expansion-valued identities for q-Gaussian variables.
 
-Moments, conversions between plain products and Wick products, and
-products of Wick products over block-partitioned index sets.  The
-diagram-sum identities are the rows of one table, IDENTITIES, and each row
-also states its left side, the words it expands.  A row is reached by its
-name and nothing else: terms(name, arg) streams its terms from the diagram
-walker, expand(name, arg) sums them into an Expansion, and free=True gives
-the q = 0 form as a class filter.  m_epsilon_expansion is the moment row
-under a sign mask, which no row name states.  normal_form rewrites
-the Wick words of an expansion by the peeling recursion, without the
-walker, so it is an independent second route to each row that is neither
-complete nor blocked: the rewrite of the row's diagram sum must equal the
-rewrite of its left word.  Every function returns exact canonical data
+Moments, vacuum expectations of signed creation/annihilation words,
+conversions between plain products and Wick products, and products of Wick
+products over block-partitioned index sets.  The diagram-sum identities
+are the rows of one table, IDENTITIES, and each row also states its left
+side, the words it expands.  A row takes a ground size, block sizes or a
+sign pattern, and the walker's mask follows from that argument kind.  A row
+is reached by its name and nothing else: terms(name, arg) streams its
+terms from the diagram walker, expand(name, arg) sums them into an
+Expansion, and free=True gives the q = 0 form as a class filter.
+normal_form rewrites the Wick words of an expansion by the peeling
+recursion, without the walker, so it is an independent second route to
+each row that is neither complete nor blocked: the rewrite of the row's
+diagram sum must equal the rewrite of its left word.  Every function returns exact canonical data
 with q kept as a formal variable; specializing q is left to the oracle
 module, fock, which defines the Wick product on its own and is not
 imported here.
@@ -28,6 +29,7 @@ from .algebra import (
     NORMAL,
     WICK,
     Expansion,
+    OperatorWord,
     QPolynomial,
     VariableWord,
     _exact,
@@ -39,7 +41,6 @@ from .diagrams import (
     _block_forbid,
     _sign_forbid,
     _walk,
-    catalan_check,
     ensure_within_cap,
 )
 from .errors import DomainError
@@ -73,14 +74,20 @@ def _normal_expansion(sums: dict) -> Expansion:
 class Identity:
     """One diagram-sum identity, stated as data.
 
-    The row's left side is one word of kind left per block, over
-    consecutive variables (a row without blocks has the one block 1..n):
-    the block elements in lexicographic order, relabelled 1..total.
+    on names the argument the row takes: a ground size n ("size"), block
+    sizes ("blocks") or a +/-1 sign pattern ("pattern").  The row's left
+    side is one word of kind left per block, over consecutive variables (a
+    size row has the one block 1..n): the block elements in lexicographic
+    order, relabelled 1..total.  A pattern row's left side, of kind
+    "operator", is the one OperatorWord of its pattern on variables
+    1..len, creating at the +1 and annihilating at the -1 slots.
     left_words builds it, and the oracle applies it to the vacuum, keeping
     only the vacuum coefficient when complete is set.  The sum runs over
     all diagrams on the ground set (complete ones only when complete is
     set, so an odd ground size gives zero; with blocks, only the
-    non-linking ones, which pair no two positions of one block).  Each
+    non-linking ones, which pair no two positions of one block; with a
+    pattern, only the compatible ones, which open each pair at a -1 and
+    close it at a +1, so a pattern that is not Catalan gives zero).  Each
     diagram contributes its covariance factors and a singleton word of the
     given kind, times q to power(c, d, g) of its crossings c, degenerate
     crossings d and total gap g, negated for an odd pair count when signed.
@@ -95,11 +102,13 @@ class Identity:
     power: Callable[[int, int, int], int]
     zero: str
     signed: bool = False
-    blocks: bool = False
+    on: str = "size"
 
-    def left_words(self, arg) -> tuple[VariableWord, ...]:
-        """The left side on arg, a ground size or block sizes as for terms."""
-        blocks = arg if self.blocks else (arg,)
+    def left_words(self, arg) -> tuple[VariableWord | OperatorWord, ...]:
+        """The left side on arg, taken as for terms."""
+        if self.on == "pattern":
+            return (OperatorWord(tuple(zip(SignSequence(arg), itertools.count(1)))),)
+        blocks = arg if self.on == "blocks" else (arg,)
         ends = itertools.accumulate(blocks)
         return tuple(
             VariableWord(range(end - w + 1, end + 1), self.left) for w, end in zip(blocks, ends)
@@ -110,28 +119,32 @@ IDENTITIES = {
     "moment": Identity(NORMAL, NORMAL, True, lambda c, d, g: c, "c"),
     "wick-to-normal": Identity(WICK, NORMAL, False, lambda c, d, g: g - c, "g", signed=True),
     "normal-to-wick": Identity(NORMAL, WICK, False, lambda c, d, g: c + d, "tc"),
-    "product-expectation": Identity(WICK, NORMAL, True, lambda c, d, g: c, "c", blocks=True),
-    "product-expansion": Identity(WICK, WICK, False, lambda c, d, g: c + d, "tc", blocks=True),
+    "product-expectation": Identity(WICK, NORMAL, True, lambda c, d, g: c, "c", on="blocks"),
+    "product-expansion": Identity(WICK, WICK, False, lambda c, d, g: c + d, "tc", on="blocks"),
+    "operator-moment": Identity("operator", NORMAL, True, lambda c, d, g: c, "c", on="pattern"),
 }
 
 
 def terms(name: str, arg, free: bool = False, cap: int | None = None):
     """The term stream of the identity IDENTITIES[name] on arg: a ground size,
-    or block sizes for a row with blocks.  The ground set, blocks and cap are
-    checked here, before the stream is returned.
+    block sizes or a sign pattern, as the row's on says.  The argument and
+    the cap are checked here, before the stream is returned.
 
     With free set, the q = 0 form: the walker keeps only the row's zero
     class, cutting each branch on which that statistic has turned positive.
     See _row_terms for what the stream yields.
     """
     row = IDENTITIES[name]
-    if row.blocks:
+    if row.on == "blocks":
         blocks = tuple(_integer(b, "block size") for b in arg)
         ground = GroundSet(sum(blocks), blocks)
+    elif row.on == "pattern":
+        arg = SignSequence(arg)
+        ground = GroundSet(len(arg))
     else:
         ground = GroundSet(arg)
     ensure_within_cap(ground.size, cap)
-    forbid = _block_forbid(ground) if row.blocks else None
+    forbid = _sign_forbid(arg) if row.on == "pattern" else ground.blocks and _block_forbid(ground)
     walk = _walk(ground.size, row.complete, forbid, row.zero if free else None)
     return _row_terms(row, walk)
 
@@ -159,20 +172,6 @@ def expand(name: str, arg, free: bool = False, cap: int | None = None) -> Expans
     """The identity IDENTITIES[name] on arg as an expansion; the arguments
     are as for terms."""
     return _diagram_sum(terms(name, arg, free, cap))
-
-
-def m_epsilon_expansion(eps: SignSequence, cap: int | None = None) -> Expansion:
-    """Vacuum expectation of the signed operator word as a covariance sum.
-
-    Zero for non-Catalan patterns; otherwise one scalar term per compatible
-    complete diagram, weighted by q to its crossing number.
-    """
-    ok, _ = catalan_check(eps)
-    if not ok:
-        return Expansion.zero()
-    ensure_within_cap(len(eps), cap)
-    row = IDENTITIES["moment"]
-    return _diagram_sum(_row_terms(row, _walk(len(eps), row.complete, _sign_forbid(eps))))
 
 
 def _increasing(indices: Sequence[int]) -> tuple[int, ...]:

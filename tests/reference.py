@@ -6,7 +6,8 @@ recounts them from the definitions, pair by pair.  The diagram sums stream
 the walker's keys unchecked; diagram_term builds each key through the
 validating _term_key.  wick_to_normal_word is the Wick product 1..n
 relabelled onto other variable indices, the rewrite rule of one Wick word
-in normal_form.
+in normal_form.  row_args, a test helper rather than a reference, gives each
+identity row its test arguments by the kind of argument the row takes.
 
 The file name does not match pytest's test pattern, so it is imported by
 the test modules and never collected.
@@ -17,7 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from qwick import NORMAL, Expansion, FeynmanDiagram, GroundSet, SignSequence, expand
+from qwick import (
+    IDENTITIES,
+    NORMAL,
+    Expansion,
+    FeynmanDiagram,
+    GroundSet,
+    SignSequence,
+    catalan_sequences,
+    expand,
+)
 from qwick.algebra import _term_key
 from qwick.diagrams import ensure_within_cap
 from qwick.errors import DomainError
@@ -154,3 +164,13 @@ def wick_to_normal_word(indices: Sequence[int], cap: int | None = None) -> Expan
             ).terms.items()
         }
     )
+
+
+def row_args(name: str, sizes, blocks) -> list:
+    """The test arguments of the identity row name, by its on: the ground
+    sizes, the block lists, or the Catalan patterns of the even sizes, each
+    as a plain tuple of +/-1."""
+    on = IDENTITIES[name].on
+    if on == "pattern":
+        return [eps.entries for n in sizes if n % 2 == 0 for eps in catalan_sequences(n)]
+    return list(blocks if on == "blocks" else sizes)

@@ -23,7 +23,7 @@ from qwick import (
     normal_form,
     specialize_free,
 )
-from reference import crossing_stats, diagram_term
+from reference import crossing_stats, diagram_term, row_args
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 qpolys = st.dictionaries(
@@ -472,7 +472,8 @@ class TestKeysArePlainTuples:
     )
     @settings(max_examples=50)
     def test_expand_and_recursion(self, name, n, blocks, free):
-        assert_plain_keys(expand(name, blocks if IDENTITIES[name].blocks else n, free))
+        for arg in row_args(name, (n,), (blocks,)):
+            assert_plain_keys(expand(name, arg, free))
         assert_plain_keys(normal_form(Expansion({((), tuple(range(1, n + 1)), WICK): 1})))
 
     def test_bools_become_ints(self):

@@ -33,7 +33,7 @@ from qwick.algebra import NORMAL, CovarianceMonomial, Expansion, QPolynomial, Va
 from qwick.errors import QwickError
 from qwick.fock import FockParams, Graded
 from qwick.verify import VerifyReport
-from reference import crossing_stats
+from reference import crossing_stats, row_args
 
 
 def run_cli(capsys, *argv):
@@ -866,7 +866,8 @@ GOLDEN_STDOUT = {
     "verify t3.4 --blocks 1,2,2": "f3b41f8862c86111fcbc87051107ce93b2893a1131adf6b3fe61a4530c06aef5",
     "verify roundtrip --n 5": "d4797e759762418e56715094fc8a31ec644db91c8d68707bd925ac2c2dfd10ed",
     "verify wick2-vs-recursion --n 6": "dfcc7357f050bd10f90dbced62dea7a3f97675f6bedf7d1ccb32f70ee9552cb6",
-    "verify free --n 5": "0b2564d2ca7feac0a4fa494ae3f93e04dd924b1519d8d1b8c43a12fd25828a60",
+    # the operator-moment row's records follow the size and block records
+    "verify free --n 5": "f98a11b1705993c0078d6d3a50046ebb5e7688936f8ba5e67a94131dcb780a8f",
     "verify gram --n 3 --dim 2": "23599311f6286be85511f27b5a07909d0bcf8e22adc699dedc2d7d2cc4d1e959",
     "verify gram --n 6 --dim 2": "da9aa2be457fb8fbf7021e6b1204cb4e6e1b44c2bbf5634a5a47a910aaad82b7",
     "verify gram --n 4 --dim 3": "61555179a14e92a952badbdae0e338d54e632b93bc5de2d13bcc4b6ad006bf32",
@@ -909,8 +910,13 @@ ROW_COMMANDS = {
 STREAM_BLOCKS = ((2, 3, 2), (4, 4), (1, 2, 2, 1))
 
 
+def test_only_the_operator_moment_row_has_no_command():
+    assert set(ROW_COMMANDS) < set(IDENTITIES)
+    assert set(IDENTITIES) - set(ROW_COMMANDS) == {"operator-moment"}
+
+
 def row_meta(name, arg, free):
-    if IDENTITIES[name].blocks:
+    if IDENTITIES[name].on == "blocks":
         return {
             "blocks": list(arg),
             "expectation": name == "product-expectation",
@@ -946,14 +952,11 @@ def reference_stdout(expansion, meta, fmt):
 @pytest.mark.parametrize("free", [False, True])
 @pytest.mark.parametrize(
     "name, arg",
-    [
-        (name, arg)
-        for name in IDENTITIES
-        for arg in (STREAM_BLOCKS if IDENTITIES[name].blocks else range(9))
-    ],
+    [(name, arg) for name in ROW_COMMANDS for arg in row_args(name, range(9), STREAM_BLOCKS)],
 )
 def test_expansion_commands_match_the_reference_rendering(capsys, name, arg, free, fmt):
-    size = ["--blocks", ",".join(map(str, arg))] if IDENTITIES[name].blocks else ["--n", str(arg)]
+    blocked = IDENTITIES[name].on == "blocks"
+    size = ["--blocks", ",".join(map(str, arg))] if blocked else ["--n", str(arg)]
     argv = ROW_COMMANDS[name].split() + size + (["--free"] if free else []) + ["--format", fmt]
     code, out = run_cli(capsys, *argv)
     assert code == 0

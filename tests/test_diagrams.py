@@ -293,6 +293,14 @@ class TestSignSequences:
         with pytest.raises(DomainError):
             SignSequence((0, 1))
 
+    def test_a_plain_sequence_is_a_sign_pattern(self):
+        eps = SignSequence((-1, -1, 1, 1))
+        assert SignSequence(eps) == eps and tuple(eps) == eps.entries
+        assert catalan_check((1, -1)) == catalan_check(SignSequence((1, -1)))
+        assert catalan_check([-1, 1]) == (True, (0, 1))
+        assert list(enumerate_compatible((-1, -1, 1, 1))) == list(enumerate_compatible(eps))
+        assert [d.pairs for d in enumerate_compatible((-1, 1))] == [((1, 2),)]
+
     def test_negative_length_is_a_domain_error(self):
         with pytest.raises(DomainError) as exc:
             list(catalan_sequences(-2))

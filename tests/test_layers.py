@@ -28,7 +28,9 @@ from qwick import (
     QPolynomial,
     SignSequence,
     VariableWord,
+    catalan_check,
     create,
+    enumerate_compatible,
     evaluate_expansion,
     expand,
     vacuum_expectation,
@@ -209,6 +211,11 @@ def test_keys_have_no_instance_dict():
         lambda: VariableWord((), "other"),
         lambda: GroundSet(4, 4),
         lambda: SignSequence(5),
+        lambda: catalan_check(5),
+        lambda: catalan_check((2,)),
+        lambda: catalan_check((2, -1)),
+        lambda: next(enumerate_compatible(5)),
+        lambda: next(enumerate_compatible((1, 0))),
         lambda: FeynmanDiagram(GroundSet(4), 5),
         lambda: FeynmanDiagram(GroundSet(4), [(1,)]),
         lambda: FeynmanDiagram(4),
@@ -300,7 +307,6 @@ PUBLIC_NAMES = [
     "expand",
     "field_apply",
     "gram_check",
-    "m_epsilon_expansion",
     "normal_form",
     "q_inner",
     "run_check",

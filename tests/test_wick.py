@@ -30,7 +30,6 @@ from qwick import (
     enumerate_nonlinking,
     expand,
     gram_check,
-    m_epsilon_expansion,
     normal_form,
     specialize_free,
     wick_operator_form,
@@ -38,7 +37,7 @@ from qwick import (
 from qwick.algebra import accumulate_term
 from qwick.verify import CHECKS, _check_row, _peel_row, run_check
 from qwick.wick import _diagram_sum, terms
-from reference import block_of, crossing_stats, diagram_term, wick_to_normal_word
+from reference import block_of, crossing_stats, diagram_term, row_args, wick_to_normal_word
 
 
 def peel_wick_word(n):
@@ -71,6 +70,7 @@ FREE_CLASSES = {
     "normal-to-wick": (False, WICK, False, lambda s: s.tc == 0),
     "product-expectation": (True, NORMAL, False, lambda s: s.c == 0),
     "product-expansion": (False, WICK, False, lambda s: s.tc == 0),
+    "operator-moment": (True, NORMAL, False, lambda s: s.c == 0),
 }
 
 
@@ -85,11 +85,11 @@ def make(terms):
 
 class TestSignedMoments:
     def test_minimal_pattern(self):
-        got = m_epsilon_expansion(SignSequence((-1, 1)))
+        got = expand("operator-moment", SignSequence((-1, 1)))
         assert got == make([(((1, 2),), (), NORMAL, {0: 1})])
 
     def test_two_pair_pattern(self):
-        got = m_epsilon_expansion(SignSequence((-1, -1, 1, 1)))
+        got = expand("operator-moment", SignSequence((-1, -1, 1, 1)))
         assert got == make(
             [
                 (((1, 3), (2, 4)), (), NORMAL, {1: 1}),
@@ -98,14 +98,15 @@ class TestSignedMoments:
         )
 
     def test_non_catalan_gives_zero(self):
-        assert m_epsilon_expansion(SignSequence((1, -1))).is_zero()
+        assert expand("operator-moment", SignSequence((1, -1))).is_zero()
+        assert expand("operator-moment", (-1, 1, 1)).is_zero()  # odd: no complete diagram
 
     def test_kernel_property(self):
         for length in (2, 4, 6):
             for entries in itertools.product((-1, 1), repeat=length):
                 eps = SignSequence(entries)
                 ok, _ = catalan_check(eps)
-                assert m_epsilon_expansion(eps).is_zero() == (not ok)
+                assert expand("operator-moment", eps).is_zero() == (not ok)
 
 
 class TestMoments:
@@ -330,8 +331,8 @@ class TestFreeFormulas:
         )
 
     def test_filter_matches_constant_part(self):
-        for name, row in IDENTITIES.items():
-            for arg in ((2, 1), (2, 2), (1, 2, 2), (2, 2, 2)) if row.blocks else range(1, 7):
+        for name in IDENTITIES:
+            for arg in row_args(name, range(1, 7), ((2, 1), (2, 2), (1, 2, 2), (2, 2, 2))):
                 assert expand(name, arg, free=True) == specialize_free(expand(name, arg))
 
     def test_ground_set_block_labels(self):
@@ -367,7 +368,7 @@ class TestAgainstCrossingStats:
         for length in range(0, 9, 2):
             for eps in catalan_sequences(length):
                 expected = reference_sum(enumerate_compatible(eps), NORMAL, lambda s: s.c)
-                assert m_epsilon_expansion(eps) == expected
+                assert expand("operator-moment", eps) == expected
 
     def test_product_builders(self):
         for blocks in CROSS_CHECK_BLOCKS:
@@ -382,14 +383,17 @@ class TestAgainstCrossingStats:
     @pytest.mark.parametrize("name", list(IDENTITIES))
     def test_free_rows_are_class_filters(self, name):
         complete, kind, signed, keep = FREE_CLASSES[name]
-        if IDENTITIES[name].blocks:
-            cases = [(blocks, GroundSet(sum(blocks), blocks)) for blocks in CROSS_CHECK_BLOCKS]
-            diagrams = functools.partial(enumerate_nonlinking, complete_only=complete)
-        else:
-            cases = [(n, GroundSet(n)) for n in range(0, 9)]
-            diagrams = enumerate_complete if complete else enumerate_diagrams
-        for arg, ground in cases:
-            expected = reference_sum(diagrams(ground), kind, lambda s: 0, signed, keep)
+        on = IDENTITIES[name].on
+        for arg in row_args(name, range(0, 9), CROSS_CHECK_BLOCKS):
+            if on == "pattern":
+                diagrams = enumerate_compatible(arg)
+            elif on == "blocks":
+                ground = GroundSet(sum(arg), arg)
+                diagrams = enumerate_nonlinking(ground, complete_only=complete)
+            else:
+                ground = GroundSet(arg)
+                diagrams = enumerate_complete(ground) if complete else enumerate_diagrams(ground)
+            expected = reference_sum(diagrams, kind, lambda s: 0, signed, keep)
             assert expand(name, arg, free=True) == expected
 
     def test_every_row_is_verified(self):
@@ -408,7 +412,7 @@ class TestTermStream:
         [
             (name, arg)
             for name in IDENTITIES
-            for arg in (STREAM_BLOCKS if IDENTITIES[name].blocks else range(9))
+            for arg in row_args(name, range(9), STREAM_BLOCKS)
         ],
     )
     def test_one_term_per_key_in_sorted_order(self, name, arg, free):
@@ -431,6 +435,8 @@ class TestTermStream:
             ("moment", -1, DomainError),
             ("product-expansion", (2, 0), DomainError),
             ("product-expectation", (), DomainError),
+            ("operator-moment", (1, -1) * 7, SizeLimitError),  # not Catalan, and past the cap
+            ("operator-moment", (0, 1), DomainError),
         ],
     )
     def test_checks_run_before_the_first_term(self, name, arg, error):
@@ -447,7 +453,7 @@ SUM_BLOCKS = ((1,), (2, 1), (2, 2), (1, 2, 2), (2, 3, 2), (1, 2, 2, 1))
     [
         (name, arg)
         for name in IDENTITIES
-        for arg in (SUM_BLOCKS if IDENTITIES[name].blocks else range(8))
+        for arg in row_args(name, range(8), SUM_BLOCKS)
     ],
 )
 def test_diagram_sum_matches_the_validated_accumulation(name, arg, free):
@@ -707,7 +713,9 @@ class TestNormalFormAgainstRuleMaps:
 # Each mutated row must fail the suites that check it: its own oracle suite,
 # and the one that checks it against the peel (wick-to-normal meets the peel
 # in wick2-vs-recursion, normal-to-wick in roundtrip).  The block rows meet
-# only their oracle suites, on their default block lists.
+# only their oracle suites, on their default block lists, and the sign
+# pattern row only t2.1.  Power c + d is no mutant of that row: its diagrams
+# are complete, so d = 0 on every one of them.
 ROW_MUTANTS = [
     ("wick-to-normal", {"power": lambda c, d, g: g}, "wick2-vs-recursion", {"n": 6}),
     ("wick-to-normal", {"signed": False}, "wick2-vs-recursion", {"n": 6}),
@@ -722,6 +730,9 @@ ROW_MUTANTS = [
     ("product-expansion", {"signed": True}, "t3.4", {}),
     ("product-expectation", {"power": lambda c, d, g: g}, "t3.3", {}),
     ("product-expectation", {"power": lambda c, d, g: c + (c > 1)}, "t3.3", {}),
+    ("operator-moment", {"power": lambda c, d, g: g}, "t2.1", {"n": 6}),
+    ("operator-moment", {"power": lambda c, d, g: 0}, "t2.1", {"n": 6}),
+    ("operator-moment", {"signed": True}, "t2.1", {"n": 6}),
 ]
 
 
@@ -753,7 +764,7 @@ def test_every_row_with_one_left_word_meets_the_peel():
     # word per block, so the rewrite of a single left word checks neither
     rows = rows_checked_by(_peel_row)
     assert sorted(rows) == sorted(
-        name for name, row in IDENTITIES.items() if not (row.complete or row.blocks)
+        name for name, row in IDENTITIES.items() if not (row.complete or row.on == "blocks")
     )
     assert set(rows) == {"wick-to-normal", "normal-to-wick"}
 
