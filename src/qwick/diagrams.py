@@ -26,7 +26,6 @@ check the walker against, live with the tests in tests/reference.py.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .algebra import _integer, _pairs, _sequence
@@ -182,10 +181,18 @@ def catalan_sequences(length: int, cap: int | None = None):
     if length % 2:
         raise DomainError(f"sign sequence length must be even, got {length}")
     ensure_within_cap(length, cap)
-    for entries in itertools.product((-1, 1), repeat=length):
-        ok, _ = catalan_check(entries)
-        if ok:
-            yield SignSequence(entries)
+    # place each sign only while a Catalan completion remains: read from the
+    # left, a -1 opens and a +1 closes, and what is open must close in time
+    prefixes = [((), 0)]  # (entries, open count), in lexicographic order
+    for left in range(length - 1, -1, -1):  # entries still to place after this one
+        prefixes = [
+            (entries + (e,), opened - e)
+            for entries, opened in prefixes
+            for e in (-1, 1)
+            if 0 <= opened - e <= left
+        ]
+    for entries, _ in prefixes:
+        yield SignSequence(entries)
 
 
 def enumerate_diagrams(ground: GroundSet, cap: int | None = None):

@@ -11,6 +11,15 @@ weighted vacuum, and words that share leftmost letters share those steps, on
 merged sums, which are what the cutoff sees.  Nothing here comes from the
 diagram layer (wick, diagrams): this is a second route to every identity.
 
+Each letter moves a word's degree by exactly one, so a run that keeps only
+the vacuum coefficient (a scalar run) carries the reach of the letters
+still to act: down, the annihilations and fields less the creations, and
+up, the creations and fields, a Wick word counting its length in both.  A
+word of degree d is skipped when d > down, as it can never return to the
+vacuum, and d + up <= level, as it can never meet a creation at the
+cutoff.  The vacuum coefficient and every cutoff error stay those of the
+full run; only the support cap is met later, if at all.
+
 Every q-dependence is polynomial, so the operators keep q formal (Graded):
 one run serves every q, results compare as whole polynomials, and only
 evaluating one at a rational q builds Fractions.  The public functions run
@@ -45,7 +54,8 @@ GRAM_WORD_CAP = 100
 GRAM_DEGREE_CAP = 8
 # most variables in one Wick product's operator form, which has 2^n summands
 WICK_FORM_CAP = 12
-# most (basis word, power of q) entries of one graded vector, about 1 s per step
+# most (basis word, power of q) entries of one graded vector, about 1 s per step;
+# a scalar run counts only the words that can still reach the vacuum or the cutoff
 FOCK_SUPPORT_CAP = 100_000
 
 
@@ -222,19 +232,32 @@ class Graded:
         return vec.coefficient(()) if self.scalar else vec
 
 
-def _step(sign: int, coords, u: dict, params: FockParams, qs) -> dict:
+def _step(sign: int, coords, u: dict, params: FockParams, qs, reach=None) -> dict:
     """Creation (sign 1) prepends a letter and keeps the power of q;
     annihilation (-1) deletes position i, adding i to it; the field (0) is
     their sum.  Creation on a word at the cutoff raises if the word is
     nonzero at one of qs, the q values the result is for, else drops it.
-    The support cap is checked after each input entry's fan-out."""
+    The support cap is checked after each input entry's fan-out.
+
+    reach = (down, up) bounds what the letters still to act after this one
+    can lower and raise the degree by, in a run that keeps only the vacuum
+    coefficient.  An output word of degree d is then skipped when d > down,
+    since it can never return to the vacuum, and d + up <= params.level,
+    since it can never meet a creation at the cutoff.  None skips nothing."""
     out: dict = {}
     cap = FOCK_SUPPORT_CAP
+    # creation skips input degrees lo..hi, whose outputs lie above down and
+    # at most up below the cutoff
+    lo, hi = (reach[0], params.level - reach[1] - 1) if reach else (1, 0)
     if sign >= 0:
         letters = [(letter, coord) for letter, coord in enumerate(coords, start=1) if coord]
         over: dict[tuple[int, ...], list] = {}
+        level = params.level
         for (word, k), c in u.items():
-            if len(word) >= params.level:
+            d = len(word)
+            if lo <= d <= hi:
+                continue
+            if d >= level:
                 over.setdefault(word, []).append((k, c))
                 continue
             for letter, coord in letters:
@@ -244,10 +267,13 @@ def _step(sign: int, coords, u: dict, params: FockParams, qs) -> dict:
         for word, terms in over.items():
             if any(_poly_value(terms, q) for q in qs):
                 raise TruncationOverflowError(
-                    f"creation on a degree-{len(word)} word exceeds the cutoff {params.level}"
+                    f"creation on a degree-{len(word)} word exceeds the cutoff {level}"
                 )
     if sign <= 0:
+        lo, hi = lo + 2, hi + 2  # a deletion's output is two degrees below a creation's
         for (word, k), c in u.items():
+            if lo <= len(word) <= hi:
+                continue
             for i, letter in enumerate(word):
                 coord = coords[letter - 1]
                 if coord:
@@ -273,18 +299,36 @@ class _Coordinates(dict):
         return coords
 
 
-def _letters(letters, coords: _Coordinates, u: dict, params: FockParams, qs) -> dict:
-    """Apply (sign, variable) letters, rightmost first; sign 0 is a field."""
-    for sign, idx in reversed(letters):
-        u = _step(sign, coords[idx], u, params, qs)
+def _reaches(letters, reach) -> list:
+    """The reach (see _step) after each letter acts, left to right, then that
+    of all of them, for letters acting before others of the given reach; a
+    creation takes one off down, and None stays None."""
+    if reach is None:
+        return [None] * (len(letters) + 1)
+    down, up = reach
+    reaches = [reach]
+    for sign, _ in letters:
+        down, up = down + (1 if sign <= 0 else -1), up + (sign >= 0)
+        reaches.append((down, up))
+    return reaches
+
+
+def _letters(letters, coords: _Coordinates, u: dict, params: FockParams, qs, reach=None) -> dict:
+    """Apply (sign, variable) letters, rightmost first; sign 0 is a field.
+    reach is that of what acts after them, or None to keep every word."""
+    reaches = _reaches(letters, reach)
+    for i in range(len(letters) - 1, -1, -1):
+        sign, idx = letters[i]
+        u = _step(sign, coords[idx], u, params, qs, reaches[i])
     return u
 
 
-def _wick(indices, coords: _Coordinates, u: dict, params: FockParams, qs) -> dict:
+def _wick(indices, coords: _Coordinates, u: dict, params: FockParams, qs, reach=None) -> dict:
     """The Wick product by its operator form, position p standing for
-    indices[p - 1].  A summand's annihilators act first and each lowers the
-    degree by one, so the first with more of them than u's top degree, and
-    every later one, gives zero."""
+    indices[p - 1], each summand's letters run by _letters with the given
+    reach.  A summand's annihilators act first and each lowers the degree
+    by one, so the first with more of them than u's top degree, and every
+    later one, gives zero."""
     indices = tuple(indices)
     form = wick_operator_form(len(indices))
     by_position = {pos: coords[idx] for pos, idx in enumerate(indices, start=1)}
@@ -293,7 +337,7 @@ def _wick(indices, coords: _Coordinates, u: dict, params: FockParams, qs) -> dic
     for opword, qpow in form:
         if sum(sign < 0 for sign, _ in opword.letters) > top:
             break
-        for (word, k), c in _letters(opword.letters, by_position, u, params, qs).items():
+        for (word, k), c in _letters(opword.letters, by_position, u, params, qs, reach).items():
             out[word, k + qpow] = out.get((word, k + qpow), 0) + c
     return {key: c for key, c in out.items() if c}
 
@@ -301,16 +345,25 @@ def _wick(indices, coords: _Coordinates, u: dict, params: FockParams, qs) -> dic
 def graded_apply(words, assignment, params: FockParams, qs, scalar: bool = False) -> Graded:
     """The words applied to the unit vacuum, rightmost first, for every q of
     qs at once (params.q is not read).  Each is an OperatorWord or a
-    VariableWord: fields or, Wick-tagged, a Wick product's full operator form."""
+    VariableWord: fields or, Wick-tagged, a Wick product's full operator form.
+
+    With scalar set, only the vacuum coefficient is kept, and each step
+    skips the words that can neither return to the vacuum nor meet a
+    creation at the cutoff (see _step); a Wick word still to act counts its
+    length in both down and up, as its fields do."""
     coords = _Coordinates(assignment, params.dim)
+    runs, reach = [], (0, 0) if scalar else None
+    for word in words:  # left to right, growing the reach of what acts after each
+        operator = isinstance(word, OperatorWord)
+        letters = word.letters if operator else tuple((0, i) for i in word.indices)
+        runs.append((word, letters, reach))
+        reach = _reaches(letters, reach)[-1]
     vec = {((), 0): 1}
-    for word in reversed(words):
-        if isinstance(word, OperatorWord):
-            vec = _letters(word.letters, coords, vec, params, qs)
-        elif word.kind == NORMAL:
-            vec = _letters(tuple((0, i) for i in word.indices), coords, vec, params, qs)
+    for word, letters, reach in reversed(runs):
+        if isinstance(word, OperatorWord) or word.kind == NORMAL:
+            vec = _letters(letters, coords, vec, params, qs, reach)
         else:
-            vec = _wick(word.indices, coords, vec, params, qs)
+            vec = _wick(word.indices, coords, vec, params, qs, reach)
     return Graded(vec, scalar)
 
 
@@ -348,7 +401,8 @@ def _numeric(kernel, *args, scalar: bool = False):
     """Run a kernel for q = params.q and evaluate it there.  args end with
     (assignment, u, params); the kernel gets the assignment as _Coordinates
     and the FockVector u as a graded vector, whose letters must lie in
-    1..params.dim."""
+    1..params.dim.  A scalar run gives the kernel reach (0, 0), as nothing
+    acts after it (see _step)."""
     *args, assignment, u, params = args
     basis = range(1, params.dim + 1)
     for word in u.entries:
@@ -357,7 +411,8 @@ def _numeric(kernel, *args, scalar: bool = False):
                 raise DomainError(f"basis letter {letter!r} lies outside 1..{params.dim}")
     coords = _Coordinates(assignment, params.dim)
     graded = {(word, 0): _exact(val) for word, val in u.entries.items()}
-    return Graded(kernel(*args, coords, graded, params, (params.q,)), scalar).at(params.q)
+    reach = (0, 0) if scalar else None
+    return Graded(kernel(*args, coords, graded, params, (params.q,), reach), scalar).at(params.q)
 
 
 def create(f: VectorLike, u: FockVector, params: FockParams) -> FockVector:

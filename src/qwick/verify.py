@@ -97,11 +97,19 @@ class VerifyConfig:
 
 
 def sample_assignments(nvars: int, dim: int, seed: int) -> list[dict[int, OneParticleVector]]:
-    """SAMPLES deterministic batches of integer-coordinate vectors in [-3, 3]."""
-    rng = random.Random(seed)
+    """SAMPLES deterministic batches of integer-coordinate vectors in [-3, 3].
+    Each coordinate is random.Random(seed).randint(-3, 3), draw for draw:
+    three random bits, drawn again while they read 7, less 3."""
+    bits = random.Random(seed).getrandbits
+    coords = []
+    while len(coords) < SAMPLES * nvars * dim:
+        r = bits(3)
+        if r != 7:
+            coords.append(r - 3)
+    draws, width = iter(coords), max(dim, 0)  # a dim below 1 gives empty vectors, as range does
     return [
         {
-            idx: OneParticleVector(tuple(rng.randint(-3, 3) for _ in range(dim)))
+            idx: OneParticleVector(tuple(itertools.islice(draws, width)))
             for idx in range(1, nvars + 1)
         }
         for _ in range(SAMPLES)

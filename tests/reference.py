@@ -4,7 +4,9 @@ None of these is on a code path of the package.  The walker carries each
 diagram's crossing statistics as popcount differences; crossing_stats
 recounts them from the definitions, pair by pair.  The diagram sums stream
 the walker's keys unchecked; diagram_term builds each key through the
-validating _term_key.  wick_to_normal_word is the Wick product 1..n
+validating _term_key.  catalan_scan keeps the Catalan sign patterns of a
+length out of all 2^length, where catalan_sequences places each sign only
+while a completion remains.  wick_to_normal_word is the Wick product 1..n
 relabelled onto other variable indices, the rewrite rule of one Wick word
 in normal_form.  row_args, a test helper rather than a reference, gives each
 identity row its test arguments by the kind of argument the row takes.
@@ -15,6 +17,7 @@ the test modules and never collected.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +28,7 @@ from qwick import (
     FeynmanDiagram,
     GroundSet,
     SignSequence,
+    catalan_check,
     catalan_sequences,
     expand,
 )
@@ -164,6 +168,13 @@ def wick_to_normal_word(indices: Sequence[int], cap: int | None = None) -> Expan
             ).terms.items()
         }
     )
+
+
+def catalan_scan(length: int) -> list[SignSequence]:
+    """The Catalan sign patterns of the given length, by testing every +/-1
+    tuple in lexicographic order with catalan_check."""
+    patterns = (SignSequence(e) for e in itertools.product((-1, 1), repeat=length))
+    return [eps for eps in patterns if catalan_check(eps)[0]]
 
 
 def row_args(name: str, sizes, blocks) -> list:

@@ -366,9 +366,10 @@ class TestVerifyCommand:
         assert json.loads(out)["failures"] == 0
 
     def test_support_cap_stops_a_long_oracle_run(self):
-        # uncapped, this run's vectors reach 2,015,451 entries and take ~26 s
+        # the field word applied to the vacuum keeps its whole vector, which
+        # passes the cap at n = 5 in dim 20
         proc = subprocess.run(
-            [sys.executable, "-m", "qwick", "verify", "c2.2", "--n", "5", "--dim", "20"],
+            [sys.executable, "-m", "qwick", "verify", "normal-to-wick", "--n", "5", "--dim", "20"],
             capture_output=True,
             text=True,
             timeout=60,
@@ -386,7 +387,7 @@ class TestVerifyCommand:
         # only once the step was done, it ran for minutes
         start = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-m", "qwick", "verify", "c2.2", "--n", "4", "--dim", "300"],
+            [sys.executable, "-m", "qwick", "verify", "normal-to-wick", "--n", "4", "--dim", "300"],
             capture_output=True,
             text=True,
             timeout=60,
@@ -397,6 +398,12 @@ class TestVerifyCommand:
         assert proc.stderr.splitlines() == [
             "error: 100016 vector entries exceed the support cap 100000"
         ]
+
+    def test_a_scalar_run_keeps_only_words_that_reach_the_vacuum(self):
+        # the full vectors of this run pass the support cap; the words that can
+        # still return to the vacuum stay far below it
+        reports = verify.run_check("c2.2", n=5, dim=20)
+        assert reports and all(r.passed for r in reports)
 
     def test_wick_form_past_its_cap_fails_at_once(self):
         proc = subprocess.run(

@@ -20,7 +20,7 @@ from qwick import (
     enumerate_nonlinking,
 )
 from qwick.diagrams import _block_forbid, _sign_forbid, _walk
-from reference import block_of, classify, crossing_stats, epsilon_of
+from reference import block_of, catalan_scan, classify, crossing_stats, epsilon_of
 
 
 # Reference counts, independent of the enumerators under test.
@@ -310,6 +310,12 @@ class TestSignSequences:
         for n in range(1, 5):
             got = sum(1 for _ in catalan_sequences(2 * n))
             assert got == catalan_number(n)
+
+    @pytest.mark.parametrize("length", range(0, 17, 2))
+    def test_catalan_sequences_match_the_full_scan(self, length):
+        # placing each sign only while a completion remains keeps the scan's
+        # patterns and its lexicographic order
+        assert list(catalan_sequences(length, cap=length)) == catalan_scan(length)
 
     def test_epsilon_of_examples(self):
         assert epsilon_of(FeynmanDiagram(GroundSet(2), ((1, 2),))).entries == (-1, 1)

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwick import (
+    IDENTITIES,
     DomainError,
     FockParams,
     FockVector,
@@ -21,6 +23,7 @@ from qwick import (
     apply_field_word,
     apply_operator_word,
     apply_wick_product,
+    catalan_sequences,
     create,
     evaluate_expansion,
     expand,
@@ -42,7 +45,7 @@ from qwick.fock import (
     _positive_definite,
     graded_apply,
 )
-from qwick.verify import GRAM_Q_GRID, Q_GRID, _vec_json, sample_assignments
+from qwick.verify import GRAM_Q_GRID, Q_GRID, SAMPLES, _vec_json, sample_assignments
 
 E1 = OneParticleVector((1, 0))
 E2 = OneParticleVector((0, 1))
@@ -816,6 +819,101 @@ class TestAgainstReference:
                 assert [dict(p) for p in row] == [ref[w1, w2] for w2 in block_words]
 
 
+def word_degree(word) -> int:
+    return len(word.letters) if isinstance(word, OperatorWord) else len(word)
+
+
+@st.composite
+def scalar_runs(draw):
+    """Words for a graded_apply run over variables 1..4: fields, Wick blocks,
+    signed operator words and Catalan sign patterns, on rational
+    coordinates, for one q or the grid, at a cutoff from 1 to one above the
+    total degree."""
+    dim = draw(st.integers(1, 2))
+    coords = st.lists(COORDINATE, min_size=dim, max_size=dim).map(tuple)
+    assignment = {i: draw(coords) for i in range(1, 5)}
+    variables = st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True)
+    patterns = [eps.entries for length in (2, 4) for eps in catalan_sequences(length)]
+    word = st.one_of(
+        variables.map(lambda ix: VariableWord(ix, NORMAL)),
+        variables.map(lambda ix: VariableWord(ix, WICK)),
+        SIGNED_LETTERS.map(lambda letters: OperatorWord(tuple(letters))),
+        st.sampled_from(patterns).map(lambda eps: IDENTITIES["operator-moment"].left_words(eps)[0]),
+    )
+    words = tuple(draw(st.lists(word, min_size=1, max_size=3)))
+    level = draw(st.integers(1, sum(map(word_degree, words)) + 1))
+    qs = draw(st.sampled_from((Q_GRID, (Fraction(0),), (Fraction(1, 2),))))
+    return words, assignment, FockParams(dim, level, qs[0]), qs
+
+
+class TestScalarRunsSkipDeadWords:
+    """A scalar run skips the words that can neither return to the vacuum nor
+    meet a creation at the cutoff; its vacuum coefficient and its cutoff
+    errors are those of the full run."""
+
+    @given(scalar_runs())
+    @settings(max_examples=300)
+    def test_matches_the_full_run(self, run):
+        words, assignment, p, qs = run
+        got = outcome(graded_apply, words, assignment, p, qs, True)
+        full = outcome(graded_apply, words, assignment, p, qs)
+        assert got == (full if isinstance(full, tuple) else Graded(full.entries, scalar=True))
+
+    @given(oracle_cases(), st.lists(st.integers(1, 3), max_size=6), SIGNED_LETTERS)
+    @settings(max_examples=150)
+    def test_vacuum_expectation_matches_the_full_run(self, case, indices, letters):
+        # repeated variables too; the full run keeps the whole vector
+        p, assignment, _ = case
+        runs = ((indices, apply_field_word), (OperatorWord(tuple(letters)), apply_operator_word))
+        for word, full in runs:
+            want = outcome(full, word, assignment, FockVector.vacuum(), p)
+            want = want if isinstance(want, tuple) else want.coefficient(())
+            assert_same(outcome(vacuum_expectation, word, assignment, p), want)
+
+    @staticmethod
+    def count_steps(monkeypatch) -> list:
+        """(sign, input size) of each step that gets a nonzero vector."""
+        steps, original = [], fock._step
+
+        def counted(sign, coords, u, *rest):
+            if u:
+                steps.append((sign, len(u)))
+            return original(sign, coords, u, *rest)
+
+        monkeypatch.setattr(fock, "_step", counted)
+        return steps
+
+    def test_wick_summands_stop_annihilating_once_they_cannot_return(self, monkeypatch):
+        # the right Wick word of blocks (4, 4) leaves degree 4 on the vacuum.  In
+        # the left one's form, a summand's first annihilation leaves degree 3,
+        # more than its other annihilators less its creators can lower unless
+        # it has no creator: of the 32 annihilations of the 15 summands with
+        # one, only those 15 and the 3 more of the all-annihilator summand run
+        steps = self.count_steps(monkeypatch)
+        words = IDENTITIES["product-expectation"].left_words((4, 4))
+        assignment = {i: (1, i, -1) for i in range(1, 9)}
+        p = FockParams(3, 9, 0)
+        full = graded_apply(words, assignment, p, Q_GRID)
+        full_sizes = [size for sign, size in steps if sign < 0]
+        steps.clear()
+        assert graded_apply(words, assignment, p, Q_GRID, scalar=True) == Graded(full.entries, True)
+        sizes = [size for sign, size in steps if sign < 0]
+        assert (len(full_sizes), len(sizes)) == (32, 18)
+        assert sum(sizes) < 0.6 * sum(full_sizes)
+
+    def test_vacuum_expectation_skips_dead_words(self, monkeypatch):
+        # a field word's fields lower and raise the degree alike, so each step
+        # keeps only the words its fields still to act can bring back
+        steps = self.count_steps(monkeypatch)
+        indices = (1, 2, 3, 2, 4, 1)
+        assignment = {i: (1, i) for i in range(1, 5)}
+        p = params("1/2", level=7)
+        full = apply_field_word(indices, assignment, FockVector.vacuum(), p).coefficient(())
+        full_work = sum(size for _, size in steps)
+        steps.clear()
+        assert vacuum_expectation(indices, assignment, p) == full
+        assert sum(size for _, size in steps) < full_work
+
 def ref_inner(w1, w2):
     """<w1, w2> by its defining sum over the permutations that carry w2 onto
     w1, each weighted by q to its inversions, as {inversions: count}."""
@@ -889,6 +987,18 @@ class TestIntegralCoordinates:
             "3": ["1", "0", "0"],
             "4": ["3", "3", "-1"],
         }
+
+    @pytest.mark.parametrize("seed", range(0, 50, 7))
+    def test_sampled_vectors_are_randint_draws(self, seed):
+        # each coordinate is the randint(-3, 3) the sampler once called
+        for nvars, dim in itertools.product(range(13), range(-1, 6)):
+            rng = random.Random(seed)
+            want = [
+                {i: tuple(rng.randint(-3, 3) for _ in range(dim)) for i in range(1, nvars + 1)}
+                for _ in range(SAMPLES)
+            ]
+            got = sample_assignments(nvars, dim, seed)
+            assert [{i: v.coords for i, v in a.items()} for a in got] == want
 
     def test_integral_coordinates_are_ints(self):
         coords = OneParticleVector((2, Fraction(4, 2), 2.0, True)).coords
