@@ -35,13 +35,8 @@ from .fock import (
     FockParams,
     FockVector,
     OneParticleVector,
-    annihilate,
-    apply_field_word,
-    apply_operator_word,
-    apply_wick_product,
-    create,
+    apply,
     evaluate_expansion,
-    field_apply,
     gram_check,
     q_inner,
     vacuum_expectation,

@@ -22,8 +22,9 @@ full run; only the support cap is met later, if at all.
 
 Every q-dependence is polynomial, so the operators keep q formal (Graded):
 one run serves every q, results compare as whole polynomials, and only
-evaluating one at a rational q builds Fractions.  The public functions run
-for params.q and evaluate there; Gram positivity is decided in integers.
+evaluating one at a rational q builds Fractions.  apply and
+vacuum_expectation are graded_apply run for params.q and evaluated there;
+Gram positivity is decided in integers.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .algebra import (
     Expansion,
     OperatorWord,
     Rational,
+    VariableWord,
     _exact,
     _integer,
     _items,
@@ -342,10 +344,13 @@ def _wick(indices, coords: _Coordinates, u: dict, params: FockParams, qs, reach=
     return {key: c for key, c in out.items() if c}
 
 
-def graded_apply(words, assignment, params: FockParams, qs, scalar: bool = False) -> Graded:
-    """The words applied to the unit vacuum, rightmost first, for every q of
-    qs at once (params.q is not read).  Each is an OperatorWord or a
-    VariableWord: fields or, Wick-tagged, a Wick product's full operator form.
+def graded_apply(
+    words, assignment, params: FockParams, qs, scalar: bool = False, u: dict | None = None
+) -> Graded:
+    """The words applied to u, a graded vector, by default the unit vacuum,
+    rightmost first, for every q of qs at once (params.q is not read).  Each
+    is an OperatorWord or a VariableWord: fields or, Wick-tagged, a Wick
+    product's full operator form.
 
     With scalar set, only the vacuum coefficient is kept, and each step
     skips the words that can neither return to the vacuum nor meet a
@@ -358,7 +363,7 @@ def graded_apply(words, assignment, params: FockParams, qs, scalar: bool = False
         letters = word.letters if operator else tuple((0, i) for i in word.indices)
         runs.append((word, letters, reach))
         reach = _reaches(letters, reach)[-1]
-    vec = {((), 0): 1}
+    vec = {((), 0): 1} if u is None else u
     for word, letters, reach in reversed(runs):
         if isinstance(word, OperatorWord) or word.kind == NORMAL:
             vec = _letters(letters, coords, vec, params, qs, reach)
@@ -397,77 +402,51 @@ def graded_expansion(e: Expansion, assignment, params: FockParams, qs) -> Graded
     return Graded({key: c for key, c in nodes.get((), {}).items() if c}, e.is_scalar())
 
 
-def _numeric(kernel, *args, scalar: bool = False):
-    """Run a kernel for q = params.q and evaluate it there.  args end with
-    (assignment, u, params); the kernel gets the assignment as _Coordinates
-    and the FockVector u as a graded vector, whose letters must lie in
-    1..params.dim.  A scalar run gives the kernel reach (0, 0), as nothing
-    acts after it (see _step)."""
-    *args, assignment, u, params = args
+def _words(words, params) -> tuple:
+    """words as a tuple of OperatorWords and VariableWords, after checking
+    them and params; a bad one is a DomainError."""
+    _typed(params, "params", FockParams)
+    return tuple(_typed(w, "word", OperatorWord, VariableWord) for w in _sequence(words, "words"))
+
+
+def _typed(value, what: str, *kinds: type):
+    """value, if it is one of kinds; anything else is a DomainError."""
+    if not isinstance(value, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise DomainError(f"{what} must be {names}, got {value!r}")
+    return value
+
+
+def apply(
+    words: Sequence[Union[OperatorWord, VariableWord]],
+    assignment: Mapping[int, VectorLike],
+    params: FockParams,
+    u: FockVector | None = None,
+) -> FockVector:
+    """The words applied to u, by default the unit vacuum, rightmost first,
+    at params.q: graded_apply evaluated there.  u's basis letters must lie
+    in 1..params.dim."""
+    words = _words(words, params)
+    u = FockVector.vacuum() if u is None else _typed(u, "u", FockVector)
     basis = range(1, params.dim + 1)
     for word in u.entries:
         for letter in word:
             if letter not in basis:
                 raise DomainError(f"basis letter {letter!r} lies outside 1..{params.dim}")
-    coords = _Coordinates(assignment, params.dim)
     graded = {(word, 0): _exact(val) for word, val in u.entries.items()}
-    reach = (0, 0) if scalar else None
-    return Graded(kernel(*args, coords, graded, params, (params.q,), reach), scalar).at(params.q)
-
-
-def create(f: VectorLike, u: FockVector, params: FockParams) -> FockVector:
-    """Prepend f to every word of u, expanding f over the basis letters.
-
-    Raises TruncationOverflowError if any word already sits at the cutoff.
-    """
-    return _numeric(_letters, ((1, 1),), {1: f}, u, params)
-
-
-def annihilate(f: VectorLike, u: FockVector, params: FockParams) -> FockVector:
-    """Weighted deletion sum: removing position i carries q^(i-1) times the
-    coordinate of f matching the deleted letter.  The vacuum maps to zero."""
-    return _numeric(_letters, ((-1, 1),), {1: f}, u, params)
-
-
-def field_apply(f: VectorLike, u: FockVector, params: FockParams) -> FockVector:
-    """The field operator: create plus annihilate."""
-    return _numeric(_letters, ((0, 1),), {1: f}, u, params)
-
-
-def apply_operator_word(
-    word: OperatorWord, assignment: Mapping[int, VectorLike], u: FockVector, params: FockParams
-) -> FockVector:
-    """Apply a signed operator word, rightmost letter first."""
-    return _numeric(_letters, word.letters, assignment, u, params)
-
-
-def apply_field_word(
-    indices: Sequence[int], assignment: Mapping[int, VectorLike], u: FockVector, params: FockParams
-) -> FockVector:
-    """Apply a product of field operators, rightmost variable first."""
-    return _numeric(_letters, tuple((0, idx) for idx in indices), assignment, u, params)
-
-
-def apply_wick_product(
-    indices: Sequence[int], assignment: Mapping[int, VectorLike], u: FockVector, params: FockParams
-) -> FockVector:
-    """Apply the Wick product of the given variables through its 2^n-summand
-    creator/annihilator operator form, position p standing for indices[p - 1]."""
-    return _numeric(_wick, indices, assignment, u, params)
+    return graded_apply(words, assignment, params, (params.q,), u=graded).at(params.q)
 
 
 def vacuum_expectation(
-    word: Union[OperatorWord, Sequence[int]],
+    words: Sequence[Union[OperatorWord, VariableWord]],
     assignment: Mapping[int, VectorLike],
     params: FockParams,
 ) -> Fraction:
-    """Vacuum coefficient after applying the word to the unit vacuum.
-
-    Accepts a signed OperatorWord, or a plain sequence of variable indices
-    meaning a product of field operators.
-    """
-    letters = word.letters if isinstance(word, OperatorWord) else tuple((0, i) for i in word)
-    return _numeric(_letters, letters, assignment, FockVector.vacuum(), params, scalar=True)
+    """The vacuum coefficient of apply(words, assignment, params), by a
+    scalar graded_apply run, which skips the words that cannot return to
+    the vacuum."""
+    words = _words(words, params)
+    return graded_apply(words, assignment, params, (params.q,), scalar=True).at(params.q)
 
 
 def _units(dim: int) -> dict[int, tuple[int, ...]]:
@@ -487,6 +466,9 @@ def q_inner(u: FockVector, v: FockVector, params: FockParams) -> Fraction:
     """The q-deformed inner product at params.q: each basis word of u pairs
     with v through _inner, so words of different degrees are orthogonal.  Only
     letter equality matters, so letters are numbered in order of appearance."""
+    _typed(u, "u", FockVector)
+    _typed(v, "v", FockVector)
+    _typed(params, "params", FockParams)
     letters = dict.fromkeys(x for vec in (u, v) for word in vec.entries for x in word)
     label = {x: i for i, x in enumerate(letters, start=1)}
     units = _units(len(label))
@@ -571,4 +553,6 @@ def evaluate_expansion(
     only where that sum is nonzero at q.  Returns the vacuum coefficient when
     every word is empty, otherwise the full vector.
     """
+    _typed(e, "e", Expansion)
+    _typed(params, "params", FockParams)
     return graded_expansion(e, assignment, params, (params.q,)).at(params.q)

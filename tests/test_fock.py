@@ -19,15 +19,10 @@ from qwick import (
     OperatorWord,
     SizeLimitError,
     TruncationOverflowError,
-    annihilate,
-    apply_field_word,
-    apply_operator_word,
-    apply_wick_product,
+    apply,
     catalan_sequences,
-    create,
     evaluate_expansion,
     expand,
-    field_apply,
     gram_check,
     q_inner,
     vacuum_expectation,
@@ -49,49 +44,61 @@ from qwick.verify import GRAM_Q_GRID, Q_GRID, SAMPLES, _vec_json, sample_assignm
 
 E1 = OneParticleVector((1, 0))
 E2 = OneParticleVector((0, 1))
+# one creation, annihilation or field of variable 1
+CREATE = OperatorWord(((1, 1),))
+ANNIHILATE = OperatorWord(((-1, 1),))
+FIELD = VariableWord((1,))
 
 
 def params(q, dim=2, level=6):
     return FockParams(dim, level, Fraction(q))
 
 
+def field_word(indices, assignment):
+    """A field word whose variables may repeat, which a VariableWord cannot:
+    distinct positions 1..k, and an assignment giving each position its
+    variable's vector."""
+    positions = {pos: assignment[i] for pos, i in enumerate(indices, 1)}
+    return VariableWord(range(1, len(indices) + 1)), positions
+
+
 class TestOperators:
     def test_create_on_vacuum(self):
         p = params("1/3")
-        assert create(E1, FockVector.vacuum(), p) == FockVector({(1,): 1})
+        assert apply([CREATE], {1: E1}, p) == FockVector({(1,): 1})
 
     def test_create_prepends(self):
         p = params("1/3")
-        assert create(E2, FockVector({(1,): 1}), p) == FockVector({(2, 1): 1})
+        assert apply([CREATE], {1: E2}, p, FockVector({(1,): 1})) == FockVector({(2, 1): 1})
 
     def test_create_is_linear_in_the_vector(self):
         p = params("1/3")
         f = OneParticleVector((1, 1))
-        assert create(f, FockVector.vacuum(), p) == FockVector({(1,): 1, (2,): 1})
+        assert apply([CREATE], {1: f}, p) == FockVector({(1,): 1, (2,): 1})
 
     def test_create_overflow_is_an_error(self):
         p = params("1/3", level=2)
         u = FockVector({(1, 1): 1})
         with pytest.raises(TruncationOverflowError):
-            create(E1, u, p)
+            apply([CREATE], {1: E1}, p, u)
 
     def test_annihilate_vacuum_is_zero(self):
         p = params("1/3")
-        assert annihilate(E1, FockVector.vacuum(), p).is_zero()
+        assert apply([ANNIHILATE], {1: E1}, p).is_zero()
 
     def test_annihilate_repeated_letter(self):
         p = params("1/3")
-        got = annihilate(E1, FockVector({(1, 1): 1}), p)
+        got = apply([ANNIHILATE], {1: E1}, p, FockVector({(1, 1): 1}))
         assert got == FockVector({(1,): Fraction(4, 3)})  # weights 1 and q
 
     def test_annihilate_second_position_picks_up_q(self):
         p = params("1/3")
-        got = annihilate(E1, FockVector({(2, 1): 1}), p)
+        got = apply([ANNIHILATE], {1: E1}, p, FockVector({(2, 1): 1}))
         assert got == FockVector({(2,): Fraction(1, 3)})
 
     def test_field_apply_squares_the_vacuum(self):
         p = params("1/3")
-        got = field_apply(E1, field_apply(E1, FockVector.vacuum(), p), p)
+        got = apply([FIELD], {1: E1}, p, apply([FIELD], {1: E1}, p))
         assert got == FockVector({(1, 1): 1, (): 1})
 
     @given(
@@ -105,7 +112,9 @@ class TestOperators:
         p = FockParams(2, len(word) + 1, q)
         f, g = OneParticleVector(fc), OneParticleVector(gc)
         u = FockVector({word: 1})
-        lhs = annihilate(f, create(g, u, p), p) - create(g, annihilate(f, u, p), p).scaled(q)
+        fg = {1: f, 2: g}
+        lhs = apply([OperatorWord(((-1, 1), (1, 2)))], fg, p, u)
+        lhs = lhs - apply([OperatorWord(((1, 2), (-1, 1)))], fg, p, u).scaled(q)
         assert lhs == u.scaled(f.dot(g))
 
 
@@ -115,40 +124,40 @@ class TestOperatorWords:
         f1 = OneParticleVector((2, -1))
         f2 = OneParticleVector((1, 3))
         word = OperatorWord(((-1, 1), (1, 2)))
-        got = apply_operator_word(word, {1: f1, 2: f2}, FockVector.vacuum(), p)
+        got = apply([word], {1: f1, 2: f2}, p)
         assert got == FockVector({(): f1.dot(f2)})
 
     def test_excess_annihilators_give_zero(self):
         p = params("1/2")
         word = OperatorWord(((-1, 1), (-1, 2)))
-        got = apply_operator_word(word, {1: E1, 2: E1}, FockVector.vacuum(), p)
+        got = apply([word], {1: E1, 2: E1}, p)
         assert got.is_zero()
 
     def test_missing_assignment_raises_lookup_error(self):
         p = params("1/2")
         word = OperatorWord(((1, 7),))
         with pytest.raises(KeyError, match="7"):
-            apply_operator_word(word, {1: E1}, FockVector.vacuum(), p)
+            apply([word], {1: E1}, p)
 
     def test_vacuum_expectation_of_covariance(self):
         p = params("1/3")
         f = OneParticleVector((2, 1))
         g = OneParticleVector((-1, 3))
-        assert vacuum_expectation((1, 2), {1: f, 2: g}, p) == f.dot(g)
+        assert vacuum_expectation([VariableWord((1, 2))], {1: f, 2: g}, p) == f.dot(g)
 
     def test_wrong_order_pattern_vanishes(self):
         p = params("1/3")
         word = OperatorWord(((1, 1), (-1, 2)))
-        assert vacuum_expectation(word, {1: E1, 2: E1}, p) == 0
+        assert vacuum_expectation([word], {1: E1, 2: E1}, p) == 0
 
     def test_odd_field_moment_vanishes(self):
         p = params("1/3")
-        assert vacuum_expectation((1, 2, 3), {i: E1 for i in (1, 2, 3)}, p) == 0
+        assert vacuum_expectation([VariableWord((1, 2, 3))], {i: E1 for i in (1, 2, 3)}, p) == 0
 
     def test_fourth_field_moment(self):
         for q in (Fraction(0), Fraction(1, 3), Fraction(-1, 2)):
             p = params(q)
-            got = vacuum_expectation((1, 2, 3, 4), {i: E1 for i in range(1, 5)}, p)
+            got = vacuum_expectation([VariableWord((1, 2, 3, 4))], {i: E1 for i in range(1, 5)}, p)
             assert got == 2 + q
 
     def test_sign_expansion_equals_direct_field_application(self):
@@ -161,10 +170,10 @@ class TestOperatorWords:
             3: OneParticleVector((2, -1)),
             4: OneParticleVector((1, 1)),
         }
-        direct = vacuum_expectation((1, 2, 3, 4), assign, p)
+        direct = vacuum_expectation([VariableWord((1, 2, 3, 4))], assign, p)
         expanded = sum(
             vacuum_expectation(
-                OperatorWord(tuple((s, k) for k, s in enumerate(signs, start=1))),
+                [OperatorWord(tuple((s, k) for k, s in enumerate(signs, start=1)))],
                 assign,
                 p,
             )
@@ -177,12 +186,12 @@ class TestOperatorWords:
         # only positivity checks restrict q to (-1, 1)
         p = params(2)
         assign = {i: E1 for i in range(1, 5)}
-        assert vacuum_expectation((1, 2, 3, 4), assign, p) == 4
+        assert vacuum_expectation([VariableWord((1, 2, 3, 4))], assign, p) == 4
         assert evaluate_expansion(expand("moment", 4), assign, p) == 4
 
     def test_wick_product_missing_assignment_raises_lookup_error(self):
         with pytest.raises(KeyError, match="no vector assigned to variable 7"):
-            apply_wick_product((1, 7), {1: E1}, FockVector.vacuum(), params("1/2"))
+            apply([VariableWord((1, 7), WICK)], {1: E1}, params("1/2"))
 
     def test_wick_form_has_its_own_cap(self):
         # the oracle's wall, not the enumeration cap of the diagram layer
@@ -245,13 +254,12 @@ class TestInnerProduct:
         g = OneParticleVector((3, -1))
         h = OneParticleVector((0, 2))
         k = OneParticleVector((1, 1))
-        u = create(f, create(g, FockVector.vacuum(), p), p)
-        v = create(h, create(k, FockVector.vacuum(), p), p)
+        creations = OperatorWord(((1, 1), (1, 2)))
+        u = apply([creations], {1: f, 2: g}, p)
+        v = apply([creations], {1: h, 2: k}, p)
         direct = q_inner(u, v, p)
         # annihilation is the adjoint of creation, so peel u off v
-        peeled = apply_operator_word(
-            OperatorWord(((-1, 2), (-1, 1))), {1: f, 2: g}, v, p
-        )
+        peeled = apply([OperatorWord(((-1, 2), (-1, 1)))], {1: f, 2: g}, p, v)
         assert direct == peeled.coefficient(())
 
 
@@ -288,10 +296,10 @@ class TestSupportCap:
         word = OperatorWord(((1, 1), (1, 1), (1, 1)))
         if fails:
             with pytest.raises(SizeLimitError) as exc:
-                apply_operator_word(word, {1: self.F}, FockVector.vacuum(), params("1/3", 3))
+                apply([word], {1: self.F}, params("1/3", 3))
             assert str(exc.value) == "27 vector entries exceed the support cap 26"
         else:
-            out = apply_operator_word(word, {1: self.F}, FockVector.vacuum(), params("1/3", 3))
+            out = apply([word], {1: self.F}, params("1/3", 3))
             assert len(out.entries) == 27
 
     @pytest.mark.parametrize("sign", [1, -1])
@@ -302,7 +310,7 @@ class TestSupportCap:
         u = FockVector({(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1})
         word = OperatorWord(((sign, 1),))
         with pytest.raises(SizeLimitError) as exc:
-            apply_operator_word(word, {1: self.F}, u, params("1/3", 3))
+            apply([word], {1: self.F}, params("1/3", 3), u)
         assert str(exc.value) == "6 vector entries exceed the support cap 5"
 
 
@@ -482,7 +490,7 @@ class TestEvaluateExpansion:
         assign = {1: E1, 2: E2, 3: E1}
         got = evaluate_expansion(expand("wick-to-normal", 3), assign, p)
         assert got == FockVector({(1, 2, 1): 1})
-        direct = apply_wick_product((1, 2, 3), assign, FockVector.vacuum(), p)
+        direct = apply([VariableWord((1, 2, 3), WICK)], assign, p)
         assert direct == got
 
     def test_zero_expansion(self):
@@ -498,7 +506,7 @@ class TestEvaluateExpansion:
         p = params("1/2")
 
         assign = {1: OneParticleVector((1, 1)), 2: OneParticleVector((2, -1))}
-        lhs = apply_field_word((1, 2), assign, FockVector.vacuum(), p)
+        lhs = apply([VariableWord((1, 2))], assign, p)
         rhs = evaluate_expansion(expand("normal-to-wick", 2), assign, p)
         assert lhs == rhs
 
@@ -671,13 +679,11 @@ def oracle_cases(draw):
 
 def operator_form_sum(indices, assignment, u, p):
     """The Wick product of indices as the sum of its operator-form summands,
-    each applied through apply_operator_word and weighted by q to its power."""
+    each applied through apply and weighted by q to its power."""
     total = FockVector()
     for opword, qpow in wick_operator_form(len(indices)):
         letters = tuple((sign, indices[pos - 1]) for sign, pos in opword.letters)
-        total = total + apply_operator_word(OperatorWord(letters), assignment, u, p).scaled(
-            p.q**qpow
-        )
+        total = total + apply([OperatorWord(letters)], assignment, p, u).scaled(p.q**qpow)
     return total
 
 
@@ -699,7 +705,7 @@ class TestWickSkipsDeadSummands:
     @settings(max_examples=100)
     def test_matches_the_full_operator_form(self, case):
         indices, assignment, u, p = case
-        got = apply_wick_product(indices, assignment, u, p)
+        got = apply([VariableWord(indices, WICK)], assignment, p, u)
         assert got == operator_form_sum(indices, assignment, u, p)
 
     @pytest.mark.parametrize("n", range(11))
@@ -716,10 +722,10 @@ class TestAgainstReference:
     def test_operator_words(self, case, letters):
         p, assignment, u = case
         word = OperatorWord(tuple(letters))
-        got = outcome(apply_operator_word, word, assignment, FockVector(u), p)
+        got = outcome(apply, [word], assignment, p, FockVector(u))
         want = outcome(ref_letters, word.letters, assignment, u, p.q, p.level)
         assert_same(got, want)
-        got = outcome(vacuum_expectation, word, assignment, p)
+        got = outcome(vacuum_expectation, [word], assignment, p)
         want = outcome(ref_letters, word.letters, assignment, {(): Fraction(1)}, p.q, p.level)
         assert_same(got, want if isinstance(want, tuple) else want.get((), Fraction(0)))
 
@@ -728,12 +734,13 @@ class TestAgainstReference:
     def test_field_words(self, case, indices):
         p, assignment, u = case
         letters = tuple((0, i) for i in indices)
-        got = outcome(apply_field_word, indices, assignment, FockVector(u), p)
+        word, positions = field_word(indices, assignment)
+        got = outcome(apply, [word], positions, p, FockVector(u))
         assert_same(got, outcome(ref_letters, letters, assignment, u, p.q, p.level))
         if indices:
             f = assignment[indices[0]]
-            for public, sign in ((create, 1), (annihilate, -1), (field_apply, 0)):
-                got = outcome(public, f, FockVector(u), p)
+            for one, sign in ((CREATE, 1), (ANNIHILATE, -1), (FIELD, 0)):
+                got = outcome(apply, [one], {1: f}, p, FockVector(u))
                 want = outcome(ref_letters, ((sign, indices[0]),), assignment, u, p.q, p.level)
                 assert_same(got, want)
 
@@ -741,7 +748,7 @@ class TestAgainstReference:
     @settings(max_examples=100)
     def test_wick_products(self, case, indices):
         p, assignment, u = case
-        got = outcome(apply_wick_product, indices, assignment, FockVector(u), p)
+        got = outcome(apply, [VariableWord(indices, WICK)], assignment, p, FockVector(u))
         assert_same(got, outcome(ref_wick, tuple(indices), assignment, u, p.q, p.level))
 
     # a+(e1) a+(e1) a(e1) a+(e2) a+(e1) on the vacuum at cutoff 2: the middle
@@ -754,11 +761,11 @@ class TestAgainstReference:
         p = FockParams(2, 2, q)
         assignment = {1: (1, 0), 2: (0, 1)}
         prefix = OperatorWord(self.CANCELS_AT_ZERO.letters[1:])
-        got = apply_operator_word(prefix, assignment, FockVector.vacuum(), p)
+        got = apply([prefix], assignment, p)
         assert_same(got, ref_letters(prefix.letters, assignment, {(): Fraction(1)}, q, 2))
         assert got.is_zero() == (q == 0)
         word = self.CANCELS_AT_ZERO
-        got = outcome(apply_operator_word, word, assignment, FockVector.vacuum(), p)
+        got = outcome(apply, [word], assignment, p)
         want = outcome(ref_letters, word.letters, assignment, {(): 1}, q, 2)
         assert_same(got, want)
         assert isinstance(got, tuple) == (q != 0)
@@ -864,11 +871,20 @@ class TestScalarRunsSkipDeadWords:
     def test_vacuum_expectation_matches_the_full_run(self, case, indices, letters):
         # repeated variables too; the full run keeps the whole vector
         p, assignment, _ = case
-        runs = ((indices, apply_field_word), (OperatorWord(tuple(letters)), apply_operator_word))
-        for word, full in runs:
-            want = outcome(full, word, assignment, FockVector.vacuum(), p)
+        runs = (field_word(indices, assignment), (OperatorWord(tuple(letters)), assignment))
+        for word, vectors in runs:
+            want = outcome(apply, [word], vectors, p)
             want = want if isinstance(want, tuple) else want.coefficient(())
-            assert_same(outcome(vacuum_expectation, word, assignment, p), want)
+            assert_same(outcome(vacuum_expectation, [word], vectors, p), want)
+
+    @given(scalar_runs())
+    @settings(max_examples=200)
+    def test_vacuum_expectation_is_the_vacuum_coefficient(self, run):
+        # every word kind apply takes, Wick words included
+        words, assignment, p, _ = run
+        want = outcome(apply, words, assignment, p)
+        want = want if isinstance(want, tuple) else want.coefficient(())
+        assert_same(outcome(vacuum_expectation, words, assignment, p), want)
 
     @staticmethod
     def count_steps(monkeypatch) -> list:
@@ -905,13 +921,12 @@ class TestScalarRunsSkipDeadWords:
         # a field word's fields lower and raise the degree alike, so each step
         # keeps only the words its fields still to act can bring back
         steps = self.count_steps(monkeypatch)
-        indices = (1, 2, 3, 2, 4, 1)
-        assignment = {i: (1, i) for i in range(1, 5)}
+        word, assignment = field_word((1, 2, 3, 2, 4, 1), {i: (1, i) for i in range(1, 5)})
         p = params("1/2", level=7)
-        full = apply_field_word(indices, assignment, FockVector.vacuum(), p).coefficient(())
+        full = apply([word], assignment, p).coefficient(())
         full_work = sum(size for _, size in steps)
         steps.clear()
-        assert vacuum_expectation(indices, assignment, p) == full
+        assert vacuum_expectation([word], assignment, p) == full
         assert sum(size for _, size in steps) < full_work
 
 def ref_inner(w1, w2):
@@ -1076,12 +1091,12 @@ class TestLettersOutsideTheBasis:
     @pytest.mark.parametrize(
         "apply",
         [
-            lambda u, p: create((0, 1), u, p),
-            lambda u, p: annihilate((0, 1), u, p),
-            lambda u, p: field_apply((0, 1), u, p),
-            lambda u, p: apply_operator_word(OperatorWord(((-1, 1),)), {1: (1, 1)}, u, p),
-            lambda u, p: apply_field_word((1,), {1: (1, 1)}, u, p),
-            lambda u, p: apply_wick_product((1,), {1: (1, 1)}, u, p),
+            lambda u, p: apply([CREATE], {1: (0, 1)}, p, u),
+            lambda u, p: apply([ANNIHILATE], {1: (0, 1)}, p, u),
+            lambda u, p: apply([FIELD], {1: (0, 1)}, p, u),
+            lambda u, p: apply([OperatorWord(((-1, 1),))], {1: (1, 1)}, p, u),
+            lambda u, p: apply([VariableWord((1,))], {1: (1, 1)}, p, u),
+            lambda u, p: apply([VariableWord((1,), WICK)], {1: (1, 1)}, p, u),
         ],
     )
     @pytest.mark.parametrize("letter", [0, 3])
@@ -1095,7 +1110,9 @@ class TestLettersOutsideTheBasis:
 
     def test_letters_in_range_still_apply(self):
         u = FockVector({(2,): 3, (1, 2): 1})
-        assert annihilate((0, 1), u, self.P) == FockVector({(): 3, (1,): Fraction(1, 3)})
+        assert apply([ANNIHILATE], {1: (0, 1)}, self.P, u) == FockVector(
+            {(): 3, (1,): Fraction(1, 3)}
+        )
 
     def test_the_inner_product_still_numbers_letters_itself(self):
         # q_inner reads no coordinates, so any letters pair by equality

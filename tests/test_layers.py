@@ -28,11 +28,12 @@ from qwick import (
     QPolynomial,
     SignSequence,
     VariableWord,
+    apply,
     catalan_check,
-    create,
     enumerate_compatible,
     evaluate_expansion,
     expand,
+    q_inner,
     vacuum_expectation,
 )
 
@@ -249,9 +250,22 @@ def test_keys_have_no_instance_dict():
         lambda: FockVector({("a",): 1}),
         lambda: FockVector({(0,): 1}),
         lambda: FockVector({(-2,): 1}),
-        lambda: create(5, FockVector.vacuum(), FockParams(2, 3, 0)),
+        lambda: apply([OperatorWord(((1, 1),))], {1: 5}, FockParams(2, 3, 0), FockVector.vacuum()),
         lambda: evaluate_expansion(expand("moment", 2), {1: 5, 2: (1, 0)}, FockParams(2, 3, 0)),
-        lambda: vacuum_expectation((1, 2), {1: None, 2: (1, 0)}, FockParams(2, 3, 0)),
+        lambda: vacuum_expectation(
+            [VariableWord((1, 2))], {1: None, 2: (1, 0)}, FockParams(2, 3, 0)
+        ),
+        lambda: q_inner({(1,): 1}, FockVector.vacuum(), FockParams(2, 3, 0)),
+        lambda: q_inner(FockVector.vacuum(), {(1,): 1}, FockParams(2, 3, 0)),
+        lambda: q_inner(FockVector.vacuum(), FockVector.vacuum(), None),
+        lambda: apply([OperatorWord(((1, 1),))], {1: (1, 0)}, FockParams(2, 3, 0), {(): 1}),
+        lambda: apply([((1, 1),)], {1: (1, 0)}, FockParams(2, 3, 0)),
+        lambda: apply([OperatorWord(((1, 1),))], {1: (1, 0)}, None),
+        lambda: evaluate_expansion({}, {}, FockParams(2, 3, 0)),
+        lambda: evaluate_expansion(Expansion.zero(), {}, None),
+        lambda: vacuum_expectation(5, {1: (1, 0)}, FockParams(2, 3, 0)),
+        lambda: vacuum_expectation((1,), {1: (1, 0)}, FockParams(2, 3, 0)),
+        lambda: vacuum_expectation([VariableWord((1,))], {1: (1, 0)}, None),
         lambda: OneParticleVector((1, 2)).dot((3, 4)),
         lambda: OneParticleVector((1, 2)).dot(OneParticleVector((3,))),
     ],
@@ -292,20 +306,15 @@ PUBLIC_NAMES = [
     "VariableWord",
     "VerifyReport",
     "WICK",
-    "annihilate",
-    "apply_field_word",
-    "apply_operator_word",
-    "apply_wick_product",
+    "apply",
     "catalan_check",
     "catalan_sequences",
-    "create",
     "enumerate_compatible",
     "enumerate_complete",
     "enumerate_diagrams",
     "enumerate_nonlinking",
     "evaluate_expansion",
     "expand",
-    "field_apply",
     "gram_check",
     "normal_form",
     "q_inner",
