@@ -16,6 +16,7 @@ import sys
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from .algebra import QPolynomial, _monomial_str, _pretty_sum, _term_pretty
@@ -141,16 +142,33 @@ def _write_csv(header, rows) -> None:
     writer.writerows(rows)
 
 
-# The streaming writers below render each term, diagram or report as it is
-# yielded, with the text _json_text would give at that depth: a term or record
-# sits at indent 4 and its fields at indent 6.
+# The streaming writers below render terms, diagrams and reports as they are
+# yielded and write them in batches, with the text _json_text would give at
+# that depth: a term or record sits at indent 4 and its fields at indent 6.
+# A pair or a singleton word recurs across many terms of one listing, so each
+# listing renders them once, through tables built for that call alone.
 
 
-def _json_pairs(pairs) -> str:
+class _Texts(dict):
+    """key -> render(key), rendered when a key is first looked up."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
+        return text
+
+
+def _pair_text(pair) -> str:
+    return f"[\n          {pair[0]},\n          {pair[1]}\n        ]"
+
+
+def _json_pairs(pairs, texts: _Texts) -> str:
     if not pairs:
         return "[]"
-    inner = ",\n        ".join([f"[\n          {i},\n          {j}\n        ]" for i, j in pairs])
-    return "[\n        " + inner + "\n      ]"
+    return "[\n        " + ",\n        ".join(map(texts.__getitem__, pairs)) + "\n      ]"
 
 
 def _json_ints(values) -> str:
@@ -159,18 +177,22 @@ def _json_ints(values) -> str:
     return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]"
 
 
+_BATCH = 256  # items joined into one write
+
+
 def _write_json_list(meta: dict, key: str, items, after: dict | None = None) -> None:
-    """Write the JSON object of meta, then key's list, one rendered item at a
-    time, then the fields of after."""
+    """Write the JSON object of meta, then key's list, rendered items taken
+    _BATCH at a time, then the fields of after."""
     write = sys.stdout.write
     indent = "\n  "
     write("{")
     for k, v in meta.items():
         write(f"{indent}{encode_basestring_ascii(k)}: {_json_text(v, indent)},")
     write(f'{indent}"{key}": [')
+    items = iter(items)
     sep = "\n    "
-    for item in items:
-        write(sep + item)
+    while batch := list(islice(items, _BATCH)):
+        write(sep + ",\n    ".join(batch))
         sep = ",\n    "
     write("]" if sep == "\n    " else "\n  ]")
     for k, v in (after or {}).items():
@@ -188,11 +210,13 @@ def _write_terms(stream, meta: dict, fmt: str) -> None:
     its sorted terms would render it.  The stream is already in sorted term
     order with one term per key, so nothing is collected or sorted."""
     if fmt == "json":
+        pair_texts, word_texts = _Texts(_pair_text), _Texts(_json_ints)
         _write_json_list(
             meta,
             "terms",
             (
-                f'{{\n      "cov": {_json_pairs(pairs)},\n      "word": {_json_ints(singles)},'
+                f'{{\n      "cov": {_json_pairs(pairs, pair_texts)},'
+                f'\n      "word": {word_texts[singles]},'
                 f'\n      "kind": "{kind}",\n      "poly": [\n        {{\n          "exp": {exp},'
                 f'\n          "num": {coeff},\n          "den": 1\n        }}\n      ]\n    }}'
                 for pairs, singles, kind, exp, coeff in stream
@@ -280,12 +304,13 @@ def cmd_diagrams(args) -> int:
             },
         }
         flag = {True: "true", False: "false"}
+        pair_texts, word_texts = _Texts(_pair_text), _Texts(_json_ints)
         _write_json_list(
             meta,
             "diagrams",
             (
-                f'{{\n      "pairs": {_json_pairs(pairs)},'
-                f'\n      "singletons": {_json_ints(singles)},'
+                f'{{\n      "pairs": {_json_pairs(pairs, pair_texts)},'
+                f'\n      "singletons": {word_texts[singles]},'
                 f'\n      "c": {c},\n      "d": {d},\n      "tc": {c + d},'
                 f'\n      "g": {g},\n      "a": {g - c},'
                 f'\n      "noncrossing": {flag[c == 0]},'

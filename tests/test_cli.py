@@ -11,6 +11,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -785,6 +786,9 @@ SHARED_PARSER_ARGVS = (
     ("verify", "c2.2", "--n", "3"),
     ("product", "--blocks", "2,2", "--expectation"),
     ("product", "--blocks", "2,2"),
+    # listings after listings: no rendered pair or word may carry over
+    ("diagrams", "--n", "4"),
+    ("diagrams", "--blocks", "2,2"),
 )
 
 
@@ -972,8 +976,12 @@ def test_expansion_commands_match_the_reference_rendering(capsys, name, arg, fre
 
 @pytest.mark.parametrize(
     "argv, ground",
-    [(f"--n {n}", GroundSet(n)) for n in range(8)]
-    + [(f"--blocks {','.join(map(str, b))}", GroundSet(sum(b), b)) for b in STREAM_BLOCKS],
+    # n = 8 (764 diagrams) and 3,3,2 (364) run past one batch of the writer
+    [(f"--n {n}", GroundSet(n)) for n in range(9)]
+    + [
+        (f"--blocks {','.join(map(str, b))}", GroundSet(sum(b), b))
+        for b in STREAM_BLOCKS + ((3, 3, 2),)
+    ],
 )
 def test_diagram_listing_matches_crossing_stats(capsys, argv, ground):
     records = []
@@ -1016,6 +1024,35 @@ def test_diagram_listing_matches_crossing_stats(capsys, argv, ground):
     code, out = run_cli(capsys, "diagrams", *argv.split())
     assert code == 0
     assert out == json.dumps(expected, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "count", [0, 1, cli._BATCH, cli._BATCH + 1, 2 * cli._BATCH, 2 * cli._BATCH + 3]
+)
+def test_json_list_is_written_in_batches_as_items_are_pulled(monkeypatch, count):
+    values = [{"k": k, "word": [k, -k]} for k in range(count)]
+    pulled = [0]
+    writes = []  # (text, items pulled when it was written)
+
+    def items():
+        for value in values:
+            pulled[0] += 1
+            yield cli._json_text(value, "\n    ")
+
+    stdout = SimpleNamespace(write=lambda text: writes.append((text, pulled[0])))
+    monkeypatch.setattr(sys, "stdout", stdout)
+    cli._write_json_list({"n": count, "free": False}, "items", items(), {"failures": 0})
+    # an item is pulled only for the batch that is written next, and a
+    # batch holds at most _BATCH items
+    written = 0
+    for text, pulled_then in writes:
+        batch = text.count('"k"')
+        assert batch <= cli._BATCH
+        written += batch
+        assert pulled_then == written
+    assert written == count
+    expected = {"n": count, "free": False, "items": values, "failures": 0}
+    assert "".join(text for text, _ in writes) == json.dumps(expected, indent=2) + "\n"
 
 
 def test_closed_pipe_is_one_error_line():
