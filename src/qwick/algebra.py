@@ -70,6 +70,14 @@ def _items(value, what: str):
         raise DomainError(f"{what} must be a mapping, got {value!r}") from None
 
 
+def _typed(value, what: str, *kinds: type):
+    """value, if it is one of kinds; anything else is a DomainError."""
+    if not isinstance(value, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise DomainError(f"{what} must be {names}, got {value!r}")
+    return value
+
+
 def _fields(record, names: tuple[str, ...], what: str) -> tuple:
     """The named fields of a JSON record; a record that is not a mapping
     holding them all is a DomainError."""

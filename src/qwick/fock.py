@@ -47,6 +47,7 @@ from .algebra import (
     _poly_value,
     _rational,
     _sequence,
+    _typed,
 )
 from .errors import DomainError, SizeLimitError, TruncationOverflowError
 
@@ -407,14 +408,6 @@ def _words(words, params) -> tuple:
     them and params; a bad one is a DomainError."""
     _typed(params, "params", FockParams)
     return tuple(_typed(w, "word", OperatorWord, VariableWord) for w in _sequence(words, "words"))
-
-
-def _typed(value, what: str, *kinds: type):
-    """value, if it is one of kinds; anything else is a DomainError."""
-    if not isinstance(value, kinds):
-        names = " or ".join(kind.__name__ for kind in kinds)
-        raise DomainError(f"{what} must be {names}, got {value!r}")
-    return value
 
 
 def apply(

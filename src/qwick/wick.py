@@ -20,6 +20,7 @@ imported here.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass
@@ -34,8 +35,11 @@ from .algebra import (
     VariableWord,
     _exact,
     _integer,
+    _sequence,
+    _typed,
 )
 from .diagrams import (
+    DEFAULT_CAP,
     GroundSet,
     SignSequence,
     _block_forbid,
@@ -59,15 +63,13 @@ def _diagram_sum(stream) -> Expansion:
     return Expansion._trusted({(p, s, k): _q_power(e, c) for p, s, k, e, c in stream})
 
 
-def _normal_expansion(sums: dict) -> Expansion:
-    """The expansion of {(factors, indices): {exp: coeff}} sums of normal words
-    on canonical parts, dropping zero coefficients and empty terms."""
-    out: dict = {}
-    for (factors, indices), coeffs in sums.items():
-        coeffs = {exp: _exact(val) for exp, val in coeffs.items() if val}
-        if coeffs:
-            out[factors, indices, NORMAL] = QPolynomial._trusted(coeffs)
-    return Expansion._trusted(out)
+def _normal_expansion(done: dict) -> Expansion:
+    """The expansion of a {(factors, word, exp): coeff} map of normal words, less its zeros."""
+    terms: dict = {}
+    for (factors, word, exp), coeff in done.items():
+        if coeff:
+            terms.setdefault((factors, word, NORMAL), {})[exp] = _exact(coeff)
+    return Expansion._trusted({key: QPolynomial._trusted(c) for key, c in terms.items()})
 
 
 @dataclass(frozen=True)
@@ -134,9 +136,13 @@ def terms(name: str, arg, free: bool = False, cap: int | None = None):
     class, cutting each branch on which that statistic has turned positive.
     See _row_terms for what the stream yields.
     """
-    row = IDENTITIES[name]
+    try:
+        row = IDENTITIES[name]
+    except (KeyError, TypeError):
+        names = ", ".join(sorted(IDENTITIES))
+        raise DomainError(f"unknown identity {name!r}; expected one of {names}") from None
     if row.on == "blocks":
-        blocks = tuple(_integer(b, "block size") for b in arg)
+        blocks = tuple(_integer(b, "block size") for b in _sequence(arg, "block sizes"))
         ground = GroundSet(sum(blocks), blocks)
     elif row.on == "pattern":
         arg = SignSequence(arg)
@@ -182,55 +188,58 @@ def _increasing(indices: Sequence[int]) -> tuple[int, ...]:
 
 
 def normal_form(e: Expansion, cap: int | None = None) -> Expansion:
-    """e with every Wick-tagged word rewritten into plain products by the
-    peeling recursion; normal terms pass through unchanged, and an e with
-    no Wick-tagged term is returned as it is, since a canonical expansion
-    of normal words is its own normal form.
+    """e with every Wick-tagged word rewritten into plain products by the peeling
+    recursion; normal terms pass through, and an e with no Wick word is e itself.
 
-    Every Wick word is checked, in sorted order, before the first is
-    rewritten: its indices must increase strictly and their count stay
-    within cap.  A term is held as factors * prefix * :rest:, with a plain
-    prefix, and terms are peeled by global position: in round t, every term
-    whose rest is (t,) + r becomes
+    Before any rewrite, one pass checks that each Wick word increases (its
+    indices are distinct, so sorted ones do) and stays within cap; only if
+    one fails, or cap is not a plain int, are they checked again in sorted
+    order, so that the first fault in that order is raised.  A term is held
+    as factors * prefix * :rest:, with a plain prefix, on a flat (factors,
+    prefix, exp) key, and in round t every term whose rest is (t,) + r becomes
 
         prefix t :r:  -  sum over pos of q^pos c(t, r[pos]) prefix :r without r[pos]:
 
     Each image joins the terms of a later round, or the result once its
     rest has at most one variable, so terms merge, and cancel, as they go.
     """
-    if all(kind != WICK for _, _, kind in e.terms):
+    _typed(e, "e", Expansion)
+    words = [indices for _, indices, kind in e.terms if kind == WICK]
+    if not words:
         return e
-    done: dict = {}  # (factors, word) -> {exp: coeff}, as every output word is normal
-    waiting: dict = {}  # t -> rest -> (factors, prefix) -> {exp: coeff}, for rests (t, ...)
+    limit = DEFAULT_CAP if cap is None else cap
+    if type(limit) is not int or any(len(w) > limit or list(w) != sorted(w) for w in words):
+        for indices in sorted(words):
+            ensure_within_cap(len(_increasing(indices)), cap)
+    done: dict = {}  # (factors, word, exp) -> coeff, as every output word is normal
+    waiting = collections.defaultdict(dict)  # t -> rest (t, ...) -> (factors, prefix, exp) -> coeff
     for (factors, indices, kind), poly in e.terms.items():
         if kind == WICK and len(indices) > 1:
-            group = waiting.setdefault(indices[0], {}).setdefault(indices, {})
-            group[factors, ()] = dict(poly.coeffs)
+            group = waiting[indices[0]].setdefault(indices, {})
+            for exp, c in poly.coeffs.items():
+                group[factors, (), exp] = c
         else:
-            acc = done.setdefault((factors, indices), {})
-            for k, c in poly.coeffs.items():
-                acc[k] = acc.get(k, 0) + c
-    for indices in sorted(key[1] for key in e.terms if key[2] == WICK):
-        ensure_within_cap(len(_increasing(indices)), cap)
+            for exp, c in poly.coeffs.items():
+                done[factors, indices, exp] = done.get((factors, indices, exp), 0) + c
     while waiting:
-        t = min(waiting)
-        for rest, group in waiting.pop(t).items():
-            r = rest[1:]
-            live = [(key, [i for i in coeffs.items() if i[1]]) for key, coeffs in group.items()]
-            live = [(key, items) for key, items in live if items]  # cancelled terms stop here
-            # (pair, tail, trimmed, shift, sign): an image gains the factor pair,
-            # appends tail to its prefix, has Wick rest trimmed and weight sign * q^shift
-            images = [(None, (t,), r, 0, 1)]
-            images += [((t, u), (), r[:pos] + r[pos + 1 :], pos, -1) for pos, u in enumerate(r)]
-            for pair, tail, trimmed, shift, sign in images:
-                if len(trimmed) > 1:
-                    bucket = waiting.setdefault(trimmed[0], {}).setdefault(trimmed, {})
-                else:
-                    bucket, tail = done, tail + trimmed
-                for (factors, prefix), items in live:
-                    if pair:
-                        factors = tuple(sorted(factors + (pair,)))
-                    acc = bucket.setdefault((factors, prefix + tail), {})
-                    for k, c in items:
-                        acc[k + shift] = acc.get(k + shift, 0) + sign * c
+        for rest, group in waiting.pop(min(waiting)).items():
+            if not (live := [item for item in group.items() if item[1]]):
+                continue  # every term here has cancelled, so it has no images
+            t, r = rest[0], rest[1:]
+            # the image t :r:, whose prefix gains t; factors and power stay
+            bucket = waiting[r[0]].setdefault(r, {}) if len(r) > 1 else done
+            tail = (t,) if len(r) > 1 else (t,) + r
+            for (factors, prefix, exp), c in live:
+                key = factors, prefix + tail, exp
+                bucket[key] = bucket.get(key, 0) + c
+            for pos, u in enumerate(r):  # the image c(t, u) :r without u: times -q^pos
+                pair, kept = (t, u), r[:pos] + r[pos + 1 :]
+                bucket = waiting[kept[0]].setdefault(kept, {}) if len(kept) > 1 else done
+                tail = () if len(kept) > 1 else kept
+                for (factors, prefix, exp), c in live:
+                    joined = factors + (pair,)
+                    if factors and factors[-1] > pair:
+                        joined = tuple(sorted(joined))
+                    key = joined, prefix + tail, exp + pos
+                    bucket[key] = bucket.get(key, 0) - c
     return _normal_expansion(done)

@@ -33,6 +33,7 @@ from qwick import (
     enumerate_compatible,
     evaluate_expansion,
     expand,
+    normal_form,
     q_inner,
     vacuum_expectation,
 )
@@ -268,6 +269,10 @@ def test_keys_have_no_instance_dict():
         lambda: vacuum_expectation([VariableWord((1,))], {1: (1, 0)}, None),
         lambda: OneParticleVector((1, 2)).dot((3, 4)),
         lambda: OneParticleVector((1, 2)).dot(OneParticleVector((3,))),
+        lambda: normal_form(5),
+        lambda: normal_form({}),
+        lambda: expand("nope", 2),
+        lambda: expand("product-expansion", 5),
     ],
 )
 def test_public_constructors_still_validate(build):

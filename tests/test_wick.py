@@ -437,11 +437,19 @@ class TestTermStream:
             ("product-expectation", (), DomainError),
             ("operator-moment", (1, -1) * 7, SizeLimitError),  # not Catalan, and past the cap
             ("operator-moment", (0, 1), DomainError),
+            ("nope", 2, DomainError),
+            ("product-expansion", 5, DomainError),
         ],
     )
     def test_checks_run_before_the_first_term(self, name, arg, error):
         with pytest.raises(error):
             terms(name, arg)
+
+    def test_an_unknown_row_names_the_rows(self):
+        with pytest.raises(DomainError) as exc:
+            terms("nope", 2)
+        names = ", ".join(sorted(IDENTITIES))
+        assert str(exc.value) == f"unknown identity 'nope'; expected one of {names}"
 
 
 SUM_BLOCKS = ((1,), (2, 1), (2, 2), (1, 2, 2), (2, 3, 2), (1, 2, 2, 1))
@@ -671,7 +679,8 @@ class TestNormalFormAgainstRuleMaps:
             reference_normal_form, e, cap
         )
 
-    @given(wick_word_lists, st.sampled_from((None, 0, 2, 4)))
+    # -1, 1.5 and "x" are invalid caps, which the one-pass check leaves to the sorted loop
+    @given(wick_word_lists, st.sampled_from((None, 0, 2, 4, -1, 1.5, "x")))
     @settings(max_examples=200)
     def test_same_error_first(self, words, cap):
         e = Expansion({((), w.indices, w.kind): QPolynomial.one() for w in words})
@@ -700,7 +709,9 @@ class TestNormalFormAgainstRuleMaps:
         assert rewrite_outcome(normal_form, e, cap) == error
         assert rewrite_outcome(reference_normal_form, e, cap) == error
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    # the roundtrip suite's inputs, cancellation-heavy and past the few
+    # indices of the strategies above, as are the product expansions below
+    @pytest.mark.parametrize("n", range(10))
     def test_roundtrip(self, n):
         e = expand("normal-to-wick", n)
         expected = Expansion({((), tuple(range(1, n + 1)), NORMAL): 1})
@@ -708,6 +719,13 @@ class TestNormalFormAgainstRuleMaps:
             reference_normal_form, e, None
         )
         assert normal_form(e) == expected
+
+    @pytest.mark.parametrize("blocks", [(2, 2), (1, 2, 2), (2, 2, 2), (3, 3)])
+    def test_product_expansion(self, blocks):
+        e = expand("product-expansion", blocks)
+        assert rewrite_outcome(normal_form, e, None) == rewrite_outcome(
+            reference_normal_form, e, None
+        )
 
 
 # Each mutated row must fail the suites that check it: its own oracle suite,
